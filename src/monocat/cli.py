@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 
 from . import coherence, render, tactics
 from .coherence import dump_normal_form, monoidal_eq
 from .parser import parse_expr, parse_rules, parse_signature, print_expr, print_obj
-from .semantics import eval_matrix, eval_rel, mat_equiv, matrix_instance, rel_instance
+from .semantics import (MatrixInstance, RelInstance, eval_matrix, eval_rel, mat_equiv,
+                        matrix_instance, rel_instance)
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
 from .terms import CatError, MorExpr, Signature, typecheck
 
@@ -36,7 +38,7 @@ def _render_config(args) -> render.RenderConfig:
 
 
 def _check_pair(method: str, sig: Signature, text1: str, text2: str,
-                tolerance: float | None) -> tuple[bool, str]:
+                backend: Callable[[], MatrixInstance | RelInstance]) -> tuple[bool, str]:
     """Returns (equal, human-readable report)."""
 
     t1 = parse_expr(text1, sig)
@@ -55,13 +57,13 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
             return True, f"proved (cat_easy)\n{trace}"
         return False, f"not proved (cat_easy)\n{trace}"
     if method == "matrix":
-        inst = matrix_instance(sig, tolerance)
+        inst = backend()
         m1, m2 = eval_matrix(t1, inst), eval_matrix(t2, inst)
         if mat_equiv(m1, m2, inst.tolerance):
             return True, "equal (matrix backend)"
         return False, "unequal (matrix backend)"
     if method == "rel":
-        inst = rel_instance(sig)
+        inst = backend()
         r1, r2 = eval_rel(t1, inst), eval_rel(t2, inst)
         if r1 == r2:
             return True, "equal (relation backend)"
@@ -71,6 +73,9 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
 
 def _cmd_check(args) -> int:
     sig = _load_signature(args.sig)
+    # one backend instance per run, built once the first pair to need it has parsed
+    backend = cache(partial(matrix_instance, sig, args.tolerance) if args.method == "matrix"
+                    else partial(rel_instance, sig))
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
             pairs = []
@@ -82,18 +87,14 @@ def _cmd_check(args) -> int:
                     raise CatError(f"batch line needs 'EXPR == EXPR': {line!r}")
                 left, right = line.split("==", 1)
                 pairs.append((left.strip(), right.strip()))
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(pairs)))) as pool:
-            results = list(pool.map(
-                lambda p: _check_pair(args.method, sig, p[0], p[1], args.tolerance), pairs))
-        all_equal = True
-        for (left, right), (equal, report) in zip(pairs, results):
-            status = "ok" if equal else "FAIL"
-            print(f"[{status}] {left} == {right}")
-            all_equal &= equal
-        return 0 if all_equal else 1
+        verdicts = [_check_pair(args.method, sig, left, right, backend)[0]
+                    for left, right in pairs]
+        for (left, right), equal in zip(pairs, verdicts):
+            print(f"[{'ok' if equal else 'FAIL'}] {left} == {right}")
+        return 0 if all(verdicts) else 1
     if len(args.exprs) != 2:
         raise CatError("check needs exactly two expressions (or --batch FILE)")
-    equal, report = _check_pair(args.method, sig, args.exprs[0], args.exprs[1], args.tolerance)
+    equal, report = _check_pair(args.method, sig, args.exprs[0], args.exprs[1], backend)
     print(report)
     return 0 if equal else 1
 

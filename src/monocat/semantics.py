@@ -5,15 +5,21 @@ use the column-vector convention: a term with boundary ``dom -> cod``
 evaluates to a matrix of shape ``dimflat(cod) x dimflat(dom)``, so
 diagrammatic composition ``f ; g`` evaluates to ``mat(g) @ mat(f)``.
 Tensoring is the Kronecker product and the braiding is the commutation
-(perfect-shuffle) permutation matrix.  Relations mirror the same
-flattening: elements of a flattened object are indexed row-major, so a
-relation backend and a 0/1 matrix backend agree slot for slot.
+(perfect-shuffle) permutation matrix.  :func:`eval_matrix` never forms
+``mat(g)``: it applies each box of ``g`` to the rows of ``mat(f)`` its
+wires index, as DisCoPy contracts diagrams (arXiv:2005.02975), walking
+the term and never its normal form, so the normalizer is checked by an
+independent oracle.  Relations mirror the same flattening: elements of a
+flattened object are indexed row-major, so a relation backend and a 0/1
+matrix backend agree slot for slot.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 
 import numpy as np
@@ -59,13 +65,10 @@ class InvalidBackendData(CatError):
 def dim_flat(obj: ObjExpr, dim: dict[str, int]) -> int:
     """Product of the dimensions of the flattened object (empty = 1)."""
 
-    total = 1
-    for name in flatten_object(obj):
-        try:
-            total *= dim[name]
-        except KeyError:
-            raise MissingBackendData(f"no dimension for object {name!r}") from None
-    return total
+    try:
+        return math.prod(dim[name] for name in flatten_object(obj))
+    except KeyError as err:
+        raise MissingBackendData(f"no dimension for object {err.args[0]!r}") from None
 
 
 def braid_matrix(m: int, n: int) -> np.ndarray:
@@ -74,11 +77,7 @@ def braid_matrix(m: int, n: int) -> np.ndarray:
     Column index i*n+j (i < m, j < n) maps to row index j*m+i.
     """
 
-    out = np.zeros((n * m, m * n), dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            out[j * m + i, i * n + j] = 1.0
-    return out
+    return np.eye(m * n, dtype=complex).reshape(m, n, m * n).transpose(1, 0, 2).reshape(n * m, -1)
 
 
 def mat_equiv(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -133,39 +132,57 @@ class MatrixInstance:
 
 
 def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
-    """Evaluate a well-typed term to its matrix (cod x dom)."""
+    """Evaluate a well-typed term to its matrix (cod x dom).
 
-    sig = inst.sig
-    ty = typecheck(term, sig)
+    ``ev`` builds a subterm's matrix on its own boundary.  ``apply(t, m, pre)``
+    acts with ``t`` on the rows of ``m`` (row index over the current wires,
+    top wire most significant) below wires of total dimension ``pre``, and
+    also returns the total dimension of ``t``'s outputs.
+    """
+
+    ty = typecheck(term, inst.sig)
+    dim = partial(dim_flat, dim=inst.dim)
+
+    def size(t: MorExpr) -> int:
+        # an identity, structural atom or braiding spans all its object fields
+        return math.prod(dim(obj) for obj in vars(t).values())
+
+    def gen(t: MorGen | Inv) -> np.ndarray:
+        table = inst.mat if isinstance(t, MorGen) else inst.inv_mat
+        if t.name not in table:
+            kind = "matrix" if isinstance(t, MorGen) else "inverse matrix"
+            raise MissingBackendData(f"no {kind} for {t.name!r}")
+        return table[t.name]
 
     def ev(t: MorExpr) -> np.ndarray:
-        if isinstance(t, MorGen):
-            try:
-                return inst.mat[t.name]
-            except KeyError:
-                raise MissingBackendData(f"no matrix for {t.name!r}") from None
-        if isinstance(t, Inv):
-            try:
-                return inst.inv_mat[t.name]
-            except KeyError:
-                raise MissingBackendData(f"no inverse matrix for {t.name!r}") from None
-        if isinstance(t, Id):
-            return np.eye(dim_flat(t.obj, inst.dim), dtype=complex)
-        if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            return np.eye(dim_flat(typecheck(t, sig).dom, inst.dim), dtype=complex)
-        if isinstance(t, Braid):
-            return braid_matrix(dim_flat(t.a, inst.dim), dim_flat(t.b, inst.dim))
-        if isinstance(t, BraidInv):
-            return braid_matrix(dim_flat(t.b, inst.dim), dim_flat(t.a, inst.dim))
         if isinstance(t, Comp):
-            return ev(t.second) @ ev(t.first)
+            return apply(t.second, ev(t.first), 1)[0]
         if isinstance(t, Tensor):
             return np.kron(ev(t.top), ev(t.bottom))
-        raise TypeError(f"cannot evaluate {t!r}")
+        if isinstance(t, (MorGen, Inv)):
+            return gen(t)
+        return apply(t, np.eye(size(t), dtype=complex), 1)[0]
+
+    def apply(t: MorExpr, m: np.ndarray, pre: int) -> tuple[np.ndarray, int]:
+        if isinstance(t, Comp):
+            m, _ = apply(t.first, m, pre)
+            return apply(t.second, m, pre)
+        if isinstance(t, Tensor):
+            m, top = apply(t.top, m, pre)
+            m, bottom = apply(t.bottom, m, pre * top)
+            return m, top * bottom
+        cols = m.shape[1]
+        if isinstance(t, (MorGen, Inv)):
+            s = gen(t)
+            return np.matmul(s, m.reshape(pre, s.shape[1], -1)).reshape(-1, cols), s.shape[0]
+        if isinstance(t, (Braid, BraidInv)):  # swap two blocks of rows
+            blocks = (dim(t.a), dim(t.b)) if isinstance(t, Braid) else (dim(t.b), dim(t.a))
+            m = m.reshape(pre, *blocks, -1).transpose(0, 2, 1, 3)
+            return m.reshape(-1, cols), blocks[0] * blocks[1]
+        return m, size(t)  # identities, associators and unitors move no wire
 
     result = ev(term)
-    expected = (dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim))
-    assert result.shape == expected, f"shape {result.shape} != {expected}"
+    assert result.shape == (dim(ty.cod), dim(ty.dom)), f"shape {result.shape} for {ty}"
     return result
 
 
@@ -378,26 +395,16 @@ def _random_objects(rng: Random, names: tuple[str, ...], count: int,
     objs: list[ObjExpr] = []
     budget = cap
     for _ in range(count):
-        choices: list[ObjExpr] = [UNIT]
-        for n in names:
-            if dims.get(n, 1) <= budget:
-                choices.append(ObjGen(n))
+        choices: list[ObjExpr] = [UNIT] + [ObjGen(n) for n in names if dims[n] <= budget]
         obj = rng.choice(choices)
         if isinstance(obj, ObjGen) and rng.random() < 0.3:
-            partner_choices = [n for n in names if dims.get(n, 1) * dims.get(obj.name, 1) <= budget]
+            partner_choices = [n for n in names if dims[n] * dims[obj.name] <= budget]
             if partner_choices:
                 other = ObjGen(rng.choice(partner_choices))
                 obj = ObjTensor(obj, other) if rng.random() < 0.5 else ObjTensor(other, obj)
         objs.append(obj)
-        budget = max(1, budget // max(1, _obj_dim(obj, dims)))
+        budget = max(1, budget // dim_flat(obj, dims))
     return objs
-
-
-def _obj_dim(obj: ObjExpr, dims: dict[str, int]) -> int:
-    total = 1
-    for name in flatten_object(obj):
-        total *= dims.get(name, 1)
-    return total
 
 
 def _composable_pairs(sig: Signature) -> list[tuple[MorGen, MorGen]]:

@@ -177,6 +177,39 @@ def test_batch_check(sig_path, tmp_path, capsys):
     assert out.index("[ok]") < out.index("[FAIL]")
 
 
+@pytest.mark.parametrize("method", ["matrix", "rel"])
+def test_batch_check_backends(sig_path, tmp_path, capsys, method):
+    batch = tmp_path / "pairs.txt"
+    batch.write_text(
+        "k ; inv(k) == id[A]\n"
+        "u == id[A]\n"
+        "(u * k) ; braid[A,B] == braid[A,A] ; (k * u)\n",
+        encoding="utf-8")
+    code = run(["check", "--sig", sig_path, "--method", method, "--batch", str(batch)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "[ok] k ; inv(k) == id[A]\n"
+        "[FAIL] u == id[A]\n"
+        "[ok] (u * k) ; braid[A,B] == braid[A,A] ; (k * u)\n")
+
+
+def test_batch_check_error_and_empty(sig_path, tmp_path, capsys):
+    batch = tmp_path / "pairs.txt"
+    batch.write_text("u == u\nu ; nosuch == u\nu ; k == u\n", encoding="utf-8")
+    assert run(["check", "--sig", sig_path, "--method", "matrix", "--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nosuch" in captured.err
+    # an empty batch needs no backend block
+    bare = tmp_path / "bare.txt"
+    bare.write_text("category symmetric\nobject A\nmor u : A -> A\n", encoding="utf-8")
+    batch.write_text("# nothing to check\n", encoding="utf-8")
+    for method in ("matrix", "rel"):
+        assert run(["check", "--sig", str(bare), "--method", method,
+                    "--batch", str(batch)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # REPL
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from gen import (
     random_matrix_instance,
     random_rel_instance,
     random_term,
+    random_term_with_dom,
     std_sig,
+    struct_sig,
 )
 from monocat.parser import parse_expr, parse_signature
 from monocat.semantics import (
@@ -26,7 +28,8 @@ from monocat.semantics import (
     matrix_instance,
     rel_instance,
 )
-from monocat.terms import MorGen, UndeclaredName
+from monocat.terms import Comp, MorGen, Tensor, UndeclaredName, typecheck
+from reference_semantics import dense_eval_matrix
 
 
 def test_braid_matrix_unit_factor():
@@ -152,6 +155,69 @@ def test_eval_braid_shapes():
     m = eval_matrix(parse_expr("braid[A,B]", BACKEND_SIG), inst)
     assert m.shape == (6, 6)
     assert np.array_equal(m, braid_matrix(2, 3))
+
+
+@pytest.mark.parametrize("make_sig", [std_sig, struct_sig])
+def test_eval_matches_dense_reference(make_sig):
+    """Local contraction agrees with the kron/matmul evaluator on random terms."""
+
+    sig = make_sig()
+    rng = Random(53)
+    for _ in range(300):
+        inst = random_matrix_instance(rng, sig, max_dim=3)
+        # compose and stack random terms so that apply meets tensors and
+        # braidings away from the top wire
+        term = random_term(rng, sig, max_leaves=rng.randint(2, 16))
+        term = Comp(term, random_term_with_dom(rng, sig, typecheck(term, sig).cod, 8))
+        other = random_term(rng, sig, max_leaves=6)
+        stacked = Tensor(other, term) if rng.random() < 0.5 else Tensor(term, other)
+        ty = typecheck(stacked, sig)
+        if max(dim_flat(ty.dom, inst.dim), dim_flat(ty.cod, inst.dim)) <= 243:
+            term = stacked
+        got, want = eval_matrix(term, inst), dense_eval_matrix(term, inst)
+        assert got.shape == want.shape, term
+        assert got.size == 0 or np.max(np.abs(got - want)) <= 1e-10, term
+
+
+WIDE_SIG = parse_signature("""
+category symmetric
+object A
+mor e : I -> A
+mor x : A -> A
+backend matrix
+dim A = 2
+mat e = [[1], [2i]]
+mat x = [[0, 1], [1, 0.5]]
+""")
+
+
+def test_eval_wide_state():
+    """16 wires: the column has 65536 entries, while a dense layer would
+    need a 65536 x 65536 matrix."""
+
+    inst = matrix_instance(WIDE_SIG)
+    wires = 16
+    layers = [0, 5, 15, 0, 9]
+
+    def layer(wire):
+        return " * ".join("x" if w == wire else "id[A]" for w in range(wires))
+
+    text = " ; ".join([" * ".join(["e"] * wires)] + [layer(w) for w in layers])
+    want = np.ones((1, 1), dtype=complex)
+    for w in range(wires):
+        vec = np.linalg.matrix_power(inst.mat["x"], layers.count(w)) @ inst.mat["e"]
+        want = np.kron(want, vec)
+    got = eval_matrix(parse_expr(text, WIDE_SIG), inst)
+    assert got.shape == (2 ** wires, 1)
+    assert mat_equiv(got, want, 1e-12)
+
+
+def test_eval_missing_matrix():
+    inst = matrix_instance(BACKEND_SIG)
+    del inst.inv_mat["k"]
+    for text in ("k ; inv(k)", "inv(k) * id[A]"):
+        with pytest.raises(MissingBackendData):
+            eval_matrix(parse_expr(text, BACKEND_SIG), inst)
 
 
 def test_missing_backend_data():
