@@ -19,9 +19,12 @@ points stay distinct (they denote different permutations).  A braiding
 with a unit-like half permutes nothing and is erased like the unitors.
 
 Boxes with no input wires ("scalar" states) have no wire dependencies;
-to keep canonicalization deterministic and order-independent they slide
-left only through layers consisting entirely of wires, preserving their
-vertical position.
+they slide left only through layers consisting entirely of wires, and
+where one stops depends on the order in which the pass loop of
+single-layer slides (:func:`_slide_to_fixpoint`) visits passes and
+slots.  A sheet holding one takes that loop; any other sheet is
+canonicalized in one left-to-right sweep (:func:`_sweep`), in time
+linear in the input plus the output.
 """
 
 from __future__ import annotations
@@ -29,22 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    Assoc,
-    AssocInv,
+    STRUCTURAL_MONOIDAL,
     Braid,
     BraidInv,
     Comp,
     Id,
     Inv,
-    LUnit,
-    LUnitInv,
     MorExpr,
     MorGen,
     ObjExpr,
     ObjGen,
     ObjTensor,
-    RUnit,
-    RUnitInv,
     Signature,
     Tensor,
     TypeMismatch,
@@ -146,6 +144,13 @@ def _braid_label(kind: str, half_a: WireList, half_b: WireList) -> str:
     return f"{kind}([{','.join(half_a)}],[{','.join(half_b)}])"
 
 
+def structural_wires(atom: MorExpr) -> WireList:
+    """Flat wires of an associator or unitor: its domain and codomain both
+    flatten to the wires of its object arguments, in order."""
+
+    return tuple(w for obj in vars(atom).values() for w in flatten_object(obj))
+
+
 def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     """Flatten a well-typed term into a sheet.
 
@@ -157,66 +162,52 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     """
 
     ty = typecheck(term, sig)
-
-    def build(t: MorExpr) -> Sheet:
-        if isinstance(t, Id):
-            return Sheet(flatten_object(t.obj), ())
-        if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            return Sheet(flatten_object(typecheck(t, sig).dom), ())
-        if isinstance(t, MorGen):
-            decl = sig.morphism(t.name)
-            ins, outs = flatten_object(decl.dom), flatten_object(decl.cod)
-            return Sheet(ins, ((BoxSlot(t.name, ins, outs),),))
-        if isinstance(t, Inv):
-            decl = sig.morphism(t.name)
-            ins, outs = flatten_object(decl.cod), flatten_object(decl.dom)
-            return Sheet(ins, ((BoxSlot(f"inv:{t.name}", ins, outs),),))
-        if isinstance(t, Braid):
-            fa, fb = flatten_object(t.a), flatten_object(t.b)
-            if not fa or not fb:
-                # one half is unit-like: the permutation is the identity
-                # in every lawful backend, so the box is erased
-                return Sheet(fa + fb, ())
-            box = BoxSlot(_braid_label("braid", fa, fb), fa + fb, fb + fa)
-            return Sheet(fa + fb, ((box,),))
-        if isinstance(t, BraidInv):
-            fa, fb = flatten_object(t.a), flatten_object(t.b)
-            if not fa or not fb:
-                return Sheet(fb + fa, ())
-            box = BoxSlot(_braid_label("braid_inv", fa, fb), fb + fa, fa + fb)
-            return Sheet(fb + fa, ((box,),))
-        if isinstance(t, Comp):
-            first = build(t.first)
-            second = build(t.second)
-            return Sheet(first.input, first.layers + second.layers)
-        if isinstance(t, Tensor):
-            top = build(t.top)
-            bottom = build(t.bottom)
-            t_layers = list(top.layers)
-            b_layers = list(bottom.layers)
-            while len(t_layers) < len(b_layers):
-                t_layers.append(_wire_layer(layer_output(t_layers[-1]) if t_layers else top.input))
-            while len(b_layers) < len(t_layers):
-                b_layers.append(_wire_layer(layer_output(b_layers[-1]) if b_layers else bottom.input))
-            layers = tuple(ta + tb for ta, tb in zip(t_layers, b_layers))
-            return Sheet(top.input + bottom.input, layers)
-        raise TypeError(f"cannot build a sheet from {t!r}")
-
-    sheet = build(term)
+    sheet = _sheet(term, sig)
     assert sheet.input == flatten_object(ty.dom)
     return sheet
 
 
-def _slot_positions(layer: list[Slot]) -> list[tuple[int, int]]:
-    """Input-boundary interval [start, end) of each slot."""
+def _sheet(term: MorExpr, sig: Signature) -> Sheet:
+    """:func:`sheet_of_term` for a term already typechecked against ``sig``."""
 
-    spans = []
-    pos = 0
-    for slot in layer:
-        w = len(slot_in(slot))
-        spans.append((pos, pos + w))
-        pos += w
-    return spans
+    def build(t: MorExpr) -> tuple[WireList, list[Layer]]:
+        if isinstance(t, Id):
+            return flatten_object(t.obj), []
+        if isinstance(t, STRUCTURAL_MONOIDAL):
+            return structural_wires(t), []
+        if isinstance(t, MorGen):
+            decl = sig.morphism(t.name)
+            ins, outs = flatten_object(decl.dom), flatten_object(decl.cod)
+            return ins, [(BoxSlot(t.name, ins, outs),)]
+        if isinstance(t, Inv):
+            decl = sig.morphism(t.name)
+            ins, outs = flatten_object(decl.cod), flatten_object(decl.dom)
+            return ins, [(BoxSlot(f"inv:{t.name}", ins, outs),)]
+        if isinstance(t, (Braid, BraidInv)):
+            fa, fb = flatten_object(t.a), flatten_object(t.b)
+            ins, outs = (fa + fb, fb + fa) if isinstance(t, Braid) else (fb + fa, fa + fb)
+            if not fa or not fb:
+                # one half is unit-like: the permutation is the identity
+                # in every lawful backend, so the box is erased
+                return ins, []
+            kind = "braid" if isinstance(t, Braid) else "braid_inv"
+            return ins, [(BoxSlot(_braid_label(kind, fa, fb), ins, outs),)]
+        if isinstance(t, Comp):
+            ins, layers = build(t.first)
+            layers += build(t.second)[1]
+            return ins, layers
+        if isinstance(t, Tensor):
+            top_in, t_layers = build(t.top)
+            bottom_in, b_layers = build(t.bottom)
+            while len(t_layers) < len(b_layers):
+                t_layers.append(_wire_layer(layer_output(t_layers[-1]) if t_layers else top_in))
+            while len(b_layers) < len(t_layers):
+                b_layers.append(_wire_layer(layer_output(b_layers[-1]) if b_layers else bottom_in))
+            return top_in + bottom_in, [ta + tb for ta, tb in zip(t_layers, b_layers)]
+        raise TypeError(f"cannot build a sheet from {t!r}")
+
+    ins, layers = build(term)
+    return Sheet(ins, tuple(layers))
 
 
 def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
@@ -255,11 +246,83 @@ def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
 def canonicalize(sheet: Sheet) -> NormalForm:
     """Slide every box as far left as possible, then drop wire-only layers.
 
-    The result is independent of the order in which admissible slides
-    are performed: wire-consuming boxes land at the layer just after the
-    latest producer of any of their inputs, and scalar boxes stop at the
-    first layer containing another box.
+    A wire-consuming box lands one layer after the latest producer of its
+    inputs or zero-output box between them; a scalar box stops at the
+    first layer holding another box.
     """
+
+    scalar = any(isinstance(slot, BoxSlot) and not slot.ins
+                 for layer in sheet.layers for slot in layer)
+    layers = _slide_to_fixpoint(sheet) if scalar else _sweep(sheet)
+    return NormalForm(sheet.input, sheet_output(sheet), layers)
+
+
+def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
+    """Canonical layers of a sheet without scalar boxes, in one pass.
+
+    Each wire id keeps its producer's layer (-1 for inputs) and each gap
+    between neighbouring wires the latest zero-output box consumed in it;
+    a box lands one layer after the latest of both among its inputs, so
+    every layer up to the deepest holds a box.  Each layer is then rebuilt
+    once along its input boundary, a box replacing its run of input wires.
+    """
+
+    names = list(sheet.input)  # wire id -> object name
+    produced = [-1] * len(names)  # wire id -> layer of its producer
+    placed: dict[int, tuple[int, BoxSlot, range]] = {}  # first input id -> (layer, box, output ids)
+    boundary = list(range(len(names)))
+    gaps = [-1] * (len(names) + 1)  # gaps[p]: latest zero-output box just before boundary[p]
+    for layer in sheet.layers:
+        nxt: list[int] = []
+        nxt_gaps = gaps[:1]
+        pos = 0
+        for slot in layer:
+            if isinstance(slot, WireSlot):
+                nxt.append(boundary[pos])
+                nxt_gaps.append(gaps[pos + 1])
+                pos += 1
+                continue
+            n = len(slot.ins)
+            ins = boundary[pos:pos + n]
+            at = 1 + max([produced[w] for w in ins] + gaps[pos + 1:pos + n])
+            outs = range(len(names), len(names) + len(slot.outs))
+            names += slot.outs
+            produced += [at] * len(outs)
+            placed[ins[0]] = (at, slot, outs)
+            nxt += outs
+            if outs:
+                nxt_gaps += [-1] * (len(outs) - 1) + [gaps[pos + n]]
+            else:
+                nxt_gaps[-1] = max(nxt_gaps[-1], at, gaps[pos + n])
+            pos += n
+        boundary, gaps = nxt, nxt_gaps
+
+    wire_slot = {name: WireSlot(name) for name in set(names)}
+    kept = []
+    boundary = list(range(len(sheet.input)))
+    for k in range(1 + max((at for at, _, _ in placed.values()), default=-1)):
+        slots: list[Slot] = []
+        nxt = []
+        i = 0
+        while i < len(boundary):
+            w = boundary[i]
+            box = placed.get(w)
+            if box is not None and box[0] == k:
+                slots.append(box[1])
+                nxt += box[2]
+                i += len(box[1].ins)
+            else:
+                slots.append(wire_slot[names[w]])
+                nxt.append(w)
+                i += 1
+        kept.append(tuple(slots))
+        boundary = nxt
+    return tuple(kept)
+
+
+def _slide_to_fixpoint(sheet: Sheet) -> tuple[Layer, ...]:
+    """Canonical layers by passes of single-layer slides until none moves;
+    the definition for sheets holding scalar boxes."""
 
     layers: list[list[Slot]] = [list(layer) for layer in sheet.layers]
     moved = True
@@ -274,9 +337,7 @@ def canonicalize(sheet: Sheet) -> NormalForm:
                     i += len(slot.outs)
                 else:
                     i += 1
-    kept = [tuple(layer) for layer in layers if any(isinstance(s, BoxSlot) for s in layer)]
-    output = layer_output(sheet.layers[-1]) if sheet.layers else sheet.input
-    return NormalForm(sheet.input, output, tuple(kept))
+    return tuple(tuple(layer) for layer in layers if any(isinstance(s, BoxSlot) for s in layer))
 
 
 def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
@@ -289,8 +350,8 @@ def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
             "terms do not share a boundary type: "
             f"{_ty_text(ty1)} vs {_ty_text(ty2)}"
         )
-    nf1 = canonicalize(sheet_of_term(t1, sig))
-    nf2 = canonicalize(sheet_of_term(t2, sig))
+    nf1 = canonicalize(_sheet(t1, sig))
+    nf2 = canonicalize(_sheet(t2, sig))
     if nf1 == nf2:
         return Equal(nf1)
     return NotDecided(nf1, nf2)
@@ -319,44 +380,39 @@ def check_normal_form(nf: NormalForm) -> None:
 
     Checks boundary consistency layer by layer, absence of wire-only
     layers, and that every wire-consuming box sits exactly one layer
-    after the latest box producing one of its inputs (earliest-possible
+    after the latest box producing one of its inputs, unless the layer
+    before it holds a zero-output box between its inputs (earliest-possible
     placement).  Scalar boxes must be at layer 0 or behind a layer
     containing some box.
     """
 
     boundary = nf.input
-    # wire position in the current boundary -> layer index of its producer
-    prod_layer = {p: -1 for p in range(len(boundary))}
-    for layer_idx, layer in enumerate(nf.layers):
+    produced = [-1] * len(boundary)  # boundary position -> layer of its producer
+    ends: set[int] = set()  # boundary positions of the last layer's zero-output boxes
+    for k, layer in enumerate(nf.layers):
         if not any(isinstance(s, BoxSlot) for s in layer):
-            raise AssertionError(f"layer {layer_idx} is wire-only")
-        ins = ()
-        new_prod: dict[int, int] = {}
-        pos_in = 0
-        pos_out = 0
-        for slot in layer:
-            w_in, w_out = slot_in(slot), slot_out(slot)
-            ins += w_in
-            if isinstance(slot, BoxSlot):
-                if len(w_in) > 0:
-                    latest = max(prod_layer[p] for p in range(pos_in, pos_in + len(w_in)))
-                    if layer_idx != latest + 1:
-                        raise AssertionError(
-                            f"box {slot.label} at layer {layer_idx}, expected {latest + 1}")
-                else:
-                    if layer_idx > 0 and not any(
-                            isinstance(s, BoxSlot) for s in nf.layers[layer_idx - 1]):
-                        raise AssertionError(f"scalar box {slot.label} behind wire-only layer")
-                for q in range(pos_out, pos_out + len(w_out)):
-                    new_prod[q] = layer_idx
-            else:
-                new_prod[pos_out] = prod_layer[pos_in]
-            pos_in += len(w_in)
-            pos_out += len(w_out)
+            raise AssertionError(f"layer {k} is wire-only")
+        ins = tuple(w for slot in layer for w in slot_in(slot))
         if ins != boundary:
-            raise AssertionError(
-                f"layer {layer_idx} consumes {ins}, boundary is {boundary}")
-        boundary = layer_output(layer)
-        prod_layer = new_prod
+            raise AssertionError(f"layer {k} consumes {ins}, boundary is {boundary}")
+        nxt: list[int] = []
+        nxt_ends: set[int] = set()
+        pos = 0
+        for slot in layer:
+            n = len(slot_in(slot))
+            if isinstance(slot, WireSlot):
+                nxt.append(produced[pos])
+            elif n:
+                latest = max(produced[pos:pos + n])
+                if k != latest + 1 and not any(pos < p < pos + n for p in ends):
+                    raise AssertionError(f"box {slot.label} at layer {k}, expected {latest + 1}")
+            elif k > 0 and not any(isinstance(s, BoxSlot) for s in nf.layers[k - 1]):
+                raise AssertionError(f"scalar box {slot.label} behind wire-only layer")
+            if isinstance(slot, BoxSlot):
+                if not slot.outs:
+                    nxt_ends.add(len(nxt))
+                nxt += [k] * len(slot.outs)
+            pos += n
+        boundary, produced, ends = layer_output(layer), nxt, nxt_ends
     if boundary != nf.output:
         raise AssertionError(f"final boundary {boundary} != output {nf.output}")

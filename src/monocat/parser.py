@@ -23,8 +23,11 @@ operators are always bracketed explicitly.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
+from .coherence import flatten_object
 from .terms import (
     Assoc,
     AssocInv,
@@ -57,6 +60,7 @@ from .terms import (
     Unit,
     UnknownLevel,
     comp_chain,
+    tensor_leaves,
     typecheck,
 )
 
@@ -86,26 +90,10 @@ class SourceSpan:
         return f"line {self.line}, column {self.column}"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME METAVAR COMPOSE TENSOR LBRACK RBRACK LPAREN RPAREN COMMA ARROW DARROW COLON EQUALS STRING EOF
-    text: str
-    span: SourceSpan
-
-
-_SIMPLE = {
-    ";": "COMPOSE",
-    "∘": "COMPOSE",
-    "*": "TENSOR",
-    "⊗": "TENSOR",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ":": "COLON",
-    "=": "EQUALS",
-}
+#: A token: kind, text, line, column, start offset, end offset.  Kinds are
+#: NAME METAVAR COMPOSE TENSOR LBRACK RBRACK LPAREN RPAREN COMMA ARROW
+#: DARROW COLON EQUALS STRING EOF.
+Token = tuple[str, str, int, int, int, int]
 
 STRUCTURAL_KEYWORDS = {
     "alpha": (Assoc, 3),
@@ -118,233 +106,200 @@ STRUCTURAL_KEYWORDS = {
     "braid_inv": (BraidInv, 2),
 }
 
+# Each match is optional blanks, then the first rule that fits, in order.
+# ``\w`` is exactly ``str.isalnum()`` plus "_", so names are ``[\w']`` runs;
+# a name starts with a letter or "_", and the few non-decimal numerals that
+# ``[^\W\d]`` also admits are turned away in :func:`tokenize`.  Symbol
+# aliases are spliced in after comments; END ends the text.
+_HEAD = r"[^\S\n]*(?:(?P<NL>\n)|(?P<COMMENT>#[^\n]*)|"
+_TAIL = (r"(?P<ARROW>->)|(?P<DARROW>=>)|(?P<COMPOSE>[;∘])|(?P<TENSOR>[*⊗])|(?P<LBRACK>\[)"
+         r"|(?P<RBRACK>\])|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)|(?P<EQUALS>=)"
+         r"|(?P<METAVAR>\?[\w']*)|(?P<STRING>\"[^\"]*\")|(?P<NAME>[^\W\d][\w']*)|(?P<BAD>.)"
+         r"|(?P<END>\Z))")
+_SPECIAL = frozenset({"NL", "COMMENT", "ALIAS", "METAVAR", "STRING", "BAD", "END"})
+_ALIAS_KIND = {"compose": "COMPOSE", "tensor": "TENSOR", "id": "NAME"}
+
 
 def _is_name_start(ch: str) -> bool:
     return ch.isalpha() and ch not in "∘⊗" or ch == "_"
 
 
-def _is_name_char(ch: str) -> bool:
-    return (ch.isalnum() and ch not in "∘⊗") or ch in "_'"
+@functools.lru_cache(maxsize=32)
+def _lexer(symbol_aliases: tuple[str, ...]) -> re.Pattern:
+    alias = "|".join(map(re.escape, symbol_aliases))
+    return re.compile(_HEAD + (f"(?P<ALIAS>{alias})|" if alias else "") + _TAIL)
 
 
 def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
-    """Lex ``text``; alias tokens are rewritten to their builtins."""
+    """Lex ``text``; alias tokens are rewritten to their builtins.
+
+    Columns count characters from the last newline outside a string, so a
+    string spanning lines does not start a new line; the EOF token after
+    a trailing comment sits at the comment's column.
+    """
 
     aliases = aliases or {}
-    symbol_aliases = sorted(
-        (tok for tok in aliases if not _is_name_start(tok[0])), key=len, reverse=True
-    )
+    symbols = tuple(sorted((tok for tok in aliases if not _is_name_start(tok[0])),
+                           key=len, reverse=True))
+    check_names = bool(aliases) or not text.isascii()
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span_start = (line, col, i)
-
-        def tok(kind: str, text_: str, width: int) -> None:
-            nonlocal i, col
-            tokens.append(Token(kind, text_, SourceSpan(span_start[0], span_start[1],
-                                                        span_start[2], span_start[2] + width)))
-            i += width
-            col += width
-
-        matched = False
-        for alias in symbol_aliases:
-            if text.startswith(alias, i):
-                kind = {"compose": "COMPOSE", "tensor": "TENSOR", "id": "NAME"}[aliases[alias]]
-                tok(kind, "id" if aliases[alias] == "id" else alias, len(alias))
-                matched = True
-                break
-        if matched:
-            continue
-        if text.startswith("->", i):
-            tok("ARROW", "->", 2)
-            continue
-        if text.startswith("=>", i):
-            tok("DARROW", "=>", 2)
-            continue
-        if ch in _SIMPLE:
-            tok(_SIMPLE[ch], ch, 1)
-            continue
-        if ch == "?":
-            j = i + 1
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            if j == i + 1:
-                raise ParseError("'?' must be followed by a metavariable name",
-                                 span=SourceSpan(line, col, i, i + 1))
-            tok("METAVAR", text[i + 1:j], j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", span=SourceSpan(line, col, i, n))
-            tok("STRING", text[i + 1:j], j - i + 1)
-            continue
-        if _is_name_start(ch):
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
+    line, line_start, eof_col = 1, 0, None
+    for m in _lexer(symbols).finditer(text):
+        kind = m.lastgroup
+        i, j = m.span(kind)
+        word = m.group(kind)
+        if kind == "NAME" and check_names:
             target = aliases.get(word)
-            if target == "compose":
-                tok("COMPOSE", word, len(word))
-            elif target == "tensor":
-                tok("TENSOR", word, len(word))
-            elif target == "id":
-                tok("NAME", "id", len(word))
+            if not _is_name_start(word[0]):
+                kind = "BAD"
+            elif target is not None:
+                kind, word = _ALIAS_KIND[target], "id" if target == "id" else word
+        if kind in _SPECIAL:
+            if kind == "NL":
+                line, line_start, eof_col = line + 1, j, None
+                continue
+            if kind == "COMMENT":
+                eof_col = i - line_start + 1
+                continue
+            if kind == "END":
+                break
+            if kind == "ALIAS":
+                kind = _ALIAS_KIND[aliases[word]]
+                word = "id" if kind == "NAME" else word
+            elif kind == "METAVAR" and len(word) > 1:
+                word = word[1:]
+            elif kind == "STRING":
+                word = word[1:-1]
             else:
-                tok("NAME", word, len(word))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span=SourceSpan(line, col, i, i + 1))
-    tokens.append(Token("EOF", "", SourceSpan(line, col, n, n)))
+                span = SourceSpan(line, i - line_start + 1, i, len(text) if word == '"' else i + 1)
+                raise ParseError("'?' must be followed by a metavariable name" if word == "?"
+                                 else "unterminated string" if word == '"'
+                                 else f"unexpected character {word[0]!r}", span=span)
+        tokens.append((kind, word, line, i - line_start + 1, i, j))
+    n = len(text)
+    tokens.append(("EOF", "", line, eof_col or n - line_start + 1, n, n))
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(
-                f"expected {what or kind}, found {t.text!r}" if t.kind != "EOF"
-                else f"expected {what or kind}, found end of input",
-                span=t.span,
-            )
-        return self.next()
+Span = tuple[int, int, int, int]  # line, column, start, end
 
 
 class _ExprParser:
-    """Recursive-descent parser for morphism and object expressions."""
+    """Recursive-descent parser for morphism and object expressions.
+
+    ``spans`` maps ``id(node)`` to the node's (line, column, start, end);
+    a :class:`SourceSpan` is made only when an error points at a node.
+    """
 
     def __init__(self, tokens: list[Token], allow_metavars: bool = False):
-        self.ts = _TokenStream(tokens)
+        self.tokens = tokens
+        self.pos = 0
         self.allow_metavars = allow_metavars
-        self.spans: dict[int, SourceSpan] = {}
+        self.spans: dict[int, Span] = {}
 
-    def _note(self, term, start: SourceSpan, end: SourceSpan):
-        self.spans[id(term)] = SourceSpan(start.line, start.column, start.start, end.end)
+    def next(self) -> Token:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        t = self.tokens[self.pos]
+        if t[0] != kind:
+            raise self._error(f"expected {what or kind}, found {t[1]!r}" if t[0] != "EOF"
+                              else f"expected {what or kind}, found end of input", t)
+        self.pos += 1
+        return t
+
+    def _error(self, message: str, t: Token) -> ParseError:
+        return ParseError(message, span=SourceSpan(*t[2:]))
+
+    def _note(self, term, start: Token | Span, end: Token | Span):
+        """Record ``term``'s span from ``start``'s beginning to ``end``'s end
+        (a token or a recorded span; both end in line, column, start, end)."""
+
+        self.spans[id(term)] = (start[-4], start[-3], start[-2], end[-1])
         return term
 
     def parse_expr(self) -> MorExpr:
-        start = self.ts.peek().span
+        start = self.tokens[self.pos]
         term = self.parse_tensor()
-        while self.ts.peek().kind == "COMPOSE":
-            self.ts.next()
+        while self.tokens[self.pos][0] == "COMPOSE":
+            self.pos += 1
             rhs = self.parse_tensor()
             term = self._note(Comp(term, rhs), start, self.spans[id(rhs)])
         return term
 
     def parse_tensor(self) -> MorExpr:
-        start = self.ts.peek().span
+        start = self.tokens[self.pos]
         term = self.parse_atom()
-        while self.ts.peek().kind == "TENSOR":
-            self.ts.next()
+        while self.tokens[self.pos][0] == "TENSOR":
+            self.pos += 1
             rhs = self.parse_atom()
             term = self._note(Tensor(term, rhs), start, self.spans[id(rhs)])
         return term
 
     def parse_atom(self) -> MorExpr:
-        t = self.ts.peek()
-        if t.kind == "LPAREN":
-            self.ts.next()
+        t = self.next()
+        kind, name = t[0], t[1]
+        if kind == "LPAREN":
             term = self.parse_expr()
-            end = self.ts.expect("RPAREN", "')'")
-            self.spans[id(term)] = SourceSpan(t.span.line, t.span.column, t.span.start, end.span.end)
-            return term
-        if t.kind == "METAVAR":
+            return self._note(term, t, self.expect("RPAREN", "')'"))
+        if kind == "METAVAR":
             if not self.allow_metavars:
-                raise ParseError("metavariables are only allowed in rule files", span=t.span)
-            self.ts.next()
-            return self._note(MorVar(t.text), t.span, t.span)
-        if t.kind != "NAME":
-            raise ParseError(f"expected a morphism, found {t.text!r}", span=t.span)
-        self.ts.next()
-        name = t.text
+                raise self._error("metavariables are only allowed in rule files", t)
+            return self._note(MorVar(name), t, t)
+        if kind != "NAME":
+            raise self._error(f"expected a morphism, found {name!r}", t)
         if name == "id":
-            self.ts.expect("LBRACK", "'['")
+            self.expect("LBRACK", "'['")
             obj = self.parse_obj()
-            end = self.ts.expect("RBRACK", "']'")
-            return self._note(Id(obj), t.span, end.span)
+            return self._note(Id(obj), t, self.expect("RBRACK", "']'"))
         if name in STRUCTURAL_KEYWORDS:
             cls, arity = STRUCTURAL_KEYWORDS[name]
-            self.ts.expect("LBRACK", "'['")
+            self.expect("LBRACK", "'['")
             args = [self.parse_obj()]
             for _ in range(arity - 1):
-                self.ts.expect("COMMA", "','")
+                self.expect("COMMA", "','")
                 args.append(self.parse_obj())
-            end = self.ts.expect("RBRACK", "']'")
-            return self._note(cls(*args), t.span, end.span)
+            return self._note(cls(*args), t, self.expect("RBRACK", "']'"))
         if name == "inv":
-            self.ts.expect("LPAREN", "'('")
-            inner = self.ts.expect("NAME", "a generator name")
-            end = self.ts.expect("RPAREN", "')'")
-            return self._note(Inv(inner.text), t.span, end.span)
+            self.expect("LPAREN", "'('")
+            inner = self.expect("NAME", "a generator name")
+            return self._note(Inv(inner[1]), t, self.expect("RPAREN", "')'"))
         if name == "I":
-            raise ParseError("'I' is an object, not a morphism", span=t.span)
-        return self._note(MorGen(name), t.span, t.span)
+            raise self._error("'I' is an object, not a morphism", t)
+        return self._note(MorGen(name), t, t)
 
     def parse_obj(self) -> ObjExpr:
-        start = self.ts.peek().span
+        start = self.tokens[self.pos]
         obj = self.parse_objatom()
-        while self.ts.peek().kind == "TENSOR":
-            self.ts.next()
+        while self.tokens[self.pos][0] == "TENSOR":
+            self.pos += 1
             rhs = self.parse_objatom()
             obj = self._note(ObjTensor(obj, rhs), start, self.spans[id(rhs)])
         return obj
 
     def parse_objatom(self) -> ObjExpr:
-        t = self.ts.peek()
-        if t.kind == "LPAREN":
-            self.ts.next()
+        t = self.next()
+        kind, name = t[0], t[1]
+        if kind == "LPAREN":
             obj = self.parse_obj()
-            end = self.ts.expect("RPAREN", "')'")
-            self.spans[id(obj)] = SourceSpan(t.span.line, t.span.column, t.span.start, end.span.end)
-            return obj
-        if t.kind == "METAVAR":
+            return self._note(obj, t, self.expect("RPAREN", "')'"))
+        if kind == "METAVAR":
             if not self.allow_metavars:
-                raise ParseError("metavariables are only allowed in rule files", span=t.span)
-            self.ts.next()
-            return self._note(ObjVar(t.text), t.span, t.span)
-        if t.kind != "NAME":
-            raise ParseError(f"expected an object, found {t.text!r}", span=t.span)
-        self.ts.next()
-        if t.text == "I":
-            return self._note(UNIT, t.span, t.span)
-        if t.text in RESERVED_NAMES:
-            raise ParseError(f"{t.text!r} cannot be used as an object", span=t.span)
-        return self._note(ObjGen(t.text), t.span, t.span)
+                raise self._error("metavariables are only allowed in rule files", t)
+            return self._note(ObjVar(name), t, t)
+        if kind != "NAME":
+            raise self._error(f"expected an object, found {name!r}", t)
+        if name == "I":
+            return self._note(UNIT, t, t)
+        if name in RESERVED_NAMES:
+            raise self._error(f"{name!r} cannot be used as an object", t)
+        return self._note(ObjGen(name), t, t)
 
 
-def _attach_span(err: CatError, spans: dict[int, SourceSpan]) -> CatError:
-    if err.span is None and err.term is not None:
-        err.span = spans.get(id(err.term))
+def _attach_span(err: CatError, spans: dict[int, Span]) -> CatError:
+    if err.span is None and err.term is not None and id(err.term) in spans:
+        err.span = SourceSpan(*spans[id(err.term)])
     return err
 
 
@@ -353,7 +308,7 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
 
     parser = _ExprParser(tokenize(text, sig.aliases))
     term = parser.parse_expr()
-    parser.ts.expect("EOF", "end of expression")
+    parser.expect("EOF", "end of expression")
     try:
         typecheck(term, sig)
     except CatError as err:
@@ -366,19 +321,11 @@ def parse_obj(text: str, sig: Signature) -> ObjExpr:
 
     parser = _ExprParser(tokenize(text, sig.aliases))
     obj = parser.parse_obj()
-    parser.ts.expect("EOF", "end of expression")
-    for name in _obj_names(obj):
+    parser.expect("EOF", "end of expression")
+    for name in flatten_object(obj):
         if not sig.is_object(name):
             raise UndeclaredName(f"undeclared object {name!r}")
     return obj
-
-
-def _obj_names(obj: ObjExpr) -> list[str]:
-    if isinstance(obj, ObjGen):
-        return [obj.name]
-    if isinstance(obj, ObjTensor):
-        return _obj_names(obj.left) + _obj_names(obj.right)
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +479,13 @@ def parse_signature(text: str) -> Signature:
             morphisms.append(MorDecl(name, dom, cod, iso=(word == "iso")))
         elif word == "alias":
             toks = tokenize(line[len(word):].strip())
-            if (len(toks) != 4 or toks[0].kind != "STRING" or toks[1].kind != "EQUALS"
-                    or toks[2].kind != "NAME"):
+            if [t[0] for t in toks] != ["STRING", "EQUALS", "NAME", "EOF"]:
                 raise ParseError('expected: alias "TOKEN" = compose|tensor|id', span=span)
-            target = toks[2].text
+            target = toks[2][1]
             if target not in ("compose", "tensor", "id"):
                 raise ParseError(f"alias target must be compose, tensor or id, not {target!r}",
                                  span=span)
-            aliases[toks[0].text] = target
+            aliases[toks[0][1]] = target
         elif word == "backend":
             parts = line.split()
             if len(parts) != 2:
@@ -567,7 +513,7 @@ def _parse_obj_raw(text: str, span: SourceSpan) -> ObjExpr:
     parser = _ExprParser(tokenize(text))
     try:
         obj = parser.parse_obj()
-        parser.ts.expect("EOF", "end of object")
+        parser.expect("EOF", "end of object")
     except ParseError as err:
         err.span = err.span or span
         raise
@@ -658,20 +604,17 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
         word = line.split(None, 1)[0]
         span = SourceSpan(line_no, 1, 0, len(line))
         if word == "var":
-            toks = tokenize(line[len(word):].strip())
-            ts = _TokenStream(toks)
-            mv = ts.expect("METAVAR", "a metavariable")
-            ts.expect("COLON", "':'")
-            parser = _ExprParser(toks, allow_metavars=True)
-            parser.ts = ts
+            parser = _ExprParser(tokenize(line[len(word):].strip()), allow_metavars=True)
+            mv = parser.expect("METAVAR", "a metavariable")
+            parser.expect("COLON", "':'")
             dom = parser.parse_obj()
-            ts.expect("ARROW", "'->'")
+            parser.expect("ARROW", "'->'")
             cod = parser.parse_obj()
-            ts.expect("EOF", "end of declaration")
-            if mv.text in declared:
-                raise ParseError(f"metavariable ?{mv.text} declared twice", span=span)
-            declared[mv.text] = MorType(dom, cod)
-            decl_order.append((mv.text, declared[mv.text]))
+            parser.expect("EOF", "end of declaration")
+            if mv[1] in declared:
+                raise ParseError(f"metavariable ?{mv[1]} declared twice", span=span)
+            declared[mv[1]] = MorType(dom, cod)
+            decl_order.append((mv[1], declared[mv[1]]))
         elif word == "rule":
             rest = line[len(word):].strip()
             if ":" not in rest:
@@ -681,16 +624,11 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
             toks = tokenize(body, sig.aliases)
             parser = _ExprParser(toks, allow_metavars=True)
             lhs = parser.parse_expr()
-            parser.ts.expect("DARROW", "'=>'")
+            parser.expect("DARROW", "'=>'")
             rhs = parser.parse_expr()
-            parser.ts.expect("EOF", "end of rule")
-            for el in comp_chain(lhs):
-                if isinstance(el, Comp):
-                    raise ParseError("rule lhs chain elements must be composition-free",
-                                     span=span)
-                if any(isinstance(sub, Comp) for sub in _tensor_leaves(el)):
-                    raise ParseError("rule lhs chain elements must be composition-free",
-                                     span=span)
+            parser.expect("EOF", "end of rule")
+            if any(tensor_leaves(el) is None for el in comp_chain(lhs)):
+                raise ParseError("rule lhs chain elements must be composition-free", span=span)
             free = _collect_metavars(rhs) - _collect_metavars(lhs) - set(declared)
             if free:
                 raise FreeMetavarInRhs(
@@ -712,8 +650,3 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
 
     return RuleFile(tuple(rules))
 
-
-def _tensor_leaves(term: MorExpr) -> list[MorExpr]:
-    if isinstance(term, Tensor):
-        return _tensor_leaves(term.top) + _tensor_leaves(term.bottom)
-    return [term]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .coherence import flatten_object
+from .coherence import flatten_object, structural_wires
 from .terms import (
     Assoc,
     AssocInv,
@@ -188,13 +188,11 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
             return node
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            ty = typecheck(t, sig)
-            args = [getattr(t, f) for f in ("a", "b", "c") if hasattr(t, f)]
             from .parser import print_obj
 
-            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(print_obj(a) for a in args)}]"
-            return _box(cfg, "structbox", label, flatten_object(ty.dom),
-                        flatten_object(ty.cod), emphasized=True)
+            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, vars(t).values()))}]"
+            wires = structural_wires(t)
+            return _box(cfg, "structbox", label, wires, wires, emphasized=True)
         if isinstance(t, (Braid, BraidInv)):
             if isinstance(t, Braid):
                 first, second = flatten_object(t.a), flatten_object(t.b)

@@ -24,7 +24,7 @@ from random import Random
 
 import numpy as np
 
-from .coherence import flatten_object
+from .coherence import flatten_object, structural_wires
 from .terms import (
     Assoc,
     AssocInv,
@@ -253,7 +253,7 @@ def eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
             n = dim_flat(t.obj, inst.size)
             return _diag(n), n, n
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            n = dim_flat(typecheck(t, sig).dom, inst.size)
+            n = math.prod(inst.size[w] for w in structural_wires(t))
             return _diag(n), n, n
         if isinstance(t, Braid):
             da, db = dim_flat(t.a, inst.size), dim_flat(t.b, inst.size)

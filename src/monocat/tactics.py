@@ -44,9 +44,12 @@ from .terms import (
     comp_chain,
     iso_inverse,
     is_atom,
+    rebuild_chain,
     replace_chain_element,
     right_comp,
+    tensor_leaves,
     typecheck,
+    typer,
 )
 
 
@@ -75,18 +78,7 @@ def is_stack(term: MorExpr, mode: str = "strong") -> bool:
     anywhere inside (any number of non-identity atoms).
     """
 
-    def leaves(t: MorExpr) -> list[MorExpr] | None:
-        if isinstance(t, Tensor):
-            top = leaves(t.top)
-            bottom = leaves(t.bottom)
-            if top is None or bottom is None:
-                return None
-            return top + bottom
-        if isinstance(t, Comp):
-            return None
-        return [t]
-
-    ls = leaves(term)
+    ls = tensor_leaves(term)
     if ls is None:
         return False
     if mode == "weak":
@@ -96,44 +88,51 @@ def is_stack(term: MorExpr, mode: str = "strong") -> bool:
     raise ValueError(f"unknown stack mode {mode!r}")
 
 
-def _stack_list(term: MorExpr, sig: Signature, weak: bool) -> tuple[list[MorExpr], list[ObjExpr]]:
-    """Stacks of ``term`` plus the boundary objects between them.
+def _foliate(term: MorExpr, sig: Signature, weak: bool) -> MorExpr:
+    """The stacks of ``term`` composed right-associated (see :func:`foliate`).
 
-    Returns ``(stacks, bounds)`` with ``len(bounds) == len(stacks) + 1``,
-    ``bounds[0] = dom(term)`` and ``bounds[-1] = cod(term)``.
+    ``term`` is typed once; every subterm's domain is the last boundary
+    recorded before it, so only atoms are typed again, each on its own.
     """
 
-    ty = typecheck(term, sig)
+    atom_type = typer(sig)
 
-    if isinstance(term, Id):
-        return [], [term.obj]
-    if is_atom(term):
-        return [term], [ty.dom, ty.cod]
-    if isinstance(term, Comp):
-        s1, b1 = _stack_list(term.first, sig, weak)
-        s2, b2 = _stack_list(term.second, sig, weak)
-        return s1 + s2, b1 + b2[1:]
-    if isinstance(term, Tensor):
-        xs, a = _stack_list(term.top, sig, weak)
-        ys, b = _stack_list(term.bottom, sig, weak)
-        m, n = len(xs), len(ys)
-        stacks: list[MorExpr] = []
-        if weak:
-            for i in range(min(m, n)):
-                stacks.append(Tensor(xs[i], ys[i]))
-            for i in range(n, m):
-                stacks.append(Tensor(xs[i], Id(b[n])))
-            for i in range(m, n):
-                stacks.append(Tensor(Id(a[m]), ys[i]))
-        else:
-            for i in range(1, max(m, n) + 1):
-                if i <= m:
-                    stacks.append(Tensor(xs[i - 1], Id(b[min(i - 1, n)])))
-                if i <= n:
-                    stacks.append(Tensor(Id(a[min(i, m)]), ys[i - 1]))
-        bounds = [ty.dom] + [typecheck(s, sig).cod for s in stacks]
-        return stacks, bounds
-    raise TypeError(f"not a morphism term: {term!r}")
+    def go(t: MorExpr, stacks: list[MorExpr], bounds: list[ObjExpr]) -> None:
+        """Append ``t``'s stacks to ``stacks`` and the object after each to
+        ``bounds``, whose last entry is ``t``'s domain."""
+
+        if isinstance(t, Comp):
+            go(t.first, stacks, bounds)
+            go(t.second, stacks, bounds)
+        elif isinstance(t, Tensor):
+            xs, a = [], [bounds[-1].left]
+            ys, b = [], [bounds[-1].right]
+            go(t.top, xs, a)
+            go(t.bottom, ys, b)
+            m, n = len(xs), len(ys)
+            if weak:
+                pairs = [(xs[i], ys[i], i + 1, i + 1) for i in range(min(m, n))]
+                pairs += [(xs[i], None, i + 1, n) for i in range(n, m)]
+                pairs += [(None, ys[i], m, i + 1) for i in range(m, n)]
+            else:
+                pairs = []
+                for i in range(1, max(m, n) + 1):
+                    if i <= m:
+                        pairs.append((xs[i - 1], None, i, min(i - 1, n)))
+                    if i <= n:
+                        pairs.append((None, ys[i - 1], min(i, m), i))
+            for x, y, ia, ib in pairs:
+                # a missing factor is the identity on the other side's boundary
+                stacks.append(Tensor(x or Id(a[ia]), y or Id(b[ib])))
+                bounds.append(ObjTensor(a[ia], b[ib]))
+        elif not isinstance(t, Id):
+            stacks.append(t)
+            bounds.append(atom_type(t).cod)
+
+    stacks: list[MorExpr] = []
+    dom = atom_type(term).dom
+    go(term, stacks, [dom])
+    return right_comp(stacks, dom)
 
 
 def foliate(term: MorExpr, sig: Signature) -> MorExpr:
@@ -145,18 +144,14 @@ def foliate(term: MorExpr, sig: Signature) -> MorExpr:
     identity on the domain.
     """
 
-    ty = typecheck(term, sig)
-    stacks, _ = _stack_list(term, sig, weak=False)
-    return right_comp(stacks, ty.dom)
+    return _foliate(term, sig, weak=False)
 
 
 def weak_foliate(term: MorExpr, sig: Signature) -> MorExpr:
     """Like :func:`foliate` but tensors zip stacks pairwise, so stacks may
     hold several non-identity atoms while still containing no composition."""
 
-    ty = typecheck(term, sig)
-    stacks, _ = _stack_list(term, sig, weak=True)
-    return right_comp(stacks, ty.dom)
+    return _foliate(term, sig, weak=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +171,7 @@ def _rewrite_leftmost(term: MorExpr, attempt) -> MorExpr | None:
     chain = comp_chain(term)
     new = attempt(chain)
     if new is not None:
-        # window surgery always leaves at least one element
-        result = new[-1]
-        for el in reversed(new[:-1]):
-            result = Comp(el, result)
-        return result
+        return right_comp(new, None)  # window surgery always leaves an element
     for idx, el in enumerate(chain):
         replacement = _rewrite_in_element(el, attempt)
         if replacement is not None:
@@ -371,32 +362,28 @@ def cancel_isos(term: MorExpr, sig: Signature) -> MorExpr:
 
     A chain that empties becomes the identity on its domain.  Chains in
     which something was deleted are rebuilt right-associated; untouched
-    chains keep their shape.  Recurses under tensors.
+    chains keep their shape, and a subterm in which nothing changed is
+    returned as it is.  Recurses under tensors.
     """
 
     typecheck(term, sig)
 
     def go(t: MorExpr) -> MorExpr:
         if isinstance(t, Tensor):
-            return Tensor(go(t.top), go(t.bottom))
+            top, bottom = go(t.top), go(t.bottom)
+            return t if top is t.top and bottom is t.bottom else Tensor(top, bottom)
         if not isinstance(t, Comp):
             return t
         chain = [go(el) for el in comp_chain(t)]
-        deleted = False
-        i = 0
-        while i < len(chain) - 1:
-            if _inverse_pair(chain[i], chain[i + 1], sig):
-                del chain[i:i + 2]
-                deleted = True
-                i = max(i - 1, 0)
+        kept: list[MorExpr] = []
+        for el in chain:
+            if kept and _inverse_pair(kept[-1], el, sig):
+                kept.pop()
             else:
-                i += 1
-        if not deleted:
-            rebuilt = t
-            for idx, el in enumerate(chain):
-                rebuilt = replace_chain_element(rebuilt, idx, el)
-            return rebuilt
-        return right_comp(chain, typecheck(t, sig).dom)
+                kept.append(el)
+        if len(kept) == len(chain):
+            return rebuild_chain(t, chain)
+        return right_comp(kept, None) if kept else Id(typecheck(t, sig).dom)
 
     return go(term)
 
@@ -409,13 +396,13 @@ def _remove_ids(term: MorExpr) -> MorExpr:
             return second
         if isinstance(second, Id):
             return first
-        return Comp(first, second)
+        return term if first is term.first and second is term.second else Comp(first, second)
     if isinstance(term, Tensor):
         top = _remove_ids(term.top)
         bottom = _remove_ids(term.bottom)
         if isinstance(top, Id) and isinstance(bottom, Id):
             return Id(ObjTensor(top.obj, bottom.obj))
-        return Tensor(top, bottom)
+        return term if top is term.top and bottom is term.bottom else Tensor(top, bottom)
     return term
 
 
@@ -439,11 +426,7 @@ def right_associate(term: MorExpr) -> MorExpr:
     """Rebuild every composition chain right-associated, everywhere."""
 
     if isinstance(term, Comp):
-        elements = [right_associate(el) for el in comp_chain(term)]
-        result = elements[-1]
-        for el in reversed(elements[:-1]):
-            result = Comp(el, result)
-        return result
+        return right_comp([right_associate(el) for el in comp_chain(term)], None)
     if isinstance(term, Tensor):
         return Tensor(right_associate(term.top), right_associate(term.bottom))
     return term

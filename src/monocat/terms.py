@@ -383,6 +383,13 @@ def typecheck(term: MorExpr, sig: Signature, metavars: dict[str, MorType] | None
     metavariables when checking rule patterns.
     """
 
+    return typer(sig, metavars)(term)
+
+
+def typer(sig: Signature, metavars: dict[str, MorType] | None = None):
+    """The function behind :func:`typecheck`, set up once for ``sig``, for
+    callers that type many atoms of one term."""
+
     objset = set(sig.objects)
     pattern_mode = metavars is not None
 
@@ -468,7 +475,7 @@ def typecheck(term: MorExpr, sig: Signature, metavars: dict[str, MorType] | None
             return MorType(decl.cod, decl.dom)
         raise TypeError(f"not a morphism expression: {t!r}")
 
-    return ty(term)
+    return ty
 
 
 def structural_atoms(term: MorExpr) -> list[MorExpr]:
@@ -488,6 +495,15 @@ def structural_atoms(term: MorExpr) -> list[MorExpr]:
 
     walk(term)
     return out
+
+
+def tensor_leaves(term: MorExpr) -> list[MorExpr] | None:
+    """Leaves of the tensor tree of ``term``, or ``None`` if it holds a ``Comp``."""
+
+    if isinstance(term, Tensor):
+        top, bottom = tensor_leaves(term.top), tensor_leaves(term.bottom)
+        return None if top is None or bottom is None else top + bottom
+    return None if isinstance(term, Comp) else [term]
 
 
 def is_atom(term: MorExpr) -> bool:
@@ -567,14 +583,27 @@ def right_comp(elements: list[MorExpr], dom_if_empty: ObjExpr) -> MorExpr:
     return result
 
 
+def rebuild_chain(term: MorExpr, elements: list[MorExpr]) -> MorExpr:
+    """``term``'s composition tree with its chain elements replaced, in
+    order, by ``elements``; subtrees whose elements are unchanged (``is``)
+    are reused, so an unchanged chain comes back as ``term`` itself."""
+
+    it = iter(elements)
+
+    def go(t: MorExpr) -> MorExpr:
+        if not isinstance(t, Comp):
+            return next(it)
+        first, second = go(t.first), go(t.second)
+        return t if first is t.first and second is t.second else Comp(first, second)
+
+    return go(term)
+
+
 def replace_chain_element(term: MorExpr, index: int, new_el: MorExpr) -> MorExpr:
     """Replace the ``index``-th chain element of ``term``, keeping its shape."""
 
-    if not isinstance(term, Comp):
-        if index != 0:
-            raise IndexError(index)
-        return new_el
-    n_first = len(comp_chain(term.first))
-    if index < n_first:
-        return Comp(replace_chain_element(term.first, index, new_el), term.second)
-    return Comp(term.first, replace_chain_element(term.second, index - n_first, new_el))
+    chain = comp_chain(term)
+    if not 0 <= index < len(chain):
+        raise IndexError(index)
+    chain[index] = new_el
+    return rebuild_chain(term, chain)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from gen import (
+    STD_SIG_TEXT,
     random_object,
     random_structural_term,
     random_term,
@@ -20,11 +21,14 @@ from monocat.coherence import (
     NotDecided,
     Sheet,
     WireSlot,
+    _slide_to_fixpoint,
+    _sweep,
     _try_move,
     canonicalize,
     check_normal_form,
     dump_normal_form,
     flatten_object,
+    layer_output,
     monoidal_eq,
     sheet_of_term,
 )
@@ -313,3 +317,129 @@ def test_eq_requires_same_type_objects():
     sig = parse_signature("category monoidal\nobject A\nmor f : A -> A\n")
     r = monoidal_eq(parse_expr("f ; id[A]", sig), parse_expr("id[A] ; f", sig), sig)
     assert isinstance(r, Equal)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass sweep against the pass loop of single-layer slides
+# ---------------------------------------------------------------------------
+
+STAIR_SIG = "category symmetric\nobject A\nmor u : A -> A\nmor m : A * A -> A * A\n"
+
+
+def _sweep_matches_loop(sheet: Sheet) -> NormalForm:
+    layers = _sweep(sheet)
+    assert layers == _slide_to_fixpoint(sheet)
+    nf = canonicalize(sheet)
+    assert nf.layers == layers
+    check_normal_form(nf)
+    return nf
+
+
+def test_sweep_equals_loop_on_scalar_free_random_terms():
+    nos = parse_signature(STD_SIG_TEXT.replace("mor s : I -> A\n", ""))
+    rng = Random(21)
+    for _ in range(400):
+        term = random_term(rng, nos, max_leaves=rng.randint(2, 14))
+        _sweep_matches_loop(sheet_of_term(term, nos))
+
+
+def _stair_layer(k: int, i: int, box: str, width: int) -> str:
+    """A ``box`` on wires i..i+width-1 of k left-nested A wires; a two-wire
+    box below the top is reached through alpha ... alpha_inv."""
+
+    pre = " * ".join(["A"] * i)
+    if width == 1 or i == 0:
+        parts = ([f"id[{pre}]"] if i else []) + [box]
+    else:
+        parts = [f"(alpha[{pre},A,A] ; (id[{pre}] * {box}) ; alpha_inv[{pre},A,A])"]
+    return " * ".join(parts + ["id[A]"] * (k - i - width))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 33, 128])
+def test_sweep_equals_loop_on_staircases(k):
+    sig = parse_signature(STAIR_SIG)
+    stairs = {
+        # one box per wire, top to bottom and back: every box slides to layer 0
+        "interchange": [_stair_layer(k, i, "u", 1) for i in range(k)],
+        "interchange-up": [_stair_layer(k, i, "u", 1) for i in reversed(range(k))],
+        # overlapping two-wire boxes: already normal, k-1 layers deep
+        "two-wire": [_stair_layer(k, i, "m", 2) for i in range(k - 1)],
+        # disjoint two-wire boxes, bottom first: all slide to layer 0
+        "two-wire-disjoint": [_stair_layer(k, i, "m", 2) for i in reversed(range(0, k - 1, 2))],
+    }
+    for name, layers in stairs.items():
+        if not layers:
+            continue
+        nf = _sweep_matches_loop(sheet_of_term(parse_expr(" ; ".join(layers), sig), sig))
+        depth = {"two-wire": k - 1}.get(name, 1)
+        assert len(nf.layers) == depth, name
+
+
+def test_scalar_sheets_take_the_loop(sig, monkeypatch):
+    def no_sweep(sheet):
+        raise AssertionError("a sheet with a scalar box reached the sweep")
+
+    monkeypatch.setattr("monocat.coherence._sweep", no_sweep)
+    cases = {
+        "(u * id[A]) ; (u * id[A]) ; (id[A] * lunit_inv[A]) ; (id[A] * (s * u))":
+            "in=[A,A]; layers=[[u([A]->[A])|u([A]->[A])], [u([A]->[A])|wire(A)], "
+            "[wire(A)|s([]->[A])|wire(A)]]; out=[A,A,A]",
+        "(u ; u) * (lunit_inv[A] ; (s * id[A]) ; (id[A] * u))":
+            "in=[A,A]; layers=[[u([A]->[A])|s([]->[A])|u([A]->[A])], "
+            "[u([A]->[A])|wire(A)|wire(A)]]; out=[A,A,A]",
+    }
+    for text, dump in cases.items():
+        assert dump_normal_form(canonicalize(sheet_of_term(parse_expr(text, sig), sig))) == dump
+
+
+def test_sweep_waits_for_an_effect_between_inputs(sig):
+    # p's inputs A and B are inputs of the sheet, but e consumes the wire
+    # between them two layers in: p may not jump over it
+    text = "((id[A] * (u ; u ; e)) * id[B]) ; (runit[A] * id[B]) ; p"
+    nf = _sweep_matches_loop(sheet_of_term(parse_expr(text, sig), sig))
+    assert dump_normal_form(nf) == (
+        "in=[A,A,B]; layers=[[wire(A)|u([A]->[A])|wire(B)], [wire(A)|u([A]->[A])|wire(B)], "
+        "[wire(A)|e([A]->[])|wire(B)], [p([A,B]->[C])]]; out=[C]")
+    other = parse_expr(text.replace("u ; u", "k ; inv(k)"), sig)
+    assert isinstance(monoidal_eq(parse_expr(text, sig), other, sig), NotDecided)
+
+
+def _random_sheet(rng: Random, width: int, depth: int) -> Sheet:
+    """Layers of random boxes, one to three inputs, zero to two outputs."""
+
+    boundary = tuple(rng.choice("AB") for _ in range(width))
+    start, layers = boundary, []
+    for d in range(depth):
+        slots, pos = [], 0
+        while pos < len(boundary):
+            if rng.random() < 0.6:
+                slots.append(WireSlot(boundary[pos]))
+                pos += 1
+                continue
+            n = min(rng.choice((1, 1, 2, 3)), len(boundary) - pos)
+            outs = tuple(rng.choice("AB") for _ in range(rng.choice((0, 0, 1, 2))))
+            slots.append(BoxSlot(f"b{d}.{pos}", boundary[pos:pos + n], outs))
+            pos += n
+        layers.append(tuple(slots))
+        boundary = layer_output(layers[-1])
+    return Sheet(start, tuple(layers))
+
+
+def test_sweep_equals_loop_on_random_sheets_with_effects():
+    rng = Random(8)
+    for _ in range(1500):
+        _sweep_matches_loop(_random_sheet(rng, rng.randint(1, 8), rng.randint(1, 8)))
+
+
+def test_check_normal_form_allows_only_an_effect_to_hold_a_box_back():
+    box_p = BoxSlot("p", ("A", "B"), ("C",))
+    held = NormalForm(("A", "A", "B"), ("C",), (
+        (WireSlot("A"), BoxSlot("e", ("A",), ()), WireSlot("B")),
+        (box_p,)))
+    check_normal_form(held)
+    # an effect beside the inputs, not between them, holds nothing back
+    late = NormalForm(("A", "A", "B"), ("C",), (
+        (BoxSlot("e", ("A",), ()), WireSlot("A"), WireSlot("B")),
+        (box_p,)))
+    with pytest.raises(AssertionError, match="box p at layer 1, expected 0"):
+        check_normal_form(late)

@@ -302,3 +302,11 @@ def test_foliate_equal_under_monoidal_eq():
         assert isinstance(monoidal_eq(t, foliate(t, nos), nos), Equal)
         assert isinstance(monoidal_eq(t, weak_foliate(t, nos), nos), Equal)
         assert isinstance(monoidal_eq(t, right_associate(t), nos), Equal)
+
+
+def test_cancel_isos_returns_an_unchanged_chain_itself(sig):
+    # 400 loops, left-associated as parsed, nothing to cancel; also under a tensor
+    chain = parse_expr(" ; ".join(["u"] * 400), sig)
+    assert cancel_isos(chain, sig) is chain
+    stacked = Tensor(chain, parse_expr("f ; g", sig))
+    assert cancel_isos(stacked, sig) is stacked
