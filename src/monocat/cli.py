@@ -369,6 +369,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a crash is an error (2), never "unequal" (1)
+        print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -5,9 +5,11 @@ emitters serialize the same primitives, so their coordinates agree up
 to unit scaling.  Composition places children side by side inside a
 circumscribing group box, tensoring stacks them vertically in one, and
 every group box is drawn, so the parenthesization of the source term is
-always visible in the picture.  All arithmetic is deterministic and
-floats are emitted with fixed precision: the same term, signature and
-config produce byte-identical output.
+always visible in the picture.  Children are placed by offsets relative
+to their parent, which are resolved to absolute coordinates once, so
+layout takes time linear in the size of the tree.  All arithmetic is
+deterministic and floats are emitted with fixed precision: the same
+term, signature and config produce byte-identical output.
 
 Wires run as straight horizontal segments with a single vertical jog
 between children whose port heights differ.  Boundary sides with no
@@ -17,8 +19,10 @@ wires (unit objects) are labeled ``I``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .coherence import flatten_object, structural_wires
+from .parser import print_obj
 from .terms import (
     Assoc,
     AssocInv,
@@ -117,16 +121,6 @@ class LayoutNode:
     depth: int = 0
 
 
-def _shift(node: LayoutNode, dx: float, dy: float) -> None:
-    node.x += dx
-    node.y += dy
-    node.in_ports = [(y + dy, s) for y, s in node.in_ports]
-    node.out_ports = [(y + dy, s) for y, s in node.out_ports]
-    node.wires = [[(px + dx, py + dy) for px, py in line] for line in node.wires]
-    for child in node.children:
-        _shift(child, dx, dy)
-
-
 def _spread(h: float, labels: tuple[str, ...]) -> list[Port]:
     n = len(labels)
     return [(h * (i + 1) / (n + 1), labels[i]) for i in range(n)]
@@ -153,13 +147,15 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
     """Compute the layout tree of a well-typed term.
 
     The root is a ``diagram`` node holding the term's node plus dangling
-    boundary wires and their object labels.
+    boundary wires and their object labels.  Nodes are built bottom-up,
+    each in its own frame with its children's ``x``/``y`` their offsets
+    inside it; one top-down pass then makes every coordinate absolute.
     """
 
     cfg = cfg or RenderConfig()
     typecheck(term, sig)
 
-    def build(t: MorExpr, depth: int) -> LayoutNode:
+    def atom(t: MorExpr) -> LayoutNode:
         if isinstance(t, MorGen):
             decl = sig.morphism(t.name)
             kind = "isobox" if decl.iso else "genbox"
@@ -169,14 +165,12 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             decl = sig.morphism(t.name)
             gen = _box(cfg, "isobox", t.name, flatten_object(decl.cod),
                        flatten_object(decl.dom), emphasized=True)
-            marker = LayoutNode("marker", 0.0, 0.0, cfg.unit * 0.6, cfg.unit * 0.6,
-                                label="-1")
-            node = LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h)
-            _shift(gen, marker.w, 0.0)
-            _shift(marker, 0.0, (gen.h - marker.h) / 2.0)
-            node.children = [marker, gen]
-            node.in_ports = [(y, s) for y, s in gen.in_ports]
-            node.out_ports = gen.out_ports
+            marker = LayoutNode("marker", 0.0, (gen.h - cfg.unit * 0.6) / 2.0,
+                                cfg.unit * 0.6, cfg.unit * 0.6, label="-1")
+            gen.x = marker.w
+            node = LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h,
+                              in_ports=gen.in_ports, out_ports=gen.out_ports,
+                              children=[marker, gen])
             node.wires = [_connect((0.0, y), (gen.x, y)) for y, _ in gen.in_ports]
             return node
         if isinstance(t, Id):
@@ -188,79 +182,90 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
             return node
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            from .parser import print_obj
-
             label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, vars(t).values()))}]"
             wires = structural_wires(t)
             return _box(cfg, "structbox", label, wires, wires, emphasized=True)
         if isinstance(t, (Braid, BraidInv)):
-            if isinstance(t, Braid):
-                first, second = flatten_object(t.a), flatten_object(t.b)
-            else:
-                first, second = flatten_object(t.b), flatten_object(t.a)
-            ins = first + second
-            outs = second + first
+            pair = (t.a, t.b) if isinstance(t, Braid) else (t.b, t.a)
+            first, second = map(flatten_object, pair)
+            ins, outs = first + second, second + first
             h = cfg.unit * max(len(ins), 1)
             node = LayoutNode("braidcross", 0.0, 0.0, cfg.box_min_width * 1.2, h,
                               in_ports=_spread(h, ins), out_ports=_spread(h, outs))
-            # straight diagonals: the crossing is the glyph
-            p, q = len(first), len(second)
-            for i in range(p):
-                node.wires.append([(0.0, node.in_ports[i][0]),
-                                   (node.w, node.out_ports[q + i][0])])
-            for j in range(q):
-                node.wires.append([(0.0, node.in_ports[p + j][0]),
-                                   (node.w, node.out_ports[j][0])])
-            return node
-        if isinstance(t, Comp):
-            children = [build(c, depth + 1) for c in (t.first, t.second)]
-            pad = cfg.box_padding
-            maxh = max(c.h for c in children)
-            x = pad
-            for child in children:
-                _shift(child, x, pad + (maxh - child.h) / 2.0)
-                x += child.w + cfg.hgap
-            w = x - cfg.hgap + pad
-            node = LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad,
-                              children=children, depth=depth)
-            a, b = children
-            for (ya, sa), (yb, _sb) in zip(a.out_ports, b.in_ports):
-                node.wires.append(_connect((a.x + a.w, ya), (b.x, yb)))
-            node.in_ports = [(y, s) for y, s in a.in_ports]
-            node.out_ports = [(y, s) for y, s in b.out_ports]
-            node.wires += [_connect((0.0, y), (a.x, y)) for y, _ in a.in_ports]
-            node.wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in b.out_ports]
-            return node
-        if isinstance(t, Tensor):
-            children = [build(c, depth + 1) for c in (t.top, t.bottom)]
-            pad = cfg.box_padding
-            maxw = max(c.w for c in children)
-            y = pad
-            for child in children:
-                _shift(child, pad + (maxw - child.w) / 2.0, y)
-                y += child.h + cfg.vgap
-            h = y - cfg.vgap + pad
-            node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, h,
-                              children=children, depth=depth)
-            for child in children:
-                node.in_ports += [(py, s) for py, s in child.in_ports]
-                node.out_ports += [(py, s) for py, s in child.out_ports]
-                node.wires += [_connect((0.0, py), (child.x, py)) for py, _ in child.in_ports]
-                node.wires += [_connect((child.x + child.w, py), (node.w, py))
-                               for py, _ in child.out_ports]
+            # straight diagonals: input i leaves at output i + len(second), cyclically
+            node.wires = [[(0.0, node.in_ports[i][0]),
+                           (node.w, node.out_ports[(i + len(second)) % len(ins)][0])]
+                          for i in range(len(ins))]
             return node
         raise TypeError(f"cannot lay out {t!r}")
 
-    inner = build(term, 1)
+    def group(t: Comp | Tensor, a: LayoutNode, b: LayoutNode, depth: int) -> LayoutNode:
+        pad = cfg.box_padding
+        if isinstance(t, Comp):
+            maxh = max(a.h, b.h)
+            a.x, a.y = pad, pad + (maxh - a.h) / 2.0
+            b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
+            w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
+            node = LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad,
+                              children=[a, b], depth=depth)
+            node.in_ports = [(y + a.y, s) for y, s in a.in_ports]
+            node.out_ports = [(y + b.y, s) for y, s in b.out_ports]
+            node.wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
+                          for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
+            node.wires += [_connect((0.0, y), (a.x, y)) for y, _ in node.in_ports]
+            node.wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in node.out_ports]
+            return node
+        maxw = max(a.w, b.w)
+        y = pad
+        for child in (a, b):
+            child.x, child.y = pad + (maxw - child.w) / 2.0, y
+            y += child.h + cfg.vgap
+        node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, y - cfg.vgap + pad,
+                          children=[a, b], depth=depth)
+        for child in (a, b):
+            ins = [(py + child.y, s) for py, s in child.in_ports]
+            outs = [(py + child.y, s) for py, s in child.out_ports]
+            node.in_ports += ins
+            node.out_ports += outs
+            node.wires += [_connect((0.0, py), (child.x, py)) for py, _ in ins]
+            node.wires += [_connect((child.x + child.w, py), (node.w, py)) for py, _ in outs]
+        return node
+
+    # iterative post-order over Comp/Tensor: deep terms never recurse
+    built: list[LayoutNode] = []
+    todo: list[tuple[MorExpr, int, bool]] = [(term, 1, False)]
+    while todo:
+        t, depth, ready = todo.pop()
+        if ready:
+            b = built.pop()
+            built.append(group(t, built.pop(), b, depth))
+        elif isinstance(t, (Comp, Tensor)):
+            first, second = (t.first, t.second) if isinstance(t, Comp) else (t.top, t.bottom)
+            todo += [(t, depth, True), (second, depth + 1, False), (first, depth + 1, False)]
+        else:
+            built.append(atom(t))
+    inner = built.pop()
+
     stub = cfg.boundary_stub
+    inner.x, inner.y = cfg.margin + stub, cfg.margin
     root = LayoutNode("diagram", 0.0, 0.0, inner.w + 2 * stub + 2 * cfg.margin,
                       inner.h + 2 * cfg.margin, children=[inner])
-    _shift(inner, cfg.margin + stub, cfg.margin)
-    root.in_ports = [(y, s) for y, s in inner.in_ports]
-    root.out_ports = [(y, s) for y, s in inner.out_ports]
-    root.wires = [_connect((cfg.margin, y), (inner.x, y)) for y, _ in inner.in_ports]
+    root.in_ports = [(y + inner.y, s) for y, s in inner.in_ports]
+    root.out_ports = [(y + inner.y, s) for y, s in inner.out_ports]
+    root.wires = [_connect((cfg.margin, y), (inner.x, y)) for y, _ in root.in_ports]
     root.wires += [_connect((inner.x + inner.w, y), (inner.x + inner.w + stub, y))
-                   for y, _ in inner.out_ports]
+                   for y, _ in root.out_ports]
+
+    # resolve offsets once: each node's origin is its parent's plus its offset
+    frames = [(inner, 0.0, 0.0)]
+    while frames:
+        node, px, py = frames.pop()
+        x = node.x = px + node.x
+        y = node.y = py + node.y
+        node.in_ports = [(v + y, s) for v, s in node.in_ports]
+        node.out_ports = [(v + y, s) for v, s in node.out_ports]
+        node.wires = [[(u + x, v + y) for u, v in line] for line in node.wires]
+        frames += [(child, x, y) for child in node.children]
     return root
 
 
@@ -269,8 +274,7 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rect:
+class _Rect(NamedTuple):
     x: float
     y: float
     w: float
@@ -279,13 +283,7 @@ class _Rect:
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class _Line:
-    points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class _Text:
+class _Text(NamedTuple):
     x: float
     y: float
     s: str
@@ -295,14 +293,18 @@ class _Text:
 
 def _primitives(root: LayoutNode, cfg: RenderConfig):
     rects: list[_Rect] = []
-    lines: list[_Line] = []
+    lines: list[list[tuple[float, float]]] = []  # wire polylines
     texts: list[_Text] = []
 
-    def emit(node: LayoutNode) -> None:
-        for child in node.children:
-            emit(child)
-        for wire in node.wires:
-            lines.append(_Line(tuple(wire)))
+    # iterative post-order: children first, each node after its subtree
+    todo = [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        if not ready:
+            todo.append((node, True))
+            todo += [(child, False) for child in reversed(node.children)]
+            continue
+        lines += node.wires
         if node.kind in ("genbox", "isobox", "structbox", "marker"):
             if cfg.atom_boxes or node.kind == "marker":
                 style = "isobox" if node.emphasized and node.kind != "marker" else node.kind
@@ -326,8 +328,6 @@ def _primitives(root: LayoutNode, cfg: RenderConfig):
             if node.label:
                 texts.append(_Text(node.x + node.w / 2.0, node.y + node.h / 2.0,
                                    node.label, "middle", small=True))
-        elif node.kind == "braidcross":
-            pass
         elif node.kind in ("compgroup", "tensorgroup"):
             rects.append(_Rect(node.x, node.y, node.w, node.h, "group", depth=node.depth))
         elif node.kind == "diagram":
@@ -341,8 +341,6 @@ def _primitives(root: LayoutNode, cfg: RenderConfig):
             if not node.out_ports:
                 texts.append(_Text(node.x + node.w - 3.0, node.y + node.h / 2.0, "I", "end",
                                    small=True))
-
-    emit(root)
     return rects, lines, texts
 
 
@@ -365,7 +363,7 @@ def emit_svg(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
         f'viewBox="0 0 {_fmt(root.w)} {_fmt(root.h)}">',
     ]
     for line in lines:
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in line.points)
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in line)
         out.append(f'<polyline class="wire" points="{pts}" fill="none" '
                    f'stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"/>')
     for rect in rects:
@@ -377,9 +375,7 @@ def emit_svg(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
             extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width * 2)}"'
         elif rect.style == "structbox":
             extra = f'fill="#f2f2f2" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
-        elif rect.style == "marker":
-            extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
-        else:
+        else:  # genbox, marker
             extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
         out.append(f'<rect class="{rect.style}" x="{_fmt(rect.x)}" y="{_fmt(rect.y)}" '
                    f'width="{_fmt(rect.w)}" height="{_fmt(rect.h)}" {extra}/>')
@@ -423,7 +419,7 @@ def emit_tikz(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
 
     out = [r"\begin{tikzpicture}[every node/.style={font=\small}]"]
     for line in lines:
-        path = " -- ".join(pt(x, y) for x, y in line.points)
+        path = " -- ".join(pt(x, y) for x, y in line)
         out.append(rf"\draw {path};")
     for rect in rects:
         style = {

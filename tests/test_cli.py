@@ -115,6 +115,25 @@ def test_normalize(sig_path, capsys):
         "in=[N,A]; layers=[[f([N]->[B])|h([A]->[M])]]; out=[B,M]"
 
 
+def test_crash_exits_2_with_one_line(sig_path, capsys):
+    # a 1500-element chain overflows the default recursion limit inside the
+    # library: that is an error (2), never "unequal" (1), and no traceback
+    code = run(["normalize", "--sig", sig_path, " ; ".join(["u"] * 1500)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_memory_error_exits_2_with_one_line(sig_path, capsys, monkeypatch):
+    def exhausted(*_args):
+        raise MemoryError("cannot allocate\n 64 GiB")
+
+    monkeypatch.setattr("monocat.coherence.canonicalize", exhausted)
+    code = run(["normalize", "--sig", sig_path, "u"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: MemoryError: cannot allocate 64 GiB\n"
+
+
 def test_rewrite(sig_path, tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("rule cancel : k ; inv(k) => id[A]\n", encoding="utf-8")

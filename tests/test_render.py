@@ -1,13 +1,17 @@
 """Renderer: golden files, determinism, geometry invariants."""
 
 import re
+from functools import reduce
+from random import Random
 
 import pytest
 
+from gen import random_term, std_sig, struct_sig
 from monocat.coherence import flatten_object
 from monocat.parser import parse_expr, parse_signature
 from monocat.render import RenderConfig, RenderConfigError, emit_svg, emit_tikz, layout
-from monocat.terms import typecheck
+from monocat.terms import Comp, MorGen, typecheck
+from reference_render import reference_layout
 
 RENDER_SIG = parse_signature("""
 category symmetric
@@ -123,18 +127,18 @@ def _sibling_rects(node):
         yield from _sibling_rects(c)
 
 
-def _overlap(r1, r2):
+def _overlap(r1, r2, tol=0.0):
     x1, y1, w1, h1 = r1
     x2, y2, w2, h2 = r2
-    return x1 < x2 + w2 and x2 < x1 + w1 and y1 < y2 + h2 and y2 < y1 + h1
+    return (x1 + tol < x2 + w2 and x2 + tol < x1 + w1
+            and y1 + tol < y2 + h2 and y2 + tol < y1 + h1)
 
 
-@pytest.mark.parametrize("text", sorted(GOLDEN_TERMS.values()))
-def test_geometry_invariants(text):
-    cfg = RenderConfig()
-    term = parse_expr(text, RENDER_SIG)
-    node = layout(term, RENDER_SIG, cfg)
-    ty = typecheck(term, RENDER_SIG)
+def _check_geometry(term, sig, cfg, tol=0.0):
+    # ``tol`` lets siblings that abut (an inverse's marker and box) touch
+    # up to rounding
+    node = layout(term, sig, cfg)
+    ty = typecheck(term, sig)
     assert len(node.in_ports) == len(flatten_object(ty.dom))
     assert len(node.out_ports) == len(flatten_object(ty.cod))
     assert [s for _, s in node.in_ports] == list(flatten_object(ty.dom))
@@ -142,7 +146,7 @@ def test_geometry_invariants(text):
     for siblings in _sibling_rects(node):
         for i in range(len(siblings)):
             for j in range(i + 1, len(siblings)):
-                assert not _overlap(siblings[i], siblings[j])
+                assert not _overlap(siblings[i], siblings[j], tol)
 
     def walk(n):
         if n.kind == "compgroup":
@@ -159,6 +163,99 @@ def test_geometry_invariants(text):
             walk(c)
 
     walk(node)
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_TERMS.values()))
+def test_geometry_invariants(text):
+    _check_geometry(parse_expr(text, RENDER_SIG), RENDER_SIG, RenderConfig())
+
+
+# ---------------------------------------------------------------------------
+# The offset-based layout against the shift-based reference
+# ---------------------------------------------------------------------------
+
+ODD_CFG = RenderConfig(unit=17.3, hgap=9.1, vgap=5.7, box_padding=3.3, box_min_width=41.9,
+                       boundary_stub=13.7, margin=7.9, font_size=10.1)
+
+
+@pytest.fixture(scope="module")
+def random_terms():
+    """600 seeded random terms, alternating over ``std_sig`` and ``struct_sig``."""
+
+    sigs = (std_sig(), struct_sig())
+    out = []
+    for seed in range(600):
+        rng = Random(seed)
+        sig = sigs[seed % 2]
+        out.append((random_term(rng, sig, max_leaves=rng.randint(2, 16)), sig))
+    return out
+
+
+def _nodes(root):
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(node.children))
+
+
+def test_random_geometry_invariants(random_terms):
+    for term, sig in random_terms:
+        _check_geometry(term, sig, RenderConfig(), tol=1e-9)
+        _check_geometry(term, sig, ODD_CFG, tol=1e-9)
+
+
+def test_matches_reference_bytes_under_default_config(random_terms):
+    cfg = RenderConfig()
+    for term, sig in random_terms:
+        got, ref = layout(term, sig, cfg), reference_layout(term, sig, cfg)
+        assert emit_svg(got, cfg) == emit_svg(ref, cfg)
+        assert emit_tikz(got, cfg) == emit_tikz(ref, cfg)
+
+
+def test_matches_reference_tree_under_odd_config(random_terms):
+    # offsets are summed root-down instead of leaf-up, so under an arbitrary
+    # config coordinates may differ in the last bits, never in the tree
+    def close(u, v):
+        return abs(u - v) <= 1e-9
+
+    for term, sig in random_terms:
+        got = list(_nodes(layout(term, sig, ODD_CFG)))
+        ref = list(_nodes(reference_layout(term, sig, ODD_CFG)))
+        assert len(got) == len(ref)
+        for n, r in zip(got, ref):
+            assert (n.kind, n.label, n.depth, n.emphasized, len(n.children)) == \
+                (r.kind, r.label, r.depth, r.emphasized, len(r.children))
+            assert all(map(close, (n.x, n.y, n.w, n.h), (r.x, r.y, r.w, r.h)))
+            for mine, theirs in ((n.in_ports, r.in_ports), (n.out_ports, r.out_ports)):
+                assert [s for _, s in mine] == [s for _, s in theirs]
+                assert all(close(y1, y2) for (y1, _), (y2, _) in zip(mine, theirs))
+            assert [len(line) for line in n.wires] == [len(line) for line in r.wires]
+            for line, ref_line in zip(n.wires, r.wires):
+                for (x1, y1), (x2, y2) in zip(line, ref_line):
+                    assert close(x1, x2) and close(y1, y2)
+
+
+CHAIN_SIG = parse_signature("category monoidal\nobject A\nmor f : A -> A\n")
+
+
+def _chain(n):
+    """``f ; f ; … ; f`` with n elements, left-nested as the parser builds it."""
+
+    return reduce(Comp, [MorGen("f")] * n)
+
+
+def test_deep_chain_renders_without_recursion():
+    node = layout(_chain(800), CHAIN_SIG)
+    assert sum(1 for _ in _nodes(node)) == 2 * 800
+    assert emit_svg(node).count('class="genbox"') == 800
+    assert emit_tikz(node).count("fill=white") == 800
+
+
+def test_chain_node_count_matches_reference():
+    term = _chain(400)
+    got = sum(1 for _ in _nodes(layout(term, CHAIN_SIG)))
+    assert got == sum(1 for _ in _nodes(reference_layout(term, CHAIN_SIG)))
 
 
 def test_svg_tikz_coordinate_agreement():

@@ -13,6 +13,7 @@ from gen import (
     std_sig,
     struct_sig,
 )
+from monocat import semantics
 from monocat.parser import parse_expr, parse_signature
 from monocat.semantics import (
     InvalidBackendData,
@@ -72,6 +73,33 @@ def test_mat_equiv():
     assert not mat_equiv(a, np.zeros((2, 1)), 1.0)
     assert mat_equiv(a, a + 1e-12, 1e-9)
     assert not mat_equiv(a, a + 1e-6, 1e-9)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 1, 3])
+def test_mat_equiv_verdicts(block, monkeypatch):
+    monkeypatch.setattr(semantics, "_EQUIV_BLOCK", block)
+    a = np.arange(24, dtype=complex).reshape(6, 4)
+    # a shape mismatch, even of equal size
+    assert not mat_equiv(a, a.reshape(4, 6), 1.0)
+    # an empty matrix
+    assert mat_equiv(np.zeros((0, 3)), np.zeros((0, 3)), 0.0)
+    # any NaN, in either matrix, in the first or the last row, or in both
+    for i, j in ((0, 0), (5, 3)):
+        nan = a.copy()
+        nan[i, j] = np.nan
+        assert not mat_equiv(a, nan, np.inf)
+        assert not mat_equiv(nan, a, np.inf)
+        assert not mat_equiv(nan, nan.copy(), np.inf)
+    # a difference equal to tol is within it (|3+4i| is exactly 5)
+    for i, j in ((0, 0), (5, 3)):
+        off = a.copy()
+        off[i, j] += 3 + 4j
+        assert mat_equiv(a, off, 5.0)
+        assert not mat_equiv(a, off, np.nextafter(5.0, 0.0))
+    # vectors and scalars
+    assert mat_equiv(np.ones(7), np.ones(7), 0.0)
+    assert not mat_equiv(np.ones(7), np.r_[np.ones(6), 2.0], 0.5)
+    assert mat_equiv(np.array(2.0), np.array(2.25), 0.25)
 
 
 BACKEND_SIG = parse_signature("""
