@@ -1,5 +1,6 @@
 """Matrix and relation oracles: evaluation, laws, coherence checking."""
 
+import itertools
 from random import Random
 
 import numpy as np
@@ -29,8 +30,8 @@ from monocat.semantics import (
     matrix_instance,
     rel_instance,
 )
-from monocat.terms import Comp, MorGen, Tensor, UndeclaredName, typecheck
-from reference_semantics import dense_eval_matrix
+from monocat.terms import CatError, Comp, MorGen, Tensor, UndeclaredName, typecheck
+from reference_semantics import dense_eval_matrix, reference_eval_rel
 
 
 def test_braid_matrix_unit_factor():
@@ -347,6 +348,121 @@ def test_rel_matches_boolean_matrix_semantics(sig):
         assert support == set(rel)
 
 
+@pytest.mark.parametrize("make_sig", [std_sig, struct_sig])
+def test_eval_rel_matches_reference(make_sig):
+    """Local application agrees with the pair-by-pair evaluator on random
+    terms, errors included."""
+
+    sig = make_sig()
+    rng = Random(59)
+    raised = set()
+    for i in range(300):
+        inst = random_rel_instance(rng, sig, max_size=3, density=(0.2, 0.5, 0.9)[i % 3])
+        if sig.morphisms and i % 4 == 0:
+            # a missing relation, or an iso's that may not be a bijection
+            if i % 8:
+                del inst.rel[rng.choice(sig.morphisms).name]
+            else:
+                decl = rng.choice([d for d in sig.morphisms if d.iso])
+                src, tgt = dim_flat(decl.dom, inst.size), dim_flat(decl.cod, inst.size)
+                inst.rel[decl.name] = frozenset(
+                    (x, y) for x in range(src) for y in range(tgt) if rng.random() < 0.5)
+        term = random_term(rng, sig, max_leaves=rng.randint(2, 16))
+        term = Comp(term, random_term_with_dom(rng, sig, typecheck(term, sig).cod, 8))
+        other = random_term(rng, sig, max_leaves=6)
+        stacked = Tensor(other, term) if rng.random() < 0.5 else Tensor(term, other)
+        ty = typecheck(stacked, sig)
+        if max(dim_flat(ty.dom, inst.size), dim_flat(ty.cod, inst.size)) <= 243:
+            term = stacked
+        try:
+            want = reference_eval_rel(term, inst)
+        except CatError as err:
+            raised.add(type(err))
+            with pytest.raises(CatError) as got:
+                eval_rel(term, inst)
+            assert got.type is type(err), term
+            continue
+        assert eval_rel(term, inst) == want, term
+    assert raised == ({MissingBackendData, NotBijective} if sig.morphisms else set())
+
+
+def test_eval_rel_drops_repeated_pairs():
+    """Each of the 60 boxes maps every source to every target: kept per
+    path, the pairs would number 3^61; per box they stay at 9."""
+
+    sig = parse_signature("category symmetric\nobject A\nmor t : A -> A\n"
+                          "backend rel\nsize A = 3\n"
+                          "rel t = {(0,0),(0,1),(0,2),(1,0),(1,1),(1,2),(2,0),(2,1),(2,2)}\n")
+    term = parse_expr(" ; ".join(["t"] * 60), sig)
+    assert eval_rel(term, rel_instance(sig)) == {(x, y) for x in range(3) for y in range(3)}
+
+
+def test_eval_rel_wide_product():
+    """14 wires of 3 elements: one state per wire, then a layer of boxes.
+    The relation is the product of the per-wire relations, while an
+    identity on all the wires would alone hold 3^14 = 4,782,969 pairs."""
+
+    wires = 14
+    rng = Random(60)
+    states = [sorted(rng.sample(range(3), rng.choice((1, 2, 2)))) for _ in range(wires)]
+    boxes = {"u": {(0, 1), (1, 2), (2, 0)},          # a bijection
+             "w": {(0, 0), (1, 0), (2, 2)},          # merges 0 and 1
+             "z": {(0, 1), (0, 2), (1, 1), (2, 0)}}  # branches and merges
+    sig = parse_signature("\n".join(
+        ["category symmetric", "object A", "iso k : A -> A"]
+        + [f"mor b{i} : I -> A" for i in range(wires)]
+        + [f"mor {name} : A -> A" for name in boxes]
+        + ["backend rel", "size A = 3", "rel k = {(0,2),(1,0),(2,1)}"]
+        + [f"rel b{i} = {{{', '.join(f'(0,{s})' for s in state)}}}"
+           for i, state in enumerate(states)]
+        + [f"rel {name} = {{{', '.join(map(str, sorted(pairs)))}}}"
+           for name, pairs in boxes.items()]))
+    boxes["id[A]"] = {(a, a) for a in range(3)}
+    boxes["inv(k)"] = {(0, 1), (1, 2), (2, 0)}
+    layer = [rng.choice(sorted(boxes)) for _ in range(wires)]
+    per_wire = [{y for s in state for x, y in boxes[box] if x == s}
+                for state, box in zip(states, layer)]
+    # a braiding on wires 6 and 7 exchanges their states
+    layer[6:8] = ["braid[A,A]"]
+    per_wire[6:8] = [set(states[7]), set(states[6])]
+    top = [f"b{i}" for i in range(wires)]
+    top[6:8] = ["(b6 * b7)"]
+    text = f"({' * '.join(top)}) ; ({' * '.join(layer)})"
+    want = {(0, sum(y * 3 ** (wires - 1 - w) for w, y in enumerate(ys)))
+            for ys in itertools.product(*map(sorted, per_wire))}
+    got = eval_rel(parse_expr(text, sig), rel_instance(sig))
+    assert 1000 < len(want) < 100_000
+    assert got == want
+
+
+def test_eval_rel_rebuilds_a_replaced_relation():
+    """A generator's arrays are built once per relation, and built again
+    when the instance's relation is replaced."""
+
+    inst = rel_instance(BACKEND_SIG)
+    term = parse_expr("inv(k) ; f", BACKEND_SIG)
+    assert eval_rel(term, inst) == {(1, 1), (2, 0)}
+    inst.rel["k"] = frozenset({(0, 0), (1, 1), (2, 2)})
+    assert eval_rel(term, inst) == {(0, 1), (2, 0)}
+    inst.rel["f"] = frozenset({(1, 0)})
+    assert eval_rel(term, inst) == {(1, 0)}
+    inst.rel["k"] = frozenset({(0, 0), (1, 0), (2, 2)})
+    with pytest.raises(NotBijective):
+        eval_rel(term, inst)
+
+
+def test_eval_rel_too_large_to_index():
+    """A relation whose carriers multiply to 2^63 or more would overflow
+    int64 indices; it is refused rather than evaluated wrongly."""
+
+    sig = parse_signature("category symmetric\nobject A\nmor e : I -> A\n"
+                          "backend rel\nsize A = 2\nrel e = {(0,1)}\n")
+    inst = rel_instance(sig)
+    assert eval_rel(parse_expr(" * ".join(["e"] * 62), sig), inst) == {(0, 2 ** 62 - 1)}
+    with pytest.raises(CatError, match="too large to index"):
+        eval_rel(parse_expr(" * ".join(["e"] * 63), sig), inst)
+
+
 # ---------------------------------------------------------------------------
 # check_coherence
 # ---------------------------------------------------------------------------
@@ -370,6 +486,19 @@ def test_check_coherence_rel_exact(sig):
     inst = random_rel_instance(rng, sig, max_size=3)
     for r in check_coherence(inst, sig, rng=rng):
         assert r.passed and r.deviation == 0.0, r
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_check_coherence_deviation_by_row_blocks(block, sig, monkeypatch):
+    """The matrix compare reports the same maximum deviation, whatever the
+    row blocks it takes it over."""
+
+    inst = random_matrix_instance(Random(43), sig, max_dim=3)
+    inst.inv_mat["k"] = inst.inv_mat["k"] * 2.0
+    want = check_coherence(inst, sig, rng=Random(5))
+    assert any(r.deviation > 0 for r in want)
+    monkeypatch.setattr(semantics, "_EQUIV_BLOCK", block)
+    assert check_coherence(inst, sig, rng=Random(5)) == want
 
 
 def test_check_coherence_negative_control(sig):
