@@ -47,6 +47,8 @@ from .terms import (
     Tensor,
     TypeMismatch,
     Unit,
+    node_fields,
+    obj_label,
     typecheck,
 )
 
@@ -148,7 +150,7 @@ def structural_wires(atom: MorExpr) -> WireList:
     """Flat wires of an associator or unitor: its domain and codomain both
     flatten to the wires of its object arguments, in order."""
 
-    return tuple(w for obj in vars(atom).values() for w in flatten_object(obj))
+    return tuple(w for obj in node_fields(atom) for w in flatten_object(obj))
 
 
 def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
@@ -358,8 +360,6 @@ def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
 
 
 def _ty_text(ty) -> str:
-    from .terms import obj_label
-
     return f"{obj_label(ty.dom)} -> {obj_label(ty.cod)}"
 
 

@@ -19,6 +19,10 @@ Comments run from ``#`` to end of line.  ``print_expr`` emits text whose
 parse is exactly the input term: parentheses appear around any compound
 subterm except a same-operator chain extending to the left, so mixed
 operators are always bracketed explicitly.
+
+``parse_expr`` typechecks during the parse: each node is typed as it is
+built, chains in loops, and the root's boundary is kept with the term, so
+a later ``typecheck(term, sig)`` reads it instead of walking the term.
 """
 
 from __future__ import annotations
@@ -29,17 +33,11 @@ from dataclasses import dataclass
 
 from .coherence import flatten_object
 from .terms import (
-    Assoc,
-    AssocInv,
     BackendBlock,
-    Braid,
-    BraidInv,
     CatError,
     Comp,
     Id,
     Inv,
-    LUnit,
-    LUnitInv,
     LEVELS,
     MorDecl,
     MorExpr,
@@ -51,15 +49,17 @@ from .terms import (
     ObjTensor,
     ObjVar,
     RESERVED_NAMES,
-    RUnit,
-    RUnitInv,
+    STRUCTURAL,
     Signature,
     Tensor,
+    Typer,
     UNIT,
     UndeclaredName,
     Unit,
     UnknownLevel,
     comp_chain,
+    keep_type,
+    node_fields,
     tensor_leaves,
     typecheck,
 )
@@ -95,16 +95,9 @@ class SourceSpan:
 #: DARROW COLON EQUALS STRING EOF.
 Token = tuple[str, str, int, int, int, int]
 
-STRUCTURAL_KEYWORDS = {
-    "alpha": (Assoc, 3),
-    "alpha_inv": (AssocInv, 3),
-    "lunit": (LUnit, 1),
-    "lunit_inv": (LUnitInv, 1),
-    "runit": (RUnit, 1),
-    "runit_inv": (RUnitInv, 1),
-    "braid": (Braid, 2),
-    "braid_inv": (BraidInv, 2),
-}
+#: Keyword -> (structural atom class, number of object arguments).
+STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
+                       for cls, spec in STRUCTURAL.items()}
 
 # Each match is optional blanks, then the first rule that fits, in order.
 # ``\w`` is exactly ``str.isalnum()`` plus "_", so names are ``[\w']`` runs;
@@ -187,15 +180,27 @@ Span = tuple[int, int, int, int]  # line, column, start, end
 class _ExprParser:
     """Recursive-descent parser for morphism and object expressions.
 
-    ``spans`` maps ``id(node)`` to the node's (line, column, start, end);
-    a :class:`SourceSpan` is made only when an error points at a node.
+    Given a :class:`Typer`, it types each morphism node as it builds it
+    (``parse_*`` return the node and its ``(dom, cod)``, else ``None``) and
+    makes objects through the typer, so equal boundaries are one object.
+    Nodes are built in the post-order a typecheck walks them, so the first
+    type error met is the one that walk would raise.  It is recorded, not
+    raised, with the span of the node it names (``spans`` holds those of
+    undeclared object names), and typing stops; the caller raises it once
+    the text has parsed.
     """
 
-    def __init__(self, tokens: list[Token], allow_metavars: bool = False):
+    def __init__(self, tokens: list[Token], allow_metavars: bool = False,
+                 typer: Typer | None = None):
         self.tokens = tokens
         self.pos = 0
         self.allow_metavars = allow_metavars
+        self.typer = typer
+        self.objs = typer.objs if typer else {}
+        self.tensor_obj = typer.tensor_obj if typer else ObjTensor
+        self.undeclared = 0  # fresh generators made for names ``objs`` lacks
         self.spans: dict[int, Span] = {}
+        self.error: CatError | None = None
 
     def next(self) -> Token:
         self.pos += 1
@@ -212,70 +217,97 @@ class _ExprParser:
     def _error(self, message: str, t: Token) -> ParseError:
         return ParseError(message, span=SourceSpan(*t[2:]))
 
-    def _note(self, term, start: Token | Span, end: Token | Span):
-        """Record ``term``'s span from ``start``'s beginning to ``end``'s end
-        (a token or a recorded span; both end in line, column, start, end)."""
+    def _span(self, start: Token) -> Span:
+        """From ``start`` to the end of the last token consumed."""
 
-        self.spans[id(term)] = (start[-4], start[-3], start[-2], end[-1])
-        return term
+        return start[2], start[3], start[4], self.tokens[self.pos - 1][5]
 
-    def parse_expr(self) -> MorExpr:
+    def _type(self, fn, node, start: Token, *args):
+        """``fn(node, *args)``; a type error is recorded and typing stops."""
+
+        try:
+            return fn(node, *args)
+        except CatError as err:
+            self.typer, self.error = None, err
+            span = self._span(start) if err.term is node else self.spans.get(id(err.term))
+            err.span = span and SourceSpan(*span)
+            return None
+
+    def _parens(self, node, start: Token) -> None:
+        """Close the parentheses opened at ``start`` around ``node``, which
+        widens ``node``'s span if it has one."""
+
+        self.expect("RPAREN", "')'")
+        if self.error is not None and node is self.error.term:
+            self.error.span = SourceSpan(*self._span(start))
+        elif id(node) in self.spans:
+            self.spans[id(node)] = self._span(start)
+
+    def parse_expr(self) -> tuple[MorExpr, tuple | None]:
         start = self.tokens[self.pos]
-        term = self.parse_tensor()
+        term, ty = self.parse_tensor()
         while self.tokens[self.pos][0] == "COMPOSE":
             self.pos += 1
-            rhs = self.parse_tensor()
-            term = self._note(Comp(term, rhs), start, self.spans[id(rhs)])
-        return term
+            rhs, rty = self.parse_tensor()
+            term = Comp(term, rhs)
+            if self.typer:
+                ty = (ty[0], rty[1]) if ty[1] is rty[0] else \
+                    self._type(self.typer.comp, term, start, ty, rty)
+        return term, ty
 
-    def parse_tensor(self) -> MorExpr:
-        start = self.tokens[self.pos]
-        term = self.parse_atom()
+    def parse_tensor(self) -> tuple[MorExpr, tuple | None]:
+        term, ty = self.parse_atom()
         while self.tokens[self.pos][0] == "TENSOR":
             self.pos += 1
-            rhs = self.parse_atom()
-            term = self._note(Tensor(term, rhs), start, self.spans[id(rhs)])
-        return term
+            rhs, rty = self.parse_atom()
+            term = Tensor(term, rhs)
+            if self.typer:
+                ty = self.tensor_obj(ty[0], rty[0]), self.tensor_obj(ty[1], rty[1])
+        return term, ty
 
-    def parse_atom(self) -> MorExpr:
+    def parse_atom(self) -> tuple[MorExpr, tuple | None]:
         t = self.next()
         kind, name = t[0], t[1]
         if kind == "LPAREN":
-            term = self.parse_expr()
-            return self._note(term, t, self.expect("RPAREN", "')'"))
+            term, ty = self.parse_expr()
+            self._parens(term, t)
+            return term, ty
+        undeclared = self.undeclared
         if kind == "METAVAR":
             if not self.allow_metavars:
                 raise self._error("metavariables are only allowed in rule files", t)
-            return self._note(MorVar(name), t, t)
-        if kind != "NAME":
+            term = MorVar(name)
+        elif kind != "NAME":
             raise self._error(f"expected a morphism, found {name!r}", t)
-        if name == "id":
+        elif name == "id":
             self.expect("LBRACK", "'['")
-            obj = self.parse_obj()
-            return self._note(Id(obj), t, self.expect("RBRACK", "']'"))
-        if name in STRUCTURAL_KEYWORDS:
+            term = Id(self.parse_obj())
+            self.expect("RBRACK", "']'")
+        elif name in STRUCTURAL_KEYWORDS:
             cls, arity = STRUCTURAL_KEYWORDS[name]
             self.expect("LBRACK", "'['")
             args = [self.parse_obj()]
             for _ in range(arity - 1):
                 self.expect("COMMA", "','")
                 args.append(self.parse_obj())
-            return self._note(cls(*args), t, self.expect("RBRACK", "']'"))
-        if name == "inv":
+            self.expect("RBRACK", "']'")
+            term = cls(*args)
+        elif name == "inv":
             self.expect("LPAREN", "'('")
-            inner = self.expect("NAME", "a generator name")
-            return self._note(Inv(inner[1]), t, self.expect("RPAREN", "')'"))
-        if name == "I":
+            term = Inv(self.expect("NAME", "a generator name")[1])
+            self.expect("RPAREN", "')'")
+        elif name == "I":
             raise self._error("'I' is an object, not a morphism", t)
-        return self._note(MorGen(name), t, t)
+        else:
+            term = MorGen(name)
+        return term, self.typer and self._type(self.typer.atom, term, t,
+                                               undeclared == self.undeclared)
 
     def parse_obj(self) -> ObjExpr:
-        start = self.tokens[self.pos]
         obj = self.parse_objatom()
         while self.tokens[self.pos][0] == "TENSOR":
             self.pos += 1
-            rhs = self.parse_objatom()
-            obj = self._note(ObjTensor(obj, rhs), start, self.spans[id(rhs)])
+            obj = self.tensor_obj(obj, self.parse_objatom())
         return obj
 
     def parse_objatom(self) -> ObjExpr:
@@ -283,36 +315,41 @@ class _ExprParser:
         kind, name = t[0], t[1]
         if kind == "LPAREN":
             obj = self.parse_obj()
-            return self._note(obj, t, self.expect("RPAREN", "')'"))
+            self._parens(obj, t)
+            return obj
         if kind == "METAVAR":
             if not self.allow_metavars:
                 raise self._error("metavariables are only allowed in rule files", t)
-            return self._note(ObjVar(name), t, t)
+            return ObjVar(name)
         if kind != "NAME":
             raise self._error(f"expected an object, found {name!r}", t)
         if name == "I":
-            return self._note(UNIT, t, t)
+            return UNIT
+        obj = self.objs.get(name)
+        if obj is not None:
+            return obj
         if name in RESERVED_NAMES:
             raise self._error(f"{name!r} cannot be used as an object", t)
-        return self._note(ObjGen(name), t, t)
-
-
-def _attach_span(err: CatError, spans: dict[int, Span]) -> CatError:
-    if err.span is None and err.term is not None and id(err.term) in spans:
-        err.span = SourceSpan(*spans[id(err.term)])
-    return err
+        obj = ObjGen(name)
+        if self.typer:
+            self.undeclared += 1
+            self.spans[id(obj)] = self._span(t)
+        return obj
 
 
 def parse_expr(text: str, sig: Signature) -> MorExpr:
-    """Parse a morphism expression and typecheck it against ``sig``."""
+    """Parse a morphism expression and typecheck it against ``sig``.
 
-    parser = _ExprParser(tokenize(text, sig.aliases))
-    term = parser.parse_expr()
+    The term is typed as it is parsed, and its boundary is kept, so a
+    later ``typecheck(term, sig)`` is a lookup.
+    """
+
+    parser = _ExprParser(tokenize(text, sig.aliases), typer=Typer(sig))
+    term, ty = parser.parse_expr()
     parser.expect("EOF", "end of expression")
-    try:
-        typecheck(term, sig)
-    except CatError as err:
-        raise _attach_span(err, parser.spans)
+    if parser.error is not None:
+        raise parser.error
+    keep_type(term, sig, MorType(*ty))
     return term
 
 
@@ -366,10 +403,8 @@ def print_expr(term: MorExpr) -> str:
             return f"id[{print_obj(t.obj)}]"
         if isinstance(t, Inv):
             return f"inv({t.name})"
-        for kw, (cls, _) in STRUCTURAL_KEYWORDS.items():
-            if type(t) is cls:
-                args = [getattr(t, f) for f in ("a", "b", "c") if hasattr(t, f)]
-                return f"{kw}[{','.join(print_obj(a) for a in args)}]"
+        if type(t) in STRUCTURAL:
+            return f"{STRUCTURAL[type(t)][0]}[{','.join(map(print_obj, node_fields(t)))}]"
         raise TypeError(f"not an atom: {t!r}")
 
     def go(t: MorExpr, parent: str | None, side: str) -> str:
@@ -555,30 +590,13 @@ class RuleFile:
 
 def _collect_metavars(term) -> set[str]:
     found: set[str] = set()
-
-    def walk(t):
+    todo = [term]
+    while todo:
+        t = todo.pop()
         if isinstance(t, (MorVar, ObjVar)):
             found.add(t.name)
-        elif isinstance(t, (Comp, Tensor)):
-            walk(t.first if isinstance(t, Comp) else t.top)
-            walk(t.second if isinstance(t, Comp) else t.bottom)
-        elif isinstance(t, Id):
-            walk_obj(t.obj)
-        elif isinstance(t, (Assoc, AssocInv)):
-            walk_obj(t.a), walk_obj(t.b), walk_obj(t.c)
-        elif isinstance(t, (LUnit, LUnitInv, RUnit, RUnitInv)):
-            walk_obj(t.a)
-        elif isinstance(t, (Braid, BraidInv)):
-            walk_obj(t.a), walk_obj(t.b)
-
-    def walk_obj(o):
-        if isinstance(o, ObjVar):
-            found.add(o.name)
-        elif isinstance(o, ObjTensor):
-            walk_obj(o.left)
-            walk_obj(o.right)
-
-    walk(term)
+        elif not isinstance(t, (MorGen, Inv, ObjGen)):
+            todo += node_fields(t)
     return found
 
 
@@ -623,9 +641,9 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
             name = name.strip()
             toks = tokenize(body, sig.aliases)
             parser = _ExprParser(toks, allow_metavars=True)
-            lhs = parser.parse_expr()
+            lhs = parser.parse_expr()[0]
             parser.expect("DARROW", "'=>'")
-            rhs = parser.parse_expr()
+            rhs = parser.parse_expr()[0]
             parser.expect("EOF", "end of rule")
             if any(tensor_leaves(el) is None for el in comp_chain(lhs)):
                 raise ParseError("rule lhs chain elements must be composition-free", span=span)

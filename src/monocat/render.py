@@ -40,6 +40,7 @@ from .terms import (
     RUnitInv,
     Signature,
     Tensor,
+    node_fields,
     typecheck,
 )
 
@@ -182,7 +183,7 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
             return node
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, vars(t).values()))}]"
+            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, node_fields(t)))}]"
             wires = structural_wires(t)
             return _box(cfg, "structbox", label, wires, wires, emphasized=True)
         if isinstance(t, (Braid, BraidInv)):

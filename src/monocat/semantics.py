@@ -49,6 +49,7 @@ from .terms import (
     Signature,
     Tensor,
     UNIT,
+    node_fields,
     typecheck,
 )
 
@@ -160,7 +161,7 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
 
     def size(t: MorExpr) -> int:
         # an identity, structural atom or braiding spans all its object fields
-        return math.prod(dim(obj) for obj in vars(t).values())
+        return math.prod(dim(obj) for obj in node_fields(t))
 
     def ev(t: MorExpr):
         if isinstance(t, Comp):
@@ -423,7 +424,6 @@ class ConditionResult:
     name: str
     passed: bool
     deviation: float
-    detail: str = ""
 
 
 def _random_objects(rng: Random, names: tuple[str, ...], count: int,

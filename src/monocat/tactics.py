@@ -17,39 +17,33 @@ from dataclasses import dataclass
 
 from .parser import RewriteRule, print_expr
 from .terms import (
-    Assoc,
-    AssocInv,
-    Braid,
-    BraidInv,
     CatError,
     Comp,
     Id,
     Inv,
-    LUnit,
-    LUnitInv,
     MorExpr,
     MorGen,
     MorVar,
     NotInvertible,
+    OBJECT_ATOMS,
     ObjExpr,
     ObjGen,
     ObjTensor,
     ObjVar,
-    RUnit,
-    RUnitInv,
     Signature,
     Tensor,
+    Typer,
     TypeMismatch,
     Unit,
     comp_chain,
     iso_inverse,
     is_atom,
+    node_fields,
     rebuild_chain,
     replace_chain_element,
     right_comp,
     tensor_leaves,
     typecheck,
-    typer,
 )
 
 
@@ -91,11 +85,11 @@ def is_stack(term: MorExpr, mode: str = "strong") -> bool:
 def _foliate(term: MorExpr, sig: Signature, weak: bool) -> MorExpr:
     """The stacks of ``term`` composed right-associated (see :func:`foliate`).
 
-    ``term`` is typed once; every subterm's domain is the last boundary
-    recorded before it, so only atoms are typed again, each on its own.
+    ``term``'s domain comes from :func:`typecheck`; every subterm's domain
+    is the last boundary recorded before it, so only atoms are typed again.
     """
 
-    atom_type = typer(sig)
+    atom_type = Typer(sig)
 
     def go(t: MorExpr, stacks: list[MorExpr], bounds: list[ObjExpr]) -> None:
         """Append ``t``'s stacks to ``stacks`` and the object after each to
@@ -127,10 +121,10 @@ def _foliate(term: MorExpr, sig: Signature, weak: bool) -> MorExpr:
                 bounds.append(ObjTensor(a[ia], b[ib]))
         elif not isinstance(t, Id):
             stacks.append(t)
-            bounds.append(atom_type(t).cod)
+            bounds.append(atom_type.atom(t)[1])
 
     stacks: list[MorExpr] = []
-    dom = atom_type(term).dom
+    dom = typecheck(term, sig).dom
     go(term, stacks, [dom])
     return right_comp(stacks, dom)
 
@@ -262,19 +256,9 @@ def _match_element(pattern: MorExpr, el: MorExpr, b: _Bindings,
         return isinstance(el, MorGen) and pattern.name == el.name
     if isinstance(pattern, Inv):
         return isinstance(el, Inv) and pattern.name == el.name
-    if isinstance(pattern, Id):
-        return isinstance(el, Id) and _match_obj(pattern.obj, el.obj, b)
-    if isinstance(pattern, (Assoc, AssocInv)):
-        return (type(el) is type(pattern)
-                and _match_obj(pattern.a, el.a, b)
-                and _match_obj(pattern.b, el.b, b)
-                and _match_obj(pattern.c, el.c, b))
-    if isinstance(pattern, (LUnit, LUnitInv, RUnit, RUnitInv)):
-        return type(el) is type(pattern) and _match_obj(pattern.a, el.a, b)
-    if isinstance(pattern, (Braid, BraidInv)):
-        return (type(el) is type(pattern)
-                and _match_obj(pattern.a, el.a, b)
-                and _match_obj(pattern.b, el.b, b))
+    if isinstance(pattern, OBJECT_ATOMS):
+        return type(el) is type(pattern) and all(
+            _match_obj(p, o, b) for p, o in zip(node_fields(pattern), node_fields(el)))
     if isinstance(pattern, Tensor):
         return (isinstance(el, Tensor)
                 and _match_element(pattern.top, el.top, b, metavar_types, sig)
@@ -301,15 +285,8 @@ def _instantiate(pattern: MorExpr, b: _Bindings) -> MorExpr:
         return Comp(_instantiate(pattern.first, b), _instantiate(pattern.second, b))
     if isinstance(pattern, Tensor):
         return Tensor(_instantiate(pattern.top, b), _instantiate(pattern.bottom, b))
-    if isinstance(pattern, Id):
-        return Id(_instantiate_obj(pattern.obj, b))
-    if isinstance(pattern, (Assoc, AssocInv)):
-        return type(pattern)(_instantiate_obj(pattern.a, b), _instantiate_obj(pattern.b, b),
-                             _instantiate_obj(pattern.c, b))
-    if isinstance(pattern, (LUnit, LUnitInv, RUnit, RUnitInv)):
-        return type(pattern)(_instantiate_obj(pattern.a, b))
-    if isinstance(pattern, (Braid, BraidInv)):
-        return type(pattern)(_instantiate_obj(pattern.a, b), _instantiate_obj(pattern.b, b))
+    if isinstance(pattern, OBJECT_ATOMS):
+        return type(pattern)(*(_instantiate_obj(o, b) for o in node_fields(pattern)))
     return pattern
 
 

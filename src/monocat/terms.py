@@ -6,12 +6,13 @@ significant: ``ObjTensor(ObjTensor(a, b), c)`` and
 is stored as a binary node so the association of a chain stays
 observable.  ``Comp(f, g)`` is diagrammatic order: ``f`` happens first.
 
-Every value is immutable after construction; all operations here are
-pure and safe to share across threads.
+Every value is immutable after construction; the operations here are
+pure but for a signature's record of known boundaries (see keep_type).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 LEVELS = ("plain", "monoidal", "braided", "symmetric")
@@ -234,24 +235,29 @@ class MorVar(MorExpr):
     name: str
 
 
+#: Each structural atom class: its keyword, the level it needs, its inverse,
+#: and its (dom, cod) from a tensor constructor ``T`` and its object fields.
+STRUCTURAL = {
+    Assoc: ("alpha", "monoidal", AssocInv, lambda T, a, b, c: (T(T(a, b), c), T(a, T(b, c)))),
+    AssocInv: ("alpha_inv", "monoidal", Assoc, lambda T, a, b, c: (T(a, T(b, c)), T(T(a, b), c))),
+    LUnit: ("lunit", "monoidal", LUnitInv, lambda T, a: (T(UNIT, a), a)),
+    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda T, a: (a, T(UNIT, a))),
+    RUnit: ("runit", "monoidal", RUnitInv, lambda T, a: (T(a, UNIT), a)),
+    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda T, a: (a, T(a, UNIT))),
+    Braid: ("braid", "braided", BraidInv, lambda T, a, b: (T(a, b), T(b, a))),
+    BraidInv: ("braid_inv", "braided", Braid, lambda T, a, b: (T(b, a), T(a, b))),
+}
+STRUCTURAL_MONOIDAL = tuple(cls for cls, spec in STRUCTURAL.items() if spec[1] == "monoidal")
+#: Atoms whose fields are all objects.
+OBJECT_ATOMS = (Id, *STRUCTURAL)
 #: Atom node classes: the leaves enumerated by :func:`structural_atoms`.
-ATOM_TYPES = (
-    MorGen,
-    Id,
-    Assoc,
-    AssocInv,
-    LUnit,
-    LUnitInv,
-    RUnit,
-    RUnitInv,
-    Braid,
-    BraidInv,
-    Inv,
-    MorVar,
-)
+ATOM_TYPES = (MorGen, Inv, MorVar, *OBJECT_ATOMS)
 
-STRUCTURAL_MONOIDAL = (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)
-STRUCTURAL_BRAIDED = (Braid, BraidInv)
+
+def node_fields(node) -> tuple:
+    """The fields of a term or object node, in declaration order."""
+
+    return tuple(getattr(node, f) for f in node.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -318,11 +324,30 @@ class Signature:
         for decl in self.morphisms:
             for obj in (decl.dom, decl.cod):
                 _check_obj(obj, objset, allow_vars=False)
+        # one object per value: name -> ObjGen, (id(left), id(right)) -> ObjTensor
+        self._objs: dict = {}
+        self._types = {m.name: (self._share(m.dom), self._share(m.cod)) for m in self.morphisms}
+        for name in self.objects:
+            self._objs.setdefault(name, ObjGen(name))
+        self._kept: dict[int, tuple] = {}  # see keep_type
         for token, target in self.aliases.items():
             if target not in ("compose", "tensor", "id"):
                 raise UnknownLevel(
                     f"alias {token!r} must map to compose, tensor or id, not {target!r}"
                 )
+
+    def __reduce__(self):
+        # copies and pickles rebuild the tables above: they hold ids and weak references
+        return Signature, (self.level, self.objects, self.morphisms, self.aliases,
+                           self.backend_blocks)
+
+    def _share(self, obj: ObjExpr) -> ObjExpr:
+        if isinstance(obj, ObjTensor):
+            left, right = self._share(obj.left), self._share(obj.right)
+            fresh = left is not obj.left or right is not obj.right
+            return self._objs.setdefault((id(left), id(right)),
+                                         ObjTensor(left, right) if fresh else obj)
+        return self._objs.setdefault(obj.name, obj) if isinstance(obj, ObjGen) else obj
 
     def morphism(self, name: str) -> MorDecl:
         try:
@@ -337,24 +362,23 @@ class Signature:
         return LEVELS.index(self.level) >= LEVELS.index(wanted)
 
 
-def _check_obj(obj: ObjExpr, objset: set[str], allow_vars: bool) -> None:
-    if isinstance(obj, Unit):
-        return
-    if isinstance(obj, ObjGen):
-        if obj.name not in objset:
-            raise UndeclaredName(f"undeclared object {obj.name!r}", term=obj)
-        return
-    if isinstance(obj, ObjTensor):
-        _check_obj(obj.left, objset, allow_vars)
-        _check_obj(obj.right, objset, allow_vars)
-        return
-    if isinstance(obj, ObjVar):
-        if not allow_vars:
-            raise UndeclaredName(
-                f"object metavariable ?{obj.name} outside a rule pattern", term=obj
-            )
-        return
-    raise TypeError(f"not an object expression: {obj!r}")
+def _check_obj(obj: ObjExpr, objset, allow_vars: bool) -> None:
+    """Raise at the leftmost undeclared generator or disallowed metavariable."""
+
+    todo = [obj]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, ObjTensor):
+            todo += (o.right, o.left)
+        elif isinstance(o, ObjGen):
+            if o.name not in objset:
+                raise UndeclaredName(f"undeclared object {o.name!r}", term=o)
+        elif isinstance(o, ObjVar):
+            if not allow_vars:
+                raise UndeclaredName(f"object metavariable ?{o.name} outside a rule pattern",
+                                     term=o)
+        elif not isinstance(o, Unit):
+            raise TypeError(f"not an object expression: {o!r}")
 
 
 def obj_label(obj: ObjExpr) -> str:
@@ -374,136 +398,141 @@ def obj_label(obj: ObjExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
+def keep_type(term: MorExpr, sig: Signature, ty: MorType) -> MorType:
+    """Record ``ty`` as ``term``'s boundary under ``sig`` and return it.
+
+    The record lives in the signature, keyed by ``id(term)`` next to a weak
+    reference that removes it when the term goes, so ``==``, ``hash``,
+    ``repr`` and ``vars()`` of the term never see it.
+    """
+
+    key, kept = id(term), sig._kept
+    kept[key] = (weakref.ref(term, lambda _: kept.pop(key, None)), ty)
+    return ty
+
+
 def typecheck(term: MorExpr, sig: Signature, metavars: dict[str, MorType] | None = None) -> MorType:
     """Compute the (dom, cod) boundary of ``term`` against ``sig``.
 
     Composition requires the codomain of the first factor to equal the
     domain of the second *syntactically*; there is no matching up to
     associators here.  ``metavars`` supplies declared types for
-    metavariables when checking rule patterns.
+    metavariables when checking rule patterns.  A term's boundary is kept
+    per signature once known (:func:`parse_expr` keeps every root's), so
+    typing it again is a lookup; pattern checks neither read nor keep it.
     """
 
-    return typer(sig, metavars)(term)
+    if metavars is not None:
+        return Typer(sig, metavars)(term)
+    kept = sig._kept.get(id(term))
+    if kept is not None and kept[0]() is term:
+        return kept[1]
+    return keep_type(term, sig, Typer(sig)(term))
 
 
-def typer(sig: Signature, metavars: dict[str, MorType] | None = None):
-    """The function behind :func:`typecheck`, set up once for ``sig``, for
-    callers that type many atoms of one term."""
+class Typer:
+    """The typechecker behind :func:`typecheck`, set up once for ``sig``:
+    call it on a term, or type nodes one at a time as the parser does.
 
-    objset = set(sig.objects)
-    pattern_mode = metavars is not None
+    Boundaries are ``(dom, cod)`` pairs.  Tensored objects are made by
+    :meth:`tensor_obj`, one per pair of parts, starting from the
+    signature's own objects, so equal boundaries built by one typer are
+    usually the same object and a composition check is an ``is`` test.
+    """
 
-    def obj_ok(obj: ObjExpr) -> ObjExpr:
-        _check_obj(obj, objset, allow_vars=pattern_mode)
+    def __init__(self, sig: Signature, metavars: dict[str, MorType] | None = None):
+        self.sig = sig
+        self.metavars = metavars
+        self.objs = dict(sig._objs)
+        self.objset = set(sig.objects)
+
+    def tensor_obj(self, left: ObjExpr, right: ObjExpr) -> ObjTensor:
+        key = (id(left), id(right))
+        obj = self.objs.get(key)
+        if obj is None:
+            obj = self.objs[key] = ObjTensor(left, right)
         return obj
 
-    def need_level(t: MorExpr, wanted: str) -> None:
-        if not sig.has_level(wanted):
-            raise LevelViolation(
-                f"{type(t).__name__} needs a {wanted} signature; this one is {sig.level}",
-                term=t,
-            )
+    def atom(self, t: MorExpr, checked: bool = False) -> tuple[ObjExpr, ObjExpr]:
+        """``t``'s boundary; ``checked`` says its objects are known declared."""
 
-    def decl_of(t: MorExpr, name: str) -> MorDecl:
-        try:
-            return sig.morphism(name)
-        except UndeclaredName as err:
-            err.term = t
-            raise
-
-    def ty(t: MorExpr) -> MorType:
-        if isinstance(t, MorGen):
-            decl = decl_of(t, t.name)
-            return MorType(decl.dom, decl.cod)
-        if isinstance(t, MorVar):
-            if not pattern_mode or t.name not in metavars:
-                raise UndeclaredName(f"undeclared metavariable ?{t.name}", term=t)
-            return metavars[t.name]
-        if isinstance(t, Id):
-            obj_ok(t.obj)
-            return MorType(t.obj, t.obj)
-        if isinstance(t, Comp):
-            fst = ty(t.first)
-            snd = ty(t.second)
-            if fst.cod != snd.dom:
-                raise CompositionMismatch(
-                    f"cannot compose: codomain {obj_label(fst.cod)} "
-                    f"does not match domain {obj_label(snd.dom)}",
-                    term=t,
-                )
-            return MorType(fst.dom, snd.cod)
-        if isinstance(t, Tensor):
-            top = ty(t.top)
-            bot = ty(t.bottom)
-            return MorType(ObjTensor(top.dom, bot.dom), ObjTensor(top.cod, bot.cod))
-        if isinstance(t, Assoc):
-            need_level(t, "monoidal")
-            a, b, c = obj_ok(t.a), obj_ok(t.b), obj_ok(t.c)
-            return MorType(ObjTensor(ObjTensor(a, b), c), ObjTensor(a, ObjTensor(b, c)))
-        if isinstance(t, AssocInv):
-            need_level(t, "monoidal")
-            a, b, c = obj_ok(t.a), obj_ok(t.b), obj_ok(t.c)
-            return MorType(ObjTensor(a, ObjTensor(b, c)), ObjTensor(ObjTensor(a, b), c))
-        if isinstance(t, LUnit):
-            need_level(t, "monoidal")
-            a = obj_ok(t.a)
-            return MorType(ObjTensor(UNIT, a), a)
-        if isinstance(t, LUnitInv):
-            need_level(t, "monoidal")
-            a = obj_ok(t.a)
-            return MorType(a, ObjTensor(UNIT, a))
-        if isinstance(t, RUnit):
-            need_level(t, "monoidal")
-            a = obj_ok(t.a)
-            return MorType(ObjTensor(a, UNIT), a)
-        if isinstance(t, RUnitInv):
-            need_level(t, "monoidal")
-            a = obj_ok(t.a)
-            return MorType(a, ObjTensor(a, UNIT))
-        if isinstance(t, Braid):
-            need_level(t, "braided")
-            a, b = obj_ok(t.a), obj_ok(t.b)
-            return MorType(ObjTensor(a, b), ObjTensor(b, a))
-        if isinstance(t, BraidInv):
-            need_level(t, "braided")
-            a, b = obj_ok(t.a), obj_ok(t.b)
-            return MorType(ObjTensor(b, a), ObjTensor(a, b))
-        if isinstance(t, Inv):
-            decl = decl_of(t, t.name)
-            if not decl.iso:
+        cls = type(t)
+        if cls is MorGen or cls is Inv:
+            ty = self.sig._types.get(t.name)
+            if ty is None:
+                raise UndeclaredName(f"undeclared morphism {t.name!r}", term=t)
+            if cls is MorGen:
+                return ty
+            if not self.sig.morphism(t.name).iso:
                 raise NotAnIso(f"{t.name!r} is not declared iso", term=t)
-            return MorType(decl.cod, decl.dom)
-        raise TypeError(f"not a morphism expression: {t!r}")
+            return ty[1], ty[0]
+        if cls is MorVar:
+            if self.metavars is None or t.name not in self.metavars:
+                raise UndeclaredName(f"undeclared metavariable ?{t.name}", term=t)
+            ty = self.metavars[t.name]
+            return ty.dom, ty.cod
+        spec = STRUCTURAL.get(cls)
+        if spec is None and cls is not Id:
+            raise TypeError(f"not a morphism expression: {t!r}")
+        if spec is not None and not self.sig.has_level(spec[1]):
+            raise LevelViolation(f"{cls.__name__} needs a {spec[1]} signature; "
+                                 f"this one is {self.sig.level}", term=t)
+        args = (t.obj,) if spec is None else node_fields(t)
+        if not checked:
+            for obj in args:
+                _check_obj(obj, self.objset, allow_vars=self.metavars is not None)
+        return (t.obj, t.obj) if spec is None else spec[3](self.tensor_obj, *args)
 
-    return ty
+    def comp(self, t: Comp, fst, snd) -> tuple[ObjExpr, ObjExpr]:
+        if fst[1] is not snd[0] and fst[1] != snd[0]:
+            raise CompositionMismatch(f"cannot compose: codomain {obj_label(fst[1])} "
+                                      f"does not match domain {obj_label(snd[0])}", term=t)
+        return fst[0], snd[1]
+
+    def __call__(self, term: MorExpr) -> MorType:
+        """Type ``term`` in post-order, with an explicit stack."""
+
+        todo: list[tuple[MorExpr, bool]] = [(term, False)]
+        done: list[tuple[ObjExpr, ObjExpr]] = []
+        while todo:
+            t, ready = todo.pop()
+            if not isinstance(t, (Comp, Tensor)):
+                done.append(self.atom(t))
+            elif not ready:
+                todo += ((t, True), (t.second, False), (t.first, False)) if isinstance(t, Comp) \
+                    else ((t, True), (t.bottom, False), (t.top, False))
+            else:
+                snd, fst = done.pop(), done.pop()
+                done.append(self.comp(t, fst, snd) if isinstance(t, Comp) else
+                            (self.tensor_obj(fst[0], snd[0]), self.tensor_obj(fst[1], snd[1])))
+        return MorType(*done[0])
+
+
+def _leaves(term: MorExpr, split) -> list[MorExpr]:
+    """The maximal subterms of ``term`` not of a ``split`` class, left to right."""
+
+    out: list[MorExpr] = []
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if not isinstance(t, split):
+            out.append(t)
+        else:
+            todo += (t.second, t.first) if isinstance(t, Comp) else (t.bottom, t.top)
+    return out
 
 
 def structural_atoms(term: MorExpr) -> list[MorExpr]:
     """All leaf atoms in left-to-right, top-to-bottom order."""
 
-    out: list[MorExpr] = []
-
-    def walk(t: MorExpr) -> None:
-        if isinstance(t, Comp):
-            walk(t.first)
-            walk(t.second)
-        elif isinstance(t, Tensor):
-            walk(t.top)
-            walk(t.bottom)
-        else:
-            out.append(t)
-
-    walk(term)
-    return out
+    return _leaves(term, (Comp, Tensor))
 
 
 def tensor_leaves(term: MorExpr) -> list[MorExpr] | None:
     """Leaves of the tensor tree of ``term``, or ``None`` if it holds a ``Comp``."""
 
-    if isinstance(term, Tensor):
-        top, bottom = tensor_leaves(term.top), tensor_leaves(term.bottom)
-        return None if top is None or bottom is None else top + bottom
-    return None if isinstance(term, Comp) else [term]
+    leaves = _leaves(term, Tensor)
+    return None if any(isinstance(t, Comp) for t in leaves) else leaves
 
 
 def is_atom(term: MorExpr) -> bool:
@@ -518,30 +547,15 @@ def iso_inverse(atom: MorExpr, sig: Signature) -> tuple[MorExpr, ...]:
     braiding, so the result can have two entries.
     """
 
-    if isinstance(atom, Assoc):
-        return (AssocInv(atom.a, atom.b, atom.c),)
-    if isinstance(atom, AssocInv):
-        return (Assoc(atom.a, atom.b, atom.c),)
-    if isinstance(atom, LUnit):
-        return (LUnitInv(atom.a),)
-    if isinstance(atom, LUnitInv):
-        return (LUnit(atom.a),)
-    if isinstance(atom, RUnit):
-        return (RUnitInv(atom.a),)
-    if isinstance(atom, RUnitInv):
-        return (RUnit(atom.a),)
-    if isinstance(atom, Id):
+    cls = type(atom)
+    if cls in STRUCTURAL:
+        args = node_fields(atom)
+        base = (STRUCTURAL[cls][2](*args),)
+        if cls in (Braid, BraidInv) and sig.level == "symmetric":
+            base += (cls(*args[::-1]),)
+        return base
+    if cls is Id:
         return (atom,)
-    if isinstance(atom, Braid):
-        base = (BraidInv(atom.a, atom.b),)
-        if sig.level == "symmetric":
-            base += (Braid(atom.b, atom.a),)
-        return base
-    if isinstance(atom, BraidInv):
-        base = (Braid(atom.a, atom.b),)
-        if sig.level == "symmetric":
-            base += (BraidInv(atom.b, atom.a),)
-        return base
     if isinstance(atom, MorGen):
         if sig.morphism(atom.name).iso:
             return (Inv(atom.name),)
@@ -559,17 +573,7 @@ def iso_inverse(atom: MorExpr, sig: Signature) -> tuple[MorExpr, ...]:
 def comp_chain(term: MorExpr) -> list[MorExpr]:
     """Flatten nested compositions into the list of non-``Comp`` elements."""
 
-    out: list[MorExpr] = []
-
-    def walk(t: MorExpr) -> None:
-        if isinstance(t, Comp):
-            walk(t.first)
-            walk(t.second)
-        else:
-            out.append(t)
-
-    walk(term)
-    return out
+    return _leaves(term, Comp)
 
 
 def right_comp(elements: list[MorExpr], dom_if_empty: ObjExpr) -> MorExpr:

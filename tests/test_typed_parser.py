@@ -1,0 +1,294 @@
+"""The typing parser: the reference's terms and errors, the kept boundary,
+shared boundary objects, and depth at the default recursion limit."""
+
+import copy
+import dataclasses
+import pickle
+import re
+import sys
+from random import Random
+
+import pytest
+
+import monocat.terms as terms
+from gen import random_term, std_sig
+from monocat.parser import parse_expr, parse_rules, parse_signature, print_expr
+from monocat.tactics import cancel_isos, foliate
+from monocat.terms import (
+    CatError,
+    Comp,
+    Id,
+    Inv,
+    MorGen,
+    MorType,
+    ObjGen,
+    ObjTensor,
+    Tensor,
+    UNIT,
+    UndeclaredName,
+    keep_type,
+    typecheck,
+)
+from reference_parser import reference_parse_expr
+
+STD = std_sig()
+PLAIN = parse_signature("category plain\nobject A\nmor u : A -> A\nmor f : A -> A\n")
+MONOIDAL = parse_signature("category monoidal\nobject A\nobject B\nmor u : A -> A\n")
+SIGS = {"std": STD, "plain": PLAIN, "monoidal": MONOIDAL}
+
+
+def _outcome(parse, text, sig):
+    try:
+        return ("ok", parse(text, sig))
+    except CatError as err:
+        span = err.span and (err.span.line, err.span.column, err.span.start, err.span.end)
+        return (type(err).__name__, str(err), span)
+
+
+# Ill-typed expressions: undeclared morphisms and objects, one undeclared
+# name repeated, mismatches deep in a chain, level violations over
+# undeclared objects, ``inv`` of a non-iso, syntax errors after a type
+# error; a few well-typed ones keep the comparison honest.
+ERROR_CORPUS = [
+    ("std", "nosuch"), ("std", "f ; nosuch"), ("std", "f * nosuch ; g"), ("std", "(nosuch)"),
+    ("std", "((nosuch)) ; f"), ("std", "nosuch ; nosuch"), ("std", "u ; zz ; zz"),
+    ("std", "id[Z]"), ("std", "id[A * Z]"), ("std", "id[(Z)]"), ("std", "id[((A * Z))]"),
+    ("std", "braid[A, Z]"), ("std", "alpha[A, (Z), Z]"), ("std", "id[Z] ; id[A] * id[Z]"),
+    ("std", "id[Z * Z]"), ("std", "id[A] * id[Z] ; id[Z]"), ("std", "(id[Z])"),
+    ("std", "f ; f"), ("std", "(f ; f)"), ("std", "((f ; f)) ; g"),
+    ("std", "u ; u ; u ; f ; f ; u"), ("std", "u ; (u ; (u ; (f ; g ; f)))"),
+    ("std", "u * (f ; f)"), ("std", "(u * u) ; (f * f) ; (g * h)"), ("std", "f * g ; p"),
+    ("std", "s ; e ; s ; s"), ("std", "(u ; u) ; id[I]"), ("std", "u ; (id[A * B] ; p)"),
+    ("std", "inv(f)"), ("std", "(inv(f))"), ("std", "u ; inv(f)"), ("std", "inv(nosuch)"),
+    ("std", "k ; inv(k) ; inv(u)"),
+    ("std", "inv(f) ; ;"), ("std", "f ; f )"), ("std", "id[Z] ; (u"), ("std", "nosuch ; ]"),
+    ("std", "f ; f ; id["), ("std", "inv(f) ?x"), ("std", "id[Z] id[A]"),
+    ("plain", "lunit[Z]"), ("plain", "u ; alpha[A, Z, A]"), ("plain", "braid[Z, Z]"),
+    ("plain", "(runit[A])"), ("plain", "u ; id[Z]"),
+    ("monoidal", "braid[Z, A]"), ("monoidal", "braid[A, B]"), ("monoidal", "lunit[Z]"),
+    ("monoidal", "alpha[A, B, A] ; alpha_inv[A, B, A] ; id[Z]"),
+    ("std", "id[I] * u ; lunit[A]"), ("std", "f ; g ; h"), ("std", "(f * u) ; (g * f)"),
+]
+
+_NAMES = ["A", "B", "C", "Z", "I", "f", "g", "h", "u", "p", "q", "k", "w", "s", "e", "zz", "id"]
+_JUNK = [" ; )", " ]", " *", " (", ", A", " ?x", ""]
+
+
+def _mutate(rng: Random, text: str) -> str:
+    """Replace one or two names at random and maybe add stray punctuation."""
+
+    for _ in range(rng.randint(1, 2)):
+        names = list(re.finditer(r"[A-Za-z_]\w*", text))
+        m = rng.choice(names)
+        text = text[:m.start()] + rng.choice(_NAMES) + text[m.end():]
+    if rng.random() < 0.3:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_JUNK) + text[at:]
+    return text
+
+
+def _random_corpus(count: int) -> list[tuple[str, str]]:
+    rng = Random(20261018)
+    corpus = []
+    for _ in range(count):
+        name = rng.choice(list(SIGS))
+        sig = SIGS[name]
+        text = print_expr(random_term(rng, STD, max_leaves=rng.randint(1, 9)))
+        if name != "std":
+            text = re.sub(r"\b[BC]\b", "A", text)
+        corpus.append((name, _mutate(rng, text)))
+    return corpus
+
+
+@pytest.mark.parametrize("sig_name,text", ERROR_CORPUS)
+def test_errors_match_reference(sig_name, text):
+    sig = SIGS[sig_name]
+    assert _outcome(parse_expr, text, sig) == _outcome(reference_parse_expr, text, sig)
+
+
+def test_random_mutations_match_reference():
+    kinds = set()
+    for sig_name, text in _random_corpus(1500):
+        sig = SIGS[sig_name]
+        got = _outcome(parse_expr, text, sig)
+        assert got == _outcome(reference_parse_expr, text, sig), (sig_name, text)
+        kinds.add(got[0])
+    # the corpus reaches every kind of outcome
+    assert {"ok", "ParseError", "UndeclaredName", "CompositionMismatch",
+            "LevelViolation", "NotAnIso"} <= kinds
+
+
+def test_repeated_undeclared_name_reported_at_first_occurrence():
+    with pytest.raises(UndeclaredName) as exc:
+        parse_expr("id[Z] ; id[A] * id[Z]", STD)
+    assert exc.value.span.column == 4
+
+
+def test_syntax_error_wins_over_earlier_type_error():
+    with pytest.raises(CatError) as exc:
+        parse_expr("inv(f) ; ;", STD)
+    assert type(exc.value).__name__ == "ParseError"
+
+
+# ---------------------------------------------------------------------------
+# The kept boundary
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def count_typings(monkeypatch):
+    """How many whole terms the typechecker walks."""
+
+    calls = []
+    walk = terms.Typer.__call__
+    monkeypatch.setattr(terms.Typer, "__call__",
+                        lambda self, t: calls.append(t) or walk(self, t))
+    return calls
+
+
+def test_parsed_root_is_not_typed_again(count_typings):
+    term = parse_expr("(f * u) ; (g * f) ; (h * g)", STD)
+    ty = typecheck(term, STD)
+    assert count_typings == []
+    assert typecheck(term, STD) is ty
+    assert ty == MorType(ObjTensor(ObjGen("A"), ObjGen("A")), ObjTensor(ObjGen("A"), ObjGen("C")))
+
+
+def test_kept_boundary_is_per_signature():
+    other = parse_signature("category symmetric\nobject A\nmor v : A -> A\n")
+    term = parse_expr("u ; u", STD)
+    with pytest.raises(UndeclaredName, match="undeclared morphism 'u'"):
+        typecheck(term, other)
+    assert typecheck(term, STD) == MorType(ObjGen("A"), ObjGen("A"))
+
+
+def test_pattern_typechecks_neither_read_nor_keep_boundaries():
+    term = parse_expr("u ; u", STD)
+    keep_type(term, STD, MorType(UNIT, UNIT))  # a wrong boundary, to see who reads it
+    assert typecheck(term, STD) == MorType(UNIT, UNIT)
+    assert typecheck(term, STD, metavars={}) == MorType(ObjGen("A"), ObjGen("A"))
+    fresh = Comp(MorGen("u"), MorGen("u"))
+    typecheck(fresh, STD, metavars={})
+    assert id(fresh) not in STD._kept
+    rule = parse_rules("var ?x : A -> A\nrule r : ?x ; u => u\n", STD).rule("r")
+    assert id(rule.lhs) not in STD._kept and id(rule.rhs) not in STD._kept
+
+
+def test_terms_rebuilt_by_tactics_are_typed_afresh(count_typings):
+    term = parse_expr("u ; k ; inv(k) ; f", STD)
+    out = cancel_isos(term, STD)
+    assert out is not term and id(out) not in STD._kept
+    del count_typings[:]
+    assert typecheck(out, STD) == typecheck(term, STD)
+    assert count_typings == [out]
+    folded = foliate(parse_expr("(u ; f) * (f ; g)", STD), STD)
+    assert typecheck(folded, STD) == MorType(ObjTensor(ObjGen("A"), ObjGen("A")),
+                                             ObjTensor(ObjGen("B"), ObjGen("C")))
+
+
+def test_kept_boundary_goes_with_its_term():
+    term = parse_expr("u ; u ; f", STD)
+    key = id(term)
+    assert key in STD._kept
+    del term
+    assert key not in STD._kept
+
+
+def test_signature_copies_rebuild_their_tables():
+    term = parse_expr("(f * u) ; (g * f)", STD)
+    ty = typecheck(term, STD)
+    for other in (pickle.loads(pickle.dumps(STD)), copy.deepcopy(STD), copy.copy(STD)):
+        assert other == STD and other._kept == {}
+        assert typecheck(term, other) == ty
+        assert typecheck(parse_expr("(f * u) ; (g * f)", other), other) == ty
+
+
+def _nodes(term):
+    todo, out = [term], []
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        todo += [v for v in vars(t).values() if dataclasses.is_dataclass(v)]
+    return out
+
+
+def test_parsed_and_constructed_terms_agree():
+    A, B = ObjGen("A"), ObjGen("B")
+    built = Comp(Tensor(MorGen("f"), Id(ObjTensor(A, B))), Tensor(Inv("k"), Id(ObjTensor(A, B))))
+    built = Tensor(built, Id(UNIT))
+    parsed = parse_expr("((f * id[A * B]) ; (inv(k) * id[A * B])) * id[I]", STD)
+    typecheck(parsed, STD)
+    for p, b in zip(_nodes(parsed), _nodes(built), strict=True):
+        assert p == b and hash(p) == hash(b) and repr(p) == repr(b)
+        assert dataclasses.fields(p) == dataclasses.fields(b)
+        assert vars(p) == vars(b) and list(vars(p)) == list(vars(b))
+
+
+# ---------------------------------------------------------------------------
+# Shared boundary objects
+# ---------------------------------------------------------------------------
+
+
+def test_boundaries_share_objects():
+    sig = parse_signature("category symmetric\nobject A\nmor u : A -> A\n"
+                          "mor m : A * A -> A * A\n")
+    term = parse_expr("id[A * A] ; m ; (u * u) ; id[A * A]", sig)
+    ty = typecheck(term, sig)
+    assert ty.dom is ty.cod is term.second.obj
+    assert term.first.first.first.obj is term.second.obj
+    # a generator's boundary is the signature's object, as is ``id[A]``'s
+    assert typecheck(parse_expr("u", sig), sig).cod is parse_expr("id[A]", sig).obj
+
+
+# ---------------------------------------------------------------------------
+# Depth, at the default recursion limit
+# ---------------------------------------------------------------------------
+
+DEPTH_SIG = parse_signature("category symmetric\nobject A\nmor u : A -> A\n")
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def _depth(obj) -> int:
+    n = 0
+    while isinstance(obj, ObjTensor):
+        obj, n = obj.left, n + 1
+    return n
+
+
+def _staircase(k: int) -> str:
+    layers = []
+    for i in range(k):
+        parts = [f"id[{' * '.join(['A'] * i)}]"] if i else []
+        layers.append(" * ".join(parts + ["u"] + ["id[A]"] * (k - i - 1)))
+    return " ; ".join(layers)
+
+
+def test_long_chain_parses_and_types(default_recursion_limit):
+    term = parse_expr(" ; ".join(["u"] * 1000), DEPTH_SIG)
+    assert typecheck(term, DEPTH_SIG) == MorType(ObjGen("A"), ObjGen("A"))
+
+
+def test_wide_tensor_parses_and_types(default_recursion_limit):
+    term = parse_expr(" * ".join(["u"] * 1200), DEPTH_SIG)
+    ty = typecheck(term, DEPTH_SIG)
+    assert ty.dom is ty.cod and _depth(ty.dom) == 1199
+
+
+def test_wide_staircase_parses_and_types(default_recursion_limit):
+    term = parse_expr(_staircase(512), DEPTH_SIG)
+    ty = typecheck(term, DEPTH_SIG)
+    assert ty.dom is ty.cod and _depth(ty.dom) == 511
+
+
+def test_long_constructed_chain_types(default_recursion_limit):
+    term = MorGen("u")
+    for _ in range(1500):
+        term = Comp(term, MorGen("u"))
+    assert typecheck(term, DEPTH_SIG).cod == ObjGen("A")
