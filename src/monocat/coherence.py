@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    STRUCTURAL_MONOIDAL,
+    STRUCTURAL,
     Braid,
     BraidInv,
-    Comp,
     Id,
     Inv,
     MorExpr,
@@ -47,6 +46,7 @@ from .terms import (
     Tensor,
     TypeMismatch,
     Unit,
+    fold,
     node_fields,
     obj_label,
     typecheck,
@@ -110,13 +110,18 @@ class NotDecided:
 def flatten_object(obj: ObjExpr) -> WireList:
     """Erase bracketing and units: the ordered generator names of ``obj``."""
 
-    if isinstance(obj, Unit):
-        return ()
-    if isinstance(obj, ObjGen):
-        return (obj.name,)
-    if isinstance(obj, ObjTensor):
-        return flatten_object(obj.left) + flatten_object(obj.right)
-    raise TypeError(f"cannot flatten {obj!r}")
+    names: list[str] = []
+    todo = [obj]
+    while todo:
+        o = todo.pop()
+        cls = type(o)
+        if cls is ObjTensor:
+            todo += (o.right, o.left)
+        elif cls is ObjGen:
+            names.append(o.name)
+        elif cls is not Unit:
+            raise TypeError(f"cannot flatten {o!r}")
+    return tuple(names)
 
 
 def slot_in(slot: Slot) -> WireList:
@@ -142,15 +147,19 @@ def _wire_layer(wires: WireList) -> Layer:
     return tuple(WireSlot(w) for w in wires)
 
 
-def _braid_label(kind: str, half_a: WireList, half_b: WireList) -> str:
-    return f"{kind}([{','.join(half_a)}],[{','.join(half_b)}])"
+def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
+    """The flat input and output wires of the atom ``t``."""
 
-
-def structural_wires(atom: MorExpr) -> WireList:
-    """Flat wires of an associator or unitor: its domain and codomain both
-    flatten to the wires of its object arguments, in order."""
-
-    return tuple(w for obj in node_fields(atom) for w in flatten_object(obj))
+    cls = type(t)
+    if cls is Id:
+        wires = flatten_object(t.obj)
+        return wires, wires
+    if cls is MorGen or cls is Inv:
+        decl = sig.morphism(t.name)
+        dom, cod = (decl.dom, decl.cod) if cls is MorGen else (decl.cod, decl.dom)
+    else:
+        dom, cod = STRUCTURAL[cls][3](ObjTensor, *node_fields(t))
+    return flatten_object(dom), flatten_object(cod)
 
 
 def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
@@ -164,51 +173,37 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     """
 
     ty = typecheck(term, sig)
-    sheet = _sheet(term, sig)
-    assert sheet.input == flatten_object(ty.dom)
-    return sheet
+    layers: list[Layer] = []  # every subterm's layers, in order, from its first index on
 
-
-def _sheet(term: MorExpr, sig: Signature) -> Sheet:
-    """:func:`sheet_of_term` for a term already typechecked against ``sig``."""
-
-    def build(t: MorExpr) -> tuple[WireList, list[Layer]]:
-        if isinstance(t, Id):
-            return flatten_object(t.obj), []
-        if isinstance(t, STRUCTURAL_MONOIDAL):
-            return structural_wires(t), []
-        if isinstance(t, MorGen):
-            decl = sig.morphism(t.name)
-            ins, outs = flatten_object(decl.dom), flatten_object(decl.cod)
-            return ins, [(BoxSlot(t.name, ins, outs),)]
-        if isinstance(t, Inv):
-            decl = sig.morphism(t.name)
-            ins, outs = flatten_object(decl.cod), flatten_object(decl.dom)
-            return ins, [(BoxSlot(f"inv:{t.name}", ins, outs),)]
-        if isinstance(t, (Braid, BraidInv)):
+    def atom(t: MorExpr) -> tuple[int, WireList]:
+        ins, outs = atom_wires(t, sig)
+        cls = type(t)
+        if cls is MorGen or cls is Inv:
+            label = t.name if cls is MorGen else f"inv:{t.name}"
+        elif cls is Braid or cls is BraidInv:
             fa, fb = flatten_object(t.a), flatten_object(t.b)
-            ins, outs = (fa + fb, fb + fa) if isinstance(t, Braid) else (fb + fa, fa + fb)
-            if not fa or not fb:
-                # one half is unit-like: the permutation is the identity
-                # in every lawful backend, so the box is erased
-                return ins, []
-            kind = "braid" if isinstance(t, Braid) else "braid_inv"
-            return ins, [(BoxSlot(_braid_label(kind, fa, fb), ins, outs),)]
-        if isinstance(t, Comp):
-            ins, layers = build(t.first)
-            layers += build(t.second)[1]
-            return ins, layers
-        if isinstance(t, Tensor):
-            top_in, t_layers = build(t.top)
-            bottom_in, b_layers = build(t.bottom)
-            while len(t_layers) < len(b_layers):
-                t_layers.append(_wire_layer(layer_output(t_layers[-1]) if t_layers else top_in))
-            while len(b_layers) < len(t_layers):
-                b_layers.append(_wire_layer(layer_output(b_layers[-1]) if b_layers else bottom_in))
-            return top_in + bottom_in, [ta + tb for ta, tb in zip(t_layers, b_layers)]
-        raise TypeError(f"cannot build a sheet from {t!r}")
+            # a unit-like half permutes nothing in any lawful backend: no box
+            label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
+        else:
+            label = None
+        start = len(layers)
+        if label:
+            layers.append((BoxSlot(label, ins, outs),))
+        return start, ins
 
-    ins, layers = build(term)
+    def tensor(t: Tensor, top, bottom) -> tuple[int, WireList]:
+        (i, top_in), (j, bottom_in) = top, bottom
+        t_layers, b_layers = layers[i:j], layers[j:]
+        del layers[i:]
+        while len(t_layers) < len(b_layers):
+            t_layers.append(_wire_layer(layer_output(t_layers[-1]) if t_layers else top_in))
+        while len(b_layers) < len(t_layers):
+            b_layers.append(_wire_layer(layer_output(b_layers[-1]) if b_layers else bottom_in))
+        layers.extend(map(tuple.__add__, t_layers, b_layers))
+        return i, top_in + bottom_in
+
+    ins = fold(term, atom, lambda t, first, second: first, tensor)[1]
+    assert ins == flatten_object(ty.dom)
     return Sheet(ins, tuple(layers))
 
 
@@ -352,8 +347,8 @@ def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
             "terms do not share a boundary type: "
             f"{_ty_text(ty1)} vs {_ty_text(ty2)}"
         )
-    nf1 = canonicalize(_sheet(t1, sig))
-    nf2 = canonicalize(_sheet(t2, sig))
+    nf1 = canonicalize(sheet_of_term(t1, sig))
+    nf2 = canonicalize(sheet_of_term(t2, sig))
     if nf1 == nf2:
         return Equal(nf1)
     return NotDecided(nf1, nf2)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .coherence import flatten_object
@@ -58,6 +59,7 @@ from .terms import (
     Unit,
     UnknownLevel,
     comp_chain,
+    fold,
     keep_type,
     node_fields,
     tensor_leaves,
@@ -262,7 +264,7 @@ class _ExprParser:
             rhs, rty = self.parse_atom()
             term = Tensor(term, rhs)
             if self.typer:
-                ty = self.tensor_obj(ty[0], rty[0]), self.tensor_obj(ty[1], rty[1])
+                ty = self.typer.tensor(term, ty, rty)
         return term, ty
 
     def parse_atom(self) -> tuple[MorExpr, tuple | None]:
@@ -373,17 +375,19 @@ def parse_obj(text: str, sig: Signature) -> ObjExpr:
 def print_obj(obj: ObjExpr) -> str:
     """Canonical object text; parses back to exactly ``obj``."""
 
-    def go(o: ObjExpr, right_child: bool) -> str:
-        if isinstance(o, Unit):
-            return "I"
-        if isinstance(o, ObjGen):
-            return o.name
-        if isinstance(o, ObjVar):
-            return "?" + o.name
-        body = f"{go(o.left, False)} * {go(o.right, True)}"
-        return f"({body})" if right_child else body
-
-    return go(obj, False)
+    parts: list[str] = []
+    todo: list = [obj]  # objects still to print, and text to emit as it is
+    while todo:
+        o = todo.pop()
+        cls = type(o)
+        if cls is str:
+            parts.append(o)
+        elif cls is ObjTensor:  # a compound right factor is bracketed
+            todo += (")", o.right, "(", " * ", o.left) if type(o.right) is ObjTensor \
+                else (o.right, " * ", o.left)
+        else:
+            parts.append("I" if cls is Unit else "?" + o.name if cls is ObjVar else o.name)
+    return "".join(parts)
 
 
 def print_expr(term: MorExpr) -> str:
@@ -394,31 +398,43 @@ def print_expr(term: MorExpr) -> str:
     nesting are always visible in the output.
     """
 
-    def atom_text(t: MorExpr) -> str:
-        if isinstance(t, MorGen):
-            return t.name
-        if isinstance(t, MorVar):
-            return "?" + t.name
-        if isinstance(t, Id):
-            return f"id[{print_obj(t.obj)}]"
-        if isinstance(t, Inv):
-            return f"inv({t.name})"
-        if type(t) in STRUCTURAL:
-            return f"{STRUCTURAL[type(t)][0]}[{','.join(map(print_obj, node_fields(t)))}]"
-        raise TypeError(f"not an atom: {t!r}")
+    parts: list[str] = []  # per atom: the operator before it, then its text; and ")"s
+    opens: dict[int, int] = defaultdict(int)  # by index of a text: the "("s before it
 
-    def go(t: MorExpr, parent: str | None, side: str) -> str:
-        if isinstance(t, Comp):
-            body = f"{go(t.first, 'comp', 'left')} ; {go(t.second, 'comp', 'right')}"
-            plain = parent is None or (parent == "comp" and side == "left")
-            return body if plain else f"({body})"
-        if isinstance(t, Tensor):
-            body = f"{go(t.top, 'tensor', 'left')} * {go(t.bottom, 'tensor', 'right')}"
-            plain = parent is None or (parent == "tensor" and side == "left")
-            return body if plain else f"({body})"
-        return atom_text(t)
+    def atom(t: MorExpr) -> tuple[int, type | None]:
+        cls = type(t)
+        if cls is MorGen:
+            text = t.name
+        elif cls is MorVar:
+            text = "?" + t.name
+        elif cls is Id:
+            text = f"id[{print_obj(t.obj)}]"
+        elif cls is Inv:
+            text = f"inv({t.name})"
+        elif cls in STRUCTURAL:
+            text = f"{STRUCTURAL[cls][0]}[{','.join(map(print_obj, node_fields(t)))}]"
+        else:
+            raise TypeError(f"not an atom: {t!r}")
+        parts.append("")
+        parts.append(text)
+        return len(parts) - 1, None  # a subterm's first text and its operator
 
-    return go(term, None, "left")
+    def node(op: type, sep: str):
+        def combine(t, left, right):
+            if left[1] is not None and left[1] is not op:
+                opens[left[0]] += 1
+                parts[right[0] - 2] += ")"  # the left child's last part
+            if right[1] is not None:
+                opens[right[0]] += 1
+                parts.append(")")
+            parts[right[0] - 1] = sep
+            return left[0], op
+        return combine
+
+    fold(term, atom, node(Comp, " ; "), node(Tensor, " * "))
+    for i, n in opens.items():
+        parts[i] = "(" * n + parts[i]
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,34 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from .coherence import flatten_object, structural_wires
+from .coherence import atom_wires, flatten_object
 from .parser import print_obj
 from .terms import (
-    Assoc,
-    AssocInv,
+    STRUCTURAL,
     Braid,
     BraidInv,
     CatError,
     Comp,
     Id,
     Inv,
-    LUnit,
-    LUnitInv,
     MorExpr,
     MorGen,
-    RUnit,
-    RUnitInv,
     Signature,
-    Tensor,
+    fold,
     node_fields,
     typecheck,
 )
-
-_STRUCT_SYMBOL = {
-    Assoc: "α", AssocInv: "α⁻¹",
-    LUnit: "λ", LUnitInv: "λ⁻¹",
-    RUnit: "ρ", RUnitInv: "ρ⁻¹",
-}
 
 
 class RenderConfigError(CatError):
@@ -157,15 +146,13 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
     typecheck(term, sig)
 
     def atom(t: MorExpr) -> LayoutNode:
-        if isinstance(t, MorGen):
-            decl = sig.morphism(t.name)
-            kind = "isobox" if decl.iso else "genbox"
-            return _box(cfg, kind, t.name, flatten_object(decl.dom),
-                        flatten_object(decl.cod), emphasized=decl.iso)
-        if isinstance(t, Inv):
-            decl = sig.morphism(t.name)
-            gen = _box(cfg, "isobox", t.name, flatten_object(decl.cod),
-                       flatten_object(decl.dom), emphasized=True)
+        ins, outs = atom_wires(t, sig)
+        cls = type(t)
+        if cls is MorGen:
+            iso = sig.morphism(t.name).iso
+            return _box(cfg, "isobox" if iso else "genbox", t.name, ins, outs, emphasized=iso)
+        if cls is Inv:
+            gen = _box(cfg, "isobox", t.name, ins, outs, emphasized=True)
             marker = LayoutNode("marker", 0.0, (gen.h - cfg.unit * 0.6) / 2.0,
                                 cfg.unit * 0.6, cfg.unit * 0.6, label="-1")
             gen.x = marker.w
@@ -174,41 +161,34 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
                               children=[marker, gen])
             node.wires = [_connect((0.0, y), (gen.x, y)) for y, _ in gen.in_ports]
             return node
-        if isinstance(t, Id):
-            wires = flatten_object(t.obj)
-            h = cfg.unit * max(len(wires), 1)
+        if cls is Id:
+            h = cfg.unit * max(len(ins), 1)
             node = LayoutNode("idwire", 0.0, 0.0, cfg.box_min_width, h,
-                              label="" if wires else "I",
-                              in_ports=_spread(h, wires), out_ports=_spread(h, wires))
+                              label="" if ins else "I",
+                              in_ports=_spread(h, ins), out_ports=_spread(h, ins))
             node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
             return node
-        if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, node_fields(t)))}]"
-            wires = structural_wires(t)
-            return _box(cfg, "structbox", label, wires, wires, emphasized=True)
-        if isinstance(t, (Braid, BraidInv)):
-            pair = (t.a, t.b) if isinstance(t, Braid) else (t.b, t.a)
-            first, second = map(flatten_object, pair)
-            ins, outs = first + second, second + first
+        if cls is Braid or cls is BraidInv:
             h = cfg.unit * max(len(ins), 1)
             node = LayoutNode("braidcross", 0.0, 0.0, cfg.box_min_width * 1.2, h,
                               in_ports=_spread(h, ins), out_ports=_spread(h, outs))
-            # straight diagonals: input i leaves at output i + len(second), cyclically
+            # straight diagonals: input i leaves at output i + len(second half), cyclically
+            shift = len(flatten_object(t.b if cls is Braid else t.a))
             node.wires = [[(0.0, node.in_ports[i][0]),
-                           (node.w, node.out_ports[(i + len(second)) % len(ins)][0])]
+                           (node.w, node.out_ports[(i + shift) % len(ins)][0])]
                           for i in range(len(ins))]
             return node
-        raise TypeError(f"cannot lay out {t!r}")
+        label = f"{STRUCTURAL[cls][4]}[{','.join(map(print_obj, node_fields(t)))}]"
+        return _box(cfg, "structbox", label, ins, outs, emphasized=True)
 
-    def group(t: Comp | Tensor, a: LayoutNode, b: LayoutNode, depth: int) -> LayoutNode:
+    def group(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
         pad = cfg.box_padding
         if isinstance(t, Comp):
             maxh = max(a.h, b.h)
             a.x, a.y = pad, pad + (maxh - a.h) / 2.0
             b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
             w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
-            node = LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad,
-                              children=[a, b], depth=depth)
+            node = LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, children=[a, b])
             node.in_ports = [(y + a.y, s) for y, s in a.in_ports]
             node.out_ports = [(y + b.y, s) for y, s in b.out_ports]
             node.wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
@@ -222,7 +202,7 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             child.x, child.y = pad + (maxw - child.w) / 2.0, y
             y += child.h + cfg.vgap
         node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, y - cfg.vgap + pad,
-                          children=[a, b], depth=depth)
+                          children=[a, b])
         for child in (a, b):
             ins = [(py + child.y, s) for py, s in child.in_ports]
             outs = [(py + child.y, s) for py, s in child.out_ports]
@@ -232,20 +212,7 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             node.wires += [_connect((child.x + child.w, py), (node.w, py)) for py, _ in outs]
         return node
 
-    # iterative post-order over Comp/Tensor: deep terms never recurse
-    built: list[LayoutNode] = []
-    todo: list[tuple[MorExpr, int, bool]] = [(term, 1, False)]
-    while todo:
-        t, depth, ready = todo.pop()
-        if ready:
-            b = built.pop()
-            built.append(group(t, built.pop(), b, depth))
-        elif isinstance(t, (Comp, Tensor)):
-            first, second = (t.first, t.second) if isinstance(t, Comp) else (t.top, t.bottom)
-            todo += [(t, depth, True), (second, depth + 1, False), (first, depth + 1, False)]
-        else:
-            built.append(atom(t))
-    inner = built.pop()
+    inner = fold(term, atom, group, group)
 
     stub = cfg.boundary_stub
     inner.x, inner.y = cfg.margin + stub, cfg.margin
@@ -257,16 +224,19 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
     root.wires += [_connect((inner.x + inner.w, y), (inner.x + inner.w + stub, y))
                    for y, _ in root.out_ports]
 
-    # resolve offsets once: each node's origin is its parent's plus its offset
-    frames = [(inner, 0.0, 0.0)]
+    # resolve offsets once: each node's origin is its parent's plus its
+    # offset; a group's depth counts it and the groups around it
+    frames = [(inner, 0.0, 0.0, 1)]
     while frames:
-        node, px, py = frames.pop()
+        node, px, py, depth = frames.pop()
         x = node.x = px + node.x
         y = node.y = py + node.y
         node.in_ports = [(v + y, s) for v, s in node.in_ports]
         node.out_ports = [(v + y, s) for v, s in node.out_ports]
         node.wires = [[(u + x, v + y) for u, v in line] for line in node.wires]
-        frames += [(child, x, y) for child in node.children]
+        if node.kind in ("compgroup", "tensorgroup"):
+            node.depth = depth
+        frames += [(child, x, y, depth + 1) for child in node.children]
     return root
 
 

@@ -36,8 +36,8 @@ from .terms import (
     TypeMismatch,
     Unit,
     comp_chain,
+    fold,
     iso_inverse,
-    is_atom,
     node_fields,
     rebuild_chain,
     replace_chain_element,
@@ -85,47 +85,47 @@ def is_stack(term: MorExpr, mode: str = "strong") -> bool:
 def _foliate(term: MorExpr, sig: Signature, weak: bool) -> MorExpr:
     """The stacks of ``term`` composed right-associated (see :func:`foliate`).
 
-    ``term``'s domain comes from :func:`typecheck`; every subterm's domain
-    is the last boundary recorded before it, so only atoms are typed again.
+    Each subterm folds to the index of its first stack in one list of
+    stacks, and to its domain; only atoms are typed again.
     """
 
-    atom_type = Typer(sig)
-
-    def go(t: MorExpr, stacks: list[MorExpr], bounds: list[ObjExpr]) -> None:
-        """Append ``t``'s stacks to ``stacks`` and the object after each to
-        ``bounds``, whose last entry is ``t``'s domain."""
-
-        if isinstance(t, Comp):
-            go(t.first, stacks, bounds)
-            go(t.second, stacks, bounds)
-        elif isinstance(t, Tensor):
-            xs, a = [], [bounds[-1].left]
-            ys, b = [], [bounds[-1].right]
-            go(t.top, xs, a)
-            go(t.bottom, ys, b)
-            m, n = len(xs), len(ys)
-            if weak:
-                pairs = [(xs[i], ys[i], i + 1, i + 1) for i in range(min(m, n))]
-                pairs += [(xs[i], None, i + 1, n) for i in range(n, m)]
-                pairs += [(None, ys[i], m, i + 1) for i in range(m, n)]
-            else:
-                pairs = []
-                for i in range(1, max(m, n) + 1):
-                    if i <= m:
-                        pairs.append((xs[i - 1], None, i, min(i - 1, n)))
-                    if i <= n:
-                        pairs.append((None, ys[i - 1], min(i, m), i))
-            for x, y, ia, ib in pairs:
-                # a missing factor is the identity on the other side's boundary
-                stacks.append(Tensor(x or Id(a[ia]), y or Id(b[ib])))
-                bounds.append(ObjTensor(a[ia], b[ib]))
-        elif not isinstance(t, Id):
-            stacks.append(t)
-            bounds.append(atom_type.atom(t)[1])
-
-    stacks: list[MorExpr] = []
     dom = typecheck(term, sig).dom
-    go(term, stacks, [dom])
+    atom_type = Typer(sig)
+    stacks: list[MorExpr] = []
+    bounds: list[ObjExpr] = []  # the object after each stack
+
+    def atom(t: MorExpr) -> tuple[int, ObjExpr]:
+        if type(t) is Id:
+            return len(stacks), t.obj
+        t_dom, cod = atom_type.atom(t)
+        stacks.append(t)
+        bounds.append(cod)
+        return len(stacks) - 1, t_dom
+
+    def tensor(t: Tensor, top, bottom) -> tuple[int, ObjExpr]:
+        (i, top_dom), (j, bottom_dom) = top, bottom
+        xs, a = stacks[i:j], [top_dom] + bounds[i:j]  # a[k]: the top's boundary after k stacks
+        ys, b = stacks[j:], [bottom_dom] + bounds[j:]
+        del stacks[i:], bounds[i:]
+        m, n = len(xs), len(ys)
+        if weak:
+            pairs = [(xs[k], ys[k], k + 1, k + 1) for k in range(min(m, n))]
+            pairs += [(xs[k], None, k + 1, n) for k in range(n, m)]
+            pairs += [(None, ys[k], m, k + 1) for k in range(m, n)]
+        else:
+            pairs = []
+            for k in range(1, max(m, n) + 1):
+                if k <= m:
+                    pairs.append((xs[k - 1], None, k, min(k - 1, n)))
+                if k <= n:
+                    pairs.append((None, ys[k - 1], min(k, m), k))
+        for x, y, ia, ib in pairs:
+            # a missing factor is the identity on the other side's boundary
+            stacks.append(Tensor(x or Id(a[ia]), y or Id(b[ib])))
+            bounds.append(ObjTensor(a[ia], b[ib]))
+        return i, ObjTensor(top_dom, bottom_dom)
+
+    fold(term, atom, lambda t, first, second: first, tensor)
     return right_comp(stacks, dom)
 
 
@@ -326,12 +326,36 @@ def assoc_rw(term: MorExpr, rule: RewriteRule, sig: Signature) -> MorExpr:
 
 
 def _inverse_pair(s: MorExpr, s2: MorExpr, sig: Signature) -> bool:
-    if not (is_atom(s) and is_atom(s2)):
-        return False
-    try:
+    try:  # a tensor is no atom's inverse, and iso_inverse rejects it
         return s2 in iso_inverse(s, sig)
     except NotInvertible:
         return False
+
+
+def _map_chains(term: MorExpr, chain) -> MorExpr:
+    """``term`` with each maximal composition chain ``t`` replaced by
+    ``chain(t, elements)``, where ``elements`` are ``t``'s chain elements
+    with their own chains replaced first; a tensor whose factors come back
+    unchanged (``is``) is reused."""
+
+    out: list[MorExpr] = []  # every subterm's chain elements, in order, from its first index on
+
+    def finish(r: tuple[int, Comp | None]) -> MorExpr:  # the last subterm's result, taken off out
+        start, node = r
+        elements = out[start:]
+        del out[start:]
+        return elements[0] if node is None else chain(node, elements)
+
+    def atom(t: MorExpr) -> tuple[int, None]:
+        out.append(t)
+        return len(out) - 1, None
+
+    def tensor(t: Tensor, top, bottom) -> tuple[int, None]:
+        b, a = finish(bottom), finish(top)
+        out.append(t if a is t.top and b is t.bottom else Tensor(a, b))
+        return top[0], None
+
+    return finish(fold(term, atom, lambda t, first, second: (first[0], t), tensor))
 
 
 def cancel_isos(term: MorExpr, sig: Signature) -> MorExpr:
@@ -345,13 +369,7 @@ def cancel_isos(term: MorExpr, sig: Signature) -> MorExpr:
 
     typecheck(term, sig)
 
-    def go(t: MorExpr) -> MorExpr:
-        if isinstance(t, Tensor):
-            top, bottom = go(t.top), go(t.bottom)
-            return t if top is t.top and bottom is t.bottom else Tensor(top, bottom)
-        if not isinstance(t, Comp):
-            return t
-        chain = [go(el) for el in comp_chain(t)]
+    def cancel(t: Comp, chain: list[MorExpr]) -> MorExpr:
         kept: list[MorExpr] = []
         for el in chain:
             if kept and _inverse_pair(kept[-1], el, sig):
@@ -362,25 +380,23 @@ def cancel_isos(term: MorExpr, sig: Signature) -> MorExpr:
             return rebuild_chain(t, chain)
         return right_comp(kept, None) if kept else Id(typecheck(t, sig).dom)
 
-    return go(term)
+    return _map_chains(term, cancel)
 
 
 def _remove_ids(term: MorExpr) -> MorExpr:
-    if isinstance(term, Comp):
-        first = _remove_ids(term.first)
-        second = _remove_ids(term.second)
-        if isinstance(first, Id):
+    def comp(t: Comp, first: MorExpr, second: MorExpr) -> MorExpr:
+        if type(first) is Id:
             return second
-        if isinstance(second, Id):
+        if type(second) is Id:
             return first
-        return term if first is term.first and second is term.second else Comp(first, second)
-    if isinstance(term, Tensor):
-        top = _remove_ids(term.top)
-        bottom = _remove_ids(term.bottom)
-        if isinstance(top, Id) and isinstance(bottom, Id):
+        return t if first is t.first and second is t.second else Comp(first, second)
+
+    def tensor(t: Tensor, top: MorExpr, bottom: MorExpr) -> MorExpr:
+        if type(top) is Id and type(bottom) is Id:
             return Id(ObjTensor(top.obj, bottom.obj))
-        return term if top is term.top and bottom is term.bottom else Tensor(top, bottom)
-    return term
+        return t if top is t.top and bottom is t.bottom else Tensor(top, bottom)
+
+    return fold(term, lambda t: t, comp, tensor)
 
 
 def cat_simpl(term: MorExpr, sig: Signature) -> MorExpr:
@@ -402,11 +418,7 @@ def cat_simpl(term: MorExpr, sig: Signature) -> MorExpr:
 def right_associate(term: MorExpr) -> MorExpr:
     """Rebuild every composition chain right-associated, everywhere."""
 
-    if isinstance(term, Comp):
-        return right_comp([right_associate(el) for el in comp_chain(term)], None)
-    if isinstance(term, Tensor):
-        return Tensor(right_associate(term.top), right_associate(term.bottom))
-    return term
+    return _map_chains(term, lambda t, elements: right_comp(elements, None))
 
 
 @dataclass(frozen=True)

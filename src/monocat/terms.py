@@ -236,22 +236,22 @@ class MorVar(MorExpr):
 
 
 #: Each structural atom class: its keyword, the level it needs, its inverse,
-#: and its (dom, cod) from a tensor constructor ``T`` and its object fields.
+#: its (dom, cod) from a tensor constructor ``T`` and its object fields, and
+#: the glyph a diagram labels it with (``None``: drawn as a crossing).
 STRUCTURAL = {
-    Assoc: ("alpha", "monoidal", AssocInv, lambda T, a, b, c: (T(T(a, b), c), T(a, T(b, c)))),
-    AssocInv: ("alpha_inv", "monoidal", Assoc, lambda T, a, b, c: (T(a, T(b, c)), T(T(a, b), c))),
-    LUnit: ("lunit", "monoidal", LUnitInv, lambda T, a: (T(UNIT, a), a)),
-    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda T, a: (a, T(UNIT, a))),
-    RUnit: ("runit", "monoidal", RUnitInv, lambda T, a: (T(a, UNIT), a)),
-    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda T, a: (a, T(a, UNIT))),
-    Braid: ("braid", "braided", BraidInv, lambda T, a, b: (T(a, b), T(b, a))),
-    BraidInv: ("braid_inv", "braided", Braid, lambda T, a, b: (T(b, a), T(a, b))),
+    Assoc: ("alpha", "monoidal", AssocInv,
+            lambda T, a, b, c: (T(T(a, b), c), T(a, T(b, c))), "α"),
+    AssocInv: ("alpha_inv", "monoidal", Assoc,
+               lambda T, a, b, c: (T(a, T(b, c)), T(T(a, b), c)), "α⁻¹"),
+    LUnit: ("lunit", "monoidal", LUnitInv, lambda T, a: (T(UNIT, a), a), "λ"),
+    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda T, a: (a, T(UNIT, a)), "λ⁻¹"),
+    RUnit: ("runit", "monoidal", RUnitInv, lambda T, a: (T(a, UNIT), a), "ρ"),
+    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda T, a: (a, T(a, UNIT)), "ρ⁻¹"),
+    Braid: ("braid", "braided", BraidInv, lambda T, a, b: (T(a, b), T(b, a)), None),
+    BraidInv: ("braid_inv", "braided", Braid, lambda T, a, b: (T(b, a), T(a, b)), None),
 }
-STRUCTURAL_MONOIDAL = tuple(cls for cls, spec in STRUCTURAL.items() if spec[1] == "monoidal")
 #: Atoms whose fields are all objects.
 OBJECT_ATOMS = (Id, *STRUCTURAL)
-#: Atom node classes: the leaves enumerated by :func:`structural_atoms`.
-ATOM_TYPES = (MorGen, Inv, MorVar, *OBJECT_ATOMS)
 
 
 def node_fields(node) -> tuple:
@@ -489,54 +489,63 @@ class Typer:
                                       f"does not match domain {obj_label(snd[0])}", term=t)
         return fst[0], snd[1]
 
+    def tensor(self, t: Tensor, top, bottom) -> tuple[ObjTensor, ObjTensor]:
+        return self.tensor_obj(top[0], bottom[0]), self.tensor_obj(top[1], bottom[1])
+
     def __call__(self, term: MorExpr) -> MorType:
-        """Type ``term`` in post-order, with an explicit stack."""
+        return MorType(*fold(term, self.atom, self.comp, self.tensor))
 
-        todo: list[tuple[MorExpr, bool]] = [(term, False)]
-        done: list[tuple[ObjExpr, ObjExpr]] = []
-        while todo:
-            t, ready = todo.pop()
-            if not isinstance(t, (Comp, Tensor)):
-                done.append(self.atom(t))
-            elif not ready:
-                todo += ((t, True), (t.second, False), (t.first, False)) if isinstance(t, Comp) \
-                    else ((t, True), (t.bottom, False), (t.top, False))
+
+def fold(term: MorExpr, atom, comp, tensor=None):
+    """Fold ``term`` bottom-up with an explicit stack, never recursing.
+
+    ``atom(t)`` is called on each leaf, left to right (top before bottom),
+    and ``comp(t, first, second)`` or ``tensor(t, top, bottom)`` on each
+    ``Comp`` or ``Tensor`` node with its children's results, after both.
+    With ``tensor`` left out, tensors are leaves.
+    """
+
+    todo: list = []  # nodes whose first child is being folded; (combine, node, first result)
+    t = term
+    while True:
+        cls = t.__class__
+        while cls is Comp or cls is Tensor and tensor is not None:  # down to the leftmost leaf
+            todo.append(t)
+            t = t.first if cls is Comp else t.top
+            cls = t.__class__
+        result = atom(t)
+        while todo:  # up to the next node whose second child is still to fold
+            t = todo.pop()
+            cls = t.__class__
+            if cls is tuple:
+                combine, node, first = t
+                result = combine(node, first, result)
             else:
-                snd, fst = done.pop(), done.pop()
-                done.append(self.comp(t, fst, snd) if isinstance(t, Comp) else
-                            (self.tensor_obj(fst[0], snd[0]), self.tensor_obj(fst[1], snd[1])))
-        return MorType(*done[0])
-
-
-def _leaves(term: MorExpr, split) -> list[MorExpr]:
-    """The maximal subterms of ``term`` not of a ``split`` class, left to right."""
-
-    out: list[MorExpr] = []
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if not isinstance(t, split):
-            out.append(t)
+                todo.append((comp if cls is Comp else tensor, t, result))
+                t = t.second if cls is Comp else t.bottom
+                break
         else:
-            todo += (t.second, t.first) if isinstance(t, Comp) else (t.bottom, t.top)
-    return out
+            return result
+
+
+def _ignore(t: MorExpr, first, second) -> None:
+    return None
 
 
 def structural_atoms(term: MorExpr) -> list[MorExpr]:
     """All leaf atoms in left-to-right, top-to-bottom order."""
 
-    return _leaves(term, (Comp, Tensor))
+    atoms: list[MorExpr] = []
+    fold(term, atoms.append, _ignore, _ignore)
+    return atoms
 
 
 def tensor_leaves(term: MorExpr) -> list[MorExpr] | None:
     """Leaves of the tensor tree of ``term``, or ``None`` if it holds a ``Comp``."""
 
-    leaves = _leaves(term, Tensor)
-    return None if any(isinstance(t, Comp) for t in leaves) else leaves
-
-
-def is_atom(term: MorExpr) -> bool:
-    return isinstance(term, ATOM_TYPES)
+    leaves: list[MorExpr] = []
+    has_comp = fold(term, leaves.append, lambda t, f, g: True, lambda t, f, g: f or g)
+    return None if has_comp else leaves
 
 
 def iso_inverse(atom: MorExpr, sig: Signature) -> tuple[MorExpr, ...]:
@@ -573,7 +582,9 @@ def iso_inverse(atom: MorExpr, sig: Signature) -> tuple[MorExpr, ...]:
 def comp_chain(term: MorExpr) -> list[MorExpr]:
     """Flatten nested compositions into the list of non-``Comp`` elements."""
 
-    return _leaves(term, Comp)
+    chain: list[MorExpr] = []
+    fold(term, chain.append, _ignore)
+    return chain
 
 
 def right_comp(elements: list[MorExpr], dom_if_empty: ObjExpr) -> MorExpr:
@@ -593,14 +604,8 @@ def rebuild_chain(term: MorExpr, elements: list[MorExpr]) -> MorExpr:
     are reused, so an unchanged chain comes back as ``term`` itself."""
 
     it = iter(elements)
-
-    def go(t: MorExpr) -> MorExpr:
-        if not isinstance(t, Comp):
-            return next(it)
-        first, second = go(t.first), go(t.second)
-        return t if first is t.first and second is t.second else Comp(first, second)
-
-    return go(term)
+    return fold(term, lambda t: next(it), lambda t, first, second: (
+        t if first is t.first and second is t.second else Comp(first, second)))
 
 
 def replace_chain_element(term: MorExpr, index: int, new_el: MorExpr) -> MorExpr:

@@ -20,6 +20,14 @@ def msig():
     return struct_sig()
 
 
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
 @pytest.fixture(scope="session")
 def golden_dir():
     return Path(__file__).resolve().parent / "golden"

@@ -10,10 +10,11 @@ any config the same tree with coordinates equal up to rounding.
 
 from __future__ import annotations
 
-from monocat.coherence import flatten_object, structural_wires
+from monocat.coherence import flatten_object
 from monocat.parser import print_obj
-from monocat.render import _STRUCT_SYMBOL, LayoutNode, RenderConfig, _box, _connect, _spread
+from monocat.render import LayoutNode, RenderConfig, _box, _connect, _spread
 from monocat.terms import (
+    STRUCTURAL,
     Assoc,
     AssocInv,
     Braid,
@@ -77,8 +78,8 @@ def reference_layout(term: MorExpr, sig: Signature,
             node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
             return node
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            label = f"{_STRUCT_SYMBOL[type(t)]}[{','.join(map(print_obj, vars(t).values()))}]"
-            wires = structural_wires(t)
+            label = f"{STRUCTURAL[type(t)][4]}[{','.join(map(print_obj, vars(t).values()))}]"
+            wires = tuple(w for o in vars(t).values() for w in flatten_object(o))
             return _box(cfg, "structbox", label, wires, wires, emphasized=True)
         if isinstance(t, (Braid, BraidInv)):
             if isinstance(t, Braid):

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from monocat.coherence import structural_wires
 from monocat.semantics import (
     MatrixInstance,
     MissingBackendData,
@@ -111,7 +110,7 @@ def reference_eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
             n = dim_flat(t.obj, inst.size)
             return _diag(n), n, n
         if isinstance(t, (Assoc, AssocInv, LUnit, LUnitInv, RUnit, RUnitInv)):
-            n = math.prod(inst.size[w] for w in structural_wires(t))
+            n = math.prod(dim_flat(o, inst.size) for o in vars(t).values())
             return _diag(n), n, n
         if isinstance(t, Braid):
             da, db = dim_flat(t.a, inst.size), dim_flat(t.b, inst.size)

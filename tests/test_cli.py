@@ -116,12 +116,19 @@ def test_normalize(sig_path, capsys):
 
 
 def test_crash_exits_2_with_one_line(sig_path, capsys):
-    # a 1500-element chain overflows the default recursion limit inside the
+    # 1500 nested parentheses overflow the default recursion limit inside the
     # library: that is an error (2), never "unequal" (1), and no traceback
-    code = run(["normalize", "--sig", sig_path, " ; ".join(["u"] * 1500)])
+    code = run(["normalize", "--sig", sig_path, "u ; (" * 1499 + "u" + ")" * 1499])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_long_chain_normalizes(sig_path, capsys):
+    code = run(["normalize", "--sig", sig_path, " ; ".join(["u"] * 1500)])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * 1500)}]; out=[A]\n"
 
 
 def test_memory_error_exits_2_with_one_line(sig_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import copy
 import dataclasses
 import pickle
 import re
-import sys
 from random import Random
 
 import pytest
@@ -245,14 +244,6 @@ def test_boundaries_share_objects():
 # ---------------------------------------------------------------------------
 
 DEPTH_SIG = parse_signature("category symmetric\nobject A\nmor u : A -> A\n")
-
-
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
 
 
 def _depth(obj) -> int:
