@@ -2,6 +2,7 @@
 coherence-based normal form, rewriting tactics, matrix/relation
 semantic oracles and string-diagram rendering."""
 
+
 from .coherence import (
     Equal,
     NormalForm,
@@ -25,17 +26,6 @@ from .parser import (
     print_obj,
 )
 from .render import LayoutNode, RenderConfig, emit_svg, emit_tikz, layout
-from .semantics import (
-    MatrixInstance,
-    RelInstance,
-    braid_matrix,
-    check_coherence,
-    eval_matrix,
-    eval_rel,
-    mat_equiv,
-    matrix_instance,
-    rel_instance,
-)
 from .tactics import (
     NotProved,
     Proved,
@@ -85,5 +75,32 @@ from .terms import (
     typecheck,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def _lazy_submodule(name: str):
+    """Submodule ``name``, registered in ``sys.modules`` now and run on its
+    first attribute access."""
+
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The semantic oracles need numpy, so their module runs on first use.
+semantics = _lazy_submodule("semantics")
+_SEMANTICS = ("MatrixInstance", "RelInstance", "braid_matrix", "check_coherence", "eval_matrix",
+              "eval_rel", "mat_equiv", "matrix_instance", "rel_instance")
+
+
+def __getattr__(name: str):
+    if name in _SEMANTICS:
+        return getattr(semantics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_SEMANTICS])
 __version__ = "0.1.0"

@@ -11,15 +11,17 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
+from typing import TYPE_CHECKING
 
 from . import coherence, render, tactics
 from .coherence import dump_normal_form, monoidal_eq
 from .parser import parse_expr, parse_rules, parse_signature, print_expr, print_obj
-from .semantics import (MatrixInstance, RelInstance, eval_matrix, eval_rel, mat_equiv,
-                        matrix_instance, rel_instance)
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
 from .terms import CatError, MorExpr, Signature, typecheck
+
+if TYPE_CHECKING:
+    from .semantics import MatrixInstance, RelInstance
 
 CONFIG_ENV_VAR = "MONOCAT_CONFIG"
 
@@ -57,14 +59,18 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
             return True, f"proved (cat_easy)\n{trace}"
         return False, f"not proved (cat_easy)\n{trace}"
     if method == "matrix":
+        from . import semantics
+
         inst = backend()
-        m1, m2 = eval_matrix(t1, inst), eval_matrix(t2, inst)
-        if mat_equiv(m1, m2, inst.tolerance):
+        m1, m2 = semantics.eval_matrix(t1, inst), semantics.eval_matrix(t2, inst)
+        if semantics.mat_equiv(m1, m2, inst.tolerance):
             return True, "equal (matrix backend)"
         return False, "unequal (matrix backend)"
     if method == "rel":
+        from . import semantics
+
         inst = backend()
-        r1, r2 = eval_rel(t1, inst), eval_rel(t2, inst)
+        r1, r2 = semantics.eval_rel(t1, inst), semantics.eval_rel(t2, inst)
         if r1 == r2:
             return True, "equal (relation backend)"
         return False, f"unequal (relation backend): symmetric difference {sorted(r1 ^ r2)}"
@@ -73,9 +79,14 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
 
 def _cmd_check(args) -> int:
     sig = _load_signature(args.sig)
-    # one backend instance per run, built once the first pair to need it has parsed
-    backend = cache(partial(matrix_instance, sig, args.tolerance) if args.method == "matrix"
-                    else partial(rel_instance, sig))
+
+    @cache
+    def backend() -> MatrixInstance | RelInstance:
+        # one instance per run, built once the first pair to need it has parsed
+        from . import semantics
+
+        return semantics.matrix_instance(sig, args.tolerance) if args.method == "matrix" \
+            else semantics.rel_instance(sig)
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
             pairs = []

@@ -31,6 +31,7 @@ import functools
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .coherence import flatten_object
 from .terms import (
@@ -101,28 +102,41 @@ Token = tuple[str, str, int, int, int, int]
 STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
                        for cls, spec in STRUCTURAL.items()}
 
-# Each match is optional blanks, then the first rule that fits, in order.
-# ``\w`` is exactly ``str.isalnum()`` plus "_", so names are ``[\w']`` runs;
-# a name starts with a letter or "_", and the few non-decimal numerals that
-# ``[^\W\d]`` also admits are turned away in :func:`tokenize`.  Symbol
-# aliases are spliced in after comments; END ends the text.
-_HEAD = r"[^\S\n]*(?:(?P<NL>\n)|(?P<COMMENT>#[^\n]*)|"
-_TAIL = (r"(?P<ARROW>->)|(?P<DARROW>=>)|(?P<COMPOSE>[;∘])|(?P<TENSOR>[*⊗])|(?P<LBRACK>\[)"
-         r"|(?P<RBRACK>\])|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)|(?P<EQUALS>=)"
-         r"|(?P<METAVAR>\?[\w']*)|(?P<STRING>\"[^\"]*\")|(?P<NAME>[^\W\d][\w']*)|(?P<BAD>.)"
-         r"|(?P<END>\Z))")
-_SPECIAL = frozenset({"NL", "COMMENT", "ALIAS", "METAVAR", "STRING", "BAD", "END"})
+# Each match skips blanks and comments, then takes one word: the first
+# alternative that fits, in order, or "" at the end of the text.  ``\w`` is
+# exactly ``str.isalnum()`` plus "_", so names are ``[\w']`` runs; a name
+# starts with a letter or "_", and the few non-decimal numerals that
+# ``[^\W\d]`` also admits are lexical errors.  Symbol aliases go first.
+_SKIP = r"\s*+(?:#[^\n]*+\s*+)*+"
+_WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*+|\"[^\"]*+\"|[^\W\d][\w']*+|.|\Z"
+_KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "∘": "COMPOSE", "*": "TENSOR",
+          "⊗": "TENSOR", "[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
+          ",": "COMMA", ":": "COLON", "=": "EQUALS"}
 _ALIAS_KIND = {"compose": "COMPOSE", "tensor": "TENSOR", "id": "NAME"}
+#: The word the parser reads for each alias target and Unicode operator.
+_BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}
+_UNICODE = {"∘": ";", "⊗": "*"}
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() and ch not in "∘⊗" or ch == "_"
+def _is_name(word: str) -> bool:
+    """Whether ``word`` starts like a name: with a letter or "_"."""
+
+    return word[:1].isalpha() or word[:1] == "_"
+
+
+def _is_metavar(word: str) -> bool:
+    return word[:1] == "?" and len(word) > 1
 
 
 @functools.lru_cache(maxsize=32)
-def _lexer(symbol_aliases: tuple[str, ...]) -> re.Pattern:
-    alias = "|".join(map(re.escape, symbol_aliases))
-    return re.compile(_HEAD + (f"(?P<ALIAS>{alias})|" if alias else "") + _TAIL)
+def _compile(symbol_aliases: tuple[str, ...]) -> re.Pattern:
+    alias = "".join(re.escape(tok) + "|" for tok in symbol_aliases)
+    return re.compile(f"{_SKIP}({alias}{_WORD})")
+
+
+def _lexer(aliases: dict[str, str]) -> re.Pattern:
+    return _compile(tuple(sorted((tok for tok in aliases if not _is_name(tok)),
+                                 key=len, reverse=True)))
 
 
 def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
@@ -134,208 +148,288 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
     """
 
     aliases = aliases or {}
-    symbols = tuple(sorted((tok for tok in aliases if not _is_name_start(tok[0])),
-                           key=len, reverse=True))
-    check_names = bool(aliases) or not text.isascii()
     tokens: list[Token] = []
-    line, line_start, eof_col = 1, 0, None
-    for m in _lexer(symbols).finditer(text):
-        kind = m.lastgroup
-        i, j = m.span(kind)
-        word = m.group(kind)
-        if kind == "NAME" and check_names:
-            target = aliases.get(word)
-            if not _is_name_start(word[0]):
-                kind = "BAD"
-            elif target is not None:
-                kind, word = _ALIAS_KIND[target], "id" if target == "id" else word
-        if kind in _SPECIAL:
-            if kind == "NL":
-                line, line_start, eof_col = line + 1, j, None
-                continue
-            if kind == "COMMENT":
-                eof_col = i - line_start + 1
-                continue
-            if kind == "END":
-                break
-            if kind == "ALIAS":
-                kind = _ALIAS_KIND[aliases[word]]
-                word = "id" if kind == "NAME" else word
-            elif kind == "METAVAR" and len(word) > 1:
-                word = word[1:]
-            elif kind == "STRING":
-                word = word[1:-1]
+    line, line_start = 1, 0
+    for m in _lexer(aliases).finditer(text):
+        skipped, (i, j) = m.start(), m.span(1)
+        newline = text.rfind("\n", skipped, i)
+        if newline >= 0:
+            line += text.count("\n", skipped, i)
+            line_start = newline + 1
+        word = m.group(1)
+        if not word:
+            break
+        target = aliases.get(word)
+        kind = _KINDS.get(word) if target is None else _ALIAS_KIND[target]
+        if target == "id":
+            word = "id"
+        elif kind is None:
+            head = word[0]
+            if head == "?" and len(word) > 1:
+                kind, word = "METAVAR", word[1:]
+            elif head == '"' and len(word) > 1:
+                kind, word = "STRING", word[1:-1]
+            elif _is_name(head):
+                kind = "NAME"
             else:
                 span = SourceSpan(line, i - line_start + 1, i, len(text) if word == '"' else i + 1)
                 raise ParseError("'?' must be followed by a metavariable name" if word == "?"
                                  else "unterminated string" if word == '"'
-                                 else f"unexpected character {word[0]!r}", span=span)
+                                 else f"unexpected character {head!r}", span=span)
         tokens.append((kind, word, line, i - line_start + 1, i, j))
-    n = len(text)
-    tokens.append(("EOF", "", line, eof_col or n - line_start + 1, n, n))
+    comment = text.find("#", max(skipped, line_start), i)  # on the last line
+    tokens.append(("EOF", "", line, (i if comment < 0 else comment) - line_start + 1, i, i))
     return tokens
 
 
-Span = tuple[int, int, int, int]  # line, column, start, end
+def _words(text: str, aliases: dict[str, str]) -> list[str]:
+    """The words of ``text`` as :func:`tokenize` would lex them, without
+    positions, checks or kinds: alias words and ``∘``/``⊗`` become the
+    builtin they stand for, metavariables keep their "?" and strings their
+    quotes, and "" marks the end.  Lexical errors are words no grammar rule
+    accepts."""
+
+    words = _lexer(aliases).findall(text)
+    if aliases or not text.isascii():
+        table = _UNICODE | {tok: _BUILTIN[target] for tok, target in aliases.items()}
+        words = [table.get(w, w) for w in words]
+    return words
 
 
 class _ExprParser:
-    """Recursive-descent parser for morphism and object expressions.
+    """Parser for morphism and object expressions over :func:`_words`.
 
+    Parentheses wait on an explicit stack, so no nesting depth recurses.
     Given a :class:`Typer`, it types each morphism node as it builds it
     (``parse_*`` return the node and its ``(dom, cod)``, else ``None``) and
     makes objects through the typer, so equal boundaries are one object.
     Nodes are built in the post-order a typecheck walks them, so the first
     type error met is the one that walk would raise.  It is recorded, not
-    raised, with the span of the node it names (``spans`` holds those of
-    undeclared object names), and typing stops; the caller raises it once
-    the text has parsed.
+    raised, with the first and last word of the node it names (``spans``
+    holds those of undeclared object names), and typing stops; the caller
+    raises it once the text has parsed.
+
+    Source positions are found only for an error, by :func:`tokenize`,
+    which raises a lexical error in the text before any other.
     """
 
-    def __init__(self, tokens: list[Token], allow_metavars: bool = False,
-                 typer: Typer | None = None):
-        self.tokens = tokens
+    def __init__(self, text: str, aliases: dict[str, str] | None = None,
+                 allow_metavars: bool = False, typer: Typer | None = None):
+        self.text = text
+        self.aliases = aliases or {}
+        self.words = _words(text, self.aliases)
         self.pos = 0
         self.allow_metavars = allow_metavars
         self.typer = typer
         self.objs = typer.objs if typer else {}
         self.tensor_obj = typer.tensor_obj if typer else ObjTensor
         self.undeclared = 0  # fresh generators made for names ``objs`` lacks
-        self.spans: dict[int, Span] = {}
+        self.known: dict[str, ObjExpr] = {"I": UNIT}  # checked object words: their objects
+        self.gens: dict[str, tuple] = {}  # checked generator words: their boundaries
+        self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
+        self.error_span: tuple[int, int] | None = None
 
-    def next(self) -> Token:
+    def _source_span(self, first: int, last: int) -> SourceSpan:
+        tokens = tokenize(self.text, self.aliases)
+        return SourceSpan(*tokens[first][2:5], tokens[last][5])
+
+    def fail(self, message: str, k: int) -> NoReturn:
+        """Raise a ParseError at word ``k``; ``{!r}`` in ``message`` is its token text."""
+
+        t = tokenize(self.text, self.aliases)[k]
+        raise ParseError(message.format(t[1]), span=SourceSpan(*t[2:]))
+
+    def expect(self, word: str, what: str) -> None:
+        if self.words[self.pos] != word:
+            self._expected(what)
         self.pos += 1
-        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.tokens[self.pos]
-        if t[0] != kind:
-            raise self._error(f"expected {what or kind}, found {t[1]!r}" if t[0] != "EOF"
-                              else f"expected {what or kind}, found end of input", t)
+    def take(self, is_word, what: str) -> str:
+        """The next word, which must satisfy ``is_word``."""
+
+        w = self.words[self.pos]
+        if not is_word(w):
+            self._expected(what)
         self.pos += 1
-        return t
+        return w
 
-    def _error(self, message: str, t: Token) -> ParseError:
-        return ParseError(message, span=SourceSpan(*t[2:]))
+    def _expected(self, what: str) -> NoReturn:
+        found = "{!r}" if self.words[self.pos] else "end of input"
+        self.fail(f"expected {what}, found {found}", self.pos)
 
-    def _span(self, start: Token) -> Span:
-        """From ``start`` to the end of the last token consumed."""
+    def raise_error(self) -> None:
+        """Raise the recorded type error, if any, with its source span."""
 
-        return start[2], start[3], start[4], self.tokens[self.pos - 1][5]
+        if self.error is not None:
+            if self.error_span is not None:
+                self.error.span = self._source_span(*self.error_span)
+            raise self.error
 
-    def _type(self, fn, node, start: Token, *args):
+    def _type(self, fn, node, start: int, *args):
         """``fn(node, *args)``; a type error is recorded and typing stops."""
 
         try:
             return fn(node, *args)
         except CatError as err:
             self.typer, self.error = None, err
-            span = self._span(start) if err.term is node else self.spans.get(id(err.term))
-            err.span = span and SourceSpan(*span)
+            self.error_span = (start, self.pos - 1) if err.term is node \
+                else self.spans.get(id(err.term))
             return None
 
-    def _parens(self, node, start: Token) -> None:
-        """Close the parentheses opened at ``start`` around ``node``, which
-        widens ``node``'s span if it has one."""
+    def _parens(self, node, opened: int) -> None:
+        """Close the parenthesis opened at word ``opened`` around ``node``,
+        which widens ``node``'s span if it has one."""
 
-        self.expect("RPAREN", "')'")
+        self.expect(")", "')'")
         if self.error is not None and node is self.error.term:
-            self.error.span = SourceSpan(*self._span(start))
+            self.error_span = (opened, self.pos - 1)
         elif id(node) in self.spans:
-            self.spans[id(node)] = self._span(start)
+            self.spans[id(node)] = (opened, self.pos - 1)
 
     def parse_expr(self) -> tuple[MorExpr, tuple | None]:
-        start = self.tokens[self.pos]
-        term, ty = self.parse_tensor()
-        while self.tokens[self.pos][0] == "COMPOSE":
-            self.pos += 1
-            rhs, rty = self.parse_tensor()
-            term = Comp(term, rhs)
-            if self.typer:
-                ty = (ty[0], rty[1]) if ty[1] is rty[0] else \
-                    self._type(self.typer.comp, term, start, ty, rty)
-        return term, ty
+        """``expr := tensor { ";" tensor }``, ``tensor := atom { "*" atom }``,
+        where an atom may be a parenthesized ``expr``."""
 
-    def parse_tensor(self) -> tuple[MorExpr, tuple | None]:
-        term, ty = self.parse_atom()
-        while self.tokens[self.pos][0] == "TENSOR":
-            self.pos += 1
-            rhs, rty = self.parse_atom()
-            term = Tensor(term, rhs)
-            if self.typer:
-                ty = self.typer.tensor(term, ty, rty)
-        return term, ty
+        words, gens = self.words, self.gens
+        stack: list = []  # per open "(": its word, and the enclosing chain's start, chain, tensor
+        start, chain, tensor = self.pos, None, None  # chain and tensor: (term, type) so far
+        while True:
+            w = words[self.pos]
+            ty = gens.get(w)
+            if ty is not None:
+                item = MorGen(w), ty
+                self.pos += 1
+            elif w == "(":
+                stack.append((self.pos, start, chain, tensor))
+                self.pos += 1
+                start, chain, tensor = self.pos, None, None
+                continue
+            else:
+                item = self.parse_atom()
+            while True:
+                if tensor is None:
+                    tensor = item
+                else:
+                    term = Tensor(tensor[0], item[0])
+                    tensor = term, self.typer and self.typer.tensor(term, tensor[1], item[1])
+                w = words[self.pos]
+                if w == "*":
+                    self.pos += 1
+                    break
+                if chain is None:
+                    chain = tensor
+                else:
+                    term = Comp(chain[0], tensor[0])
+                    ty, rty = chain[1], tensor[1]
+                    if self.typer:
+                        ty = (ty[0], rty[1]) if ty[1] is rty[0] else \
+                            self._type(self.typer.comp, term, start, ty, rty)
+                    chain = term, ty
+                tensor = None
+                if w == ";":
+                    self.pos += 1
+                    break
+                if not stack:
+                    return chain
+                opened, start, outer_chain, tensor = stack.pop()
+                self._parens(chain[0], opened)
+                item, chain = chain, outer_chain
 
     def parse_atom(self) -> tuple[MorExpr, tuple | None]:
-        t = self.next()
-        kind, name = t[0], t[1]
-        if kind == "LPAREN":
-            term, ty = self.parse_expr()
-            self._parens(term, t)
-            return term, ty
+        """A morphism atom other than a parenthesized expression."""
+
+        k = self.pos
+        w = self.words[k]
+        self.pos = k + 1
         undeclared = self.undeclared
-        if kind == "METAVAR":
-            if not self.allow_metavars:
-                raise self._error("metavariables are only allowed in rule files", t)
-            term = MorVar(name)
-        elif kind != "NAME":
-            raise self._error(f"expected a morphism, found {name!r}", t)
-        elif name == "id":
-            self.expect("LBRACK", "'['")
+        if w == "id":
+            self.expect("[", "'['")
             term = Id(self.parse_obj())
-            self.expect("RBRACK", "']'")
-        elif name in STRUCTURAL_KEYWORDS:
-            cls, arity = STRUCTURAL_KEYWORDS[name]
-            self.expect("LBRACK", "'['")
+            self.expect("]", "']'")
+        elif w in STRUCTURAL_KEYWORDS:
+            cls, arity = STRUCTURAL_KEYWORDS[w]
+            self.expect("[", "'['")
             args = [self.parse_obj()]
             for _ in range(arity - 1):
-                self.expect("COMMA", "','")
+                self.expect(",", "','")
                 args.append(self.parse_obj())
-            self.expect("RBRACK", "']'")
+            self.expect("]", "']'")
             term = cls(*args)
-        elif name == "inv":
-            self.expect("LPAREN", "'('")
-            term = Inv(self.expect("NAME", "a generator name")[1])
-            self.expect("RPAREN", "')'")
-        elif name == "I":
-            raise self._error("'I' is an object, not a morphism", t)
+        elif w == "inv":
+            self.expect("(", "'('")
+            term = Inv(self.take(_is_name, "a generator name"))
+            self.expect(")", "')'")
+        elif w == "I":
+            self.fail("'I' is an object, not a morphism", k)
+        elif _is_name(w):
+            term = MorGen(w)
+            ty = self.typer and self._type(self.typer.atom, term, k)
+            if ty:
+                self.gens[w] = ty
+            return term, ty
         else:
-            term = MorGen(name)
-        return term, self.typer and self._type(self.typer.atom, term, t,
+            term = MorVar(self._metavar(w, k, "a morphism"))
+        return term, self.typer and self._type(self.typer.atom, term, k,
                                                undeclared == self.undeclared)
 
+    def _metavar(self, w: str, k: int, what: str) -> str:
+        """The name of metavariable word ``w`` at ``k``, where ``what`` was expected."""
+
+        if not _is_metavar(w):
+            self.fail(f"expected {what}, found {{!r}}", k)
+        if not self.allow_metavars:
+            self.fail("metavariables are only allowed in rule files", k)
+        return w[1:]
+
     def parse_obj(self) -> ObjExpr:
-        obj = self.parse_objatom()
-        while self.tokens[self.pos][0] == "TENSOR":
-            self.pos += 1
-            obj = self.tensor_obj(obj, self.parse_objatom())
-        return obj
+        """``obj := objatom { "*" objatom }``, where an objatom may be a
+        parenthesized ``obj``."""
+
+        words, known, tensor_obj = self.words, self.known, self.tensor_obj
+        stack: list = []  # per open "(": its word and the enclosing tensor so far
+        obj = None
+        while True:
+            w = words[self.pos]
+            item = known.get(w)
+            if item is not None:
+                self.pos += 1
+            elif w == "(":
+                stack.append((self.pos, obj))
+                self.pos += 1
+                obj = None
+                continue
+            else:
+                item = self.parse_objatom()
+            while True:
+                obj = item if obj is None else tensor_obj(obj, item)
+                if words[self.pos] == "*":
+                    self.pos += 1
+                    break
+                if not stack:
+                    return obj
+                opened, outer = stack.pop()
+                self._parens(obj, opened)
+                item, obj = obj, outer
 
     def parse_objatom(self) -> ObjExpr:
-        t = self.next()
-        kind, name = t[0], t[1]
-        if kind == "LPAREN":
-            obj = self.parse_obj()
-            self._parens(obj, t)
-            return obj
-        if kind == "METAVAR":
-            if not self.allow_metavars:
-                raise self._error("metavariables are only allowed in rule files", t)
-            return ObjVar(name)
-        if kind != "NAME":
-            raise self._error(f"expected an object, found {name!r}", t)
-        if name == "I":
-            return UNIT
-        obj = self.objs.get(name)
+        """An object atom other than a parenthesized object or a word in ``known``."""
+
+        k = self.pos
+        w = self.words[k]
+        self.pos = k + 1
+        if not _is_name(w):
+            return ObjVar(self._metavar(w, k, "an object"))
+        obj = self.objs.get(w)
         if obj is not None:
+            self.known[w] = obj
             return obj
-        if name in RESERVED_NAMES:
-            raise self._error(f"{name!r} cannot be used as an object", t)
-        obj = ObjGen(name)
+        if w in RESERVED_NAMES:
+            self.fail("{!r} cannot be used as an object", k)
+        obj = ObjGen(w)
         if self.typer:
             self.undeclared += 1
-            self.spans[id(obj)] = self._span(t)
+            self.spans[id(obj)] = (k, k)
         return obj
 
 
@@ -346,11 +440,10 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
     later ``typecheck(term, sig)`` is a lookup.
     """
 
-    parser = _ExprParser(tokenize(text, sig.aliases), typer=Typer(sig))
+    parser = _ExprParser(text, sig.aliases, typer=Typer(sig))
     term, ty = parser.parse_expr()
-    parser.expect("EOF", "end of expression")
-    if parser.error is not None:
-        raise parser.error
+    parser.expect("", "end of expression")
+    parser.raise_error()
     keep_type(term, sig, MorType(*ty))
     return term
 
@@ -358,9 +451,9 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
 def parse_obj(text: str, sig: Signature) -> ObjExpr:
     """Parse an object expression (generator names checked against ``sig``)."""
 
-    parser = _ExprParser(tokenize(text, sig.aliases))
+    parser = _ExprParser(text, sig.aliases)
     obj = parser.parse_obj()
-    parser.expect("EOF", "end of expression")
+    parser.expect("", "end of expression")
     for name in flatten_object(obj):
         if not sig.is_object(name):
             raise UndeclaredName(f"undeclared object {name!r}")
@@ -561,10 +654,10 @@ def parse_signature(text: str) -> Signature:
 
 
 def _parse_obj_raw(text: str, span: SourceSpan) -> ObjExpr:
-    parser = _ExprParser(tokenize(text))
+    parser = _ExprParser(text)
     try:
         obj = parser.parse_obj()
-        parser.expect("EOF", "end of object")
+        parser.expect("", "end of object")
     except ParseError as err:
         err.span = err.span or span
         raise
@@ -638,29 +731,28 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
         word = line.split(None, 1)[0]
         span = SourceSpan(line_no, 1, 0, len(line))
         if word == "var":
-            parser = _ExprParser(tokenize(line[len(word):].strip()), allow_metavars=True)
-            mv = parser.expect("METAVAR", "a metavariable")
-            parser.expect("COLON", "':'")
+            parser = _ExprParser(line[len(word):].strip(), allow_metavars=True)
+            mv = parser.take(_is_metavar, "a metavariable")[1:]
+            parser.expect(":", "':'")
             dom = parser.parse_obj()
-            parser.expect("ARROW", "'->'")
+            parser.expect("->", "'->'")
             cod = parser.parse_obj()
-            parser.expect("EOF", "end of declaration")
-            if mv[1] in declared:
-                raise ParseError(f"metavariable ?{mv[1]} declared twice", span=span)
-            declared[mv[1]] = MorType(dom, cod)
-            decl_order.append((mv[1], declared[mv[1]]))
+            parser.expect("", "end of declaration")
+            if mv in declared:
+                raise ParseError(f"metavariable ?{mv} declared twice", span=span)
+            declared[mv] = MorType(dom, cod)
+            decl_order.append((mv, declared[mv]))
         elif word == "rule":
             rest = line[len(word):].strip()
             if ":" not in rest:
                 raise ParseError("expected: rule NAME : LHS => RHS", span=span)
             name, body = rest.split(":", 1)
             name = name.strip()
-            toks = tokenize(body, sig.aliases)
-            parser = _ExprParser(toks, allow_metavars=True)
+            parser = _ExprParser(body, sig.aliases, allow_metavars=True)
             lhs = parser.parse_expr()[0]
-            parser.expect("DARROW", "'=>'")
+            parser.expect("=>", "'=>'")
             rhs = parser.parse_expr()[0]
-            parser.expect("EOF", "end of rule")
+            parser.expect("", "end of rule")
             if any(tensor_leaves(el) is None for el in comp_chain(lhs)):
                 raise ParseError("rule lhs chain elements must be composition-free", span=span)
             free = _collect_metavars(rhs) - _collect_metavars(lhs) - set(declared)

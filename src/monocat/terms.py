@@ -384,13 +384,18 @@ def _check_obj(obj: ObjExpr, objset, allow_vars: bool) -> None:
 def obj_label(obj: ObjExpr) -> str:
     """Fully parenthesized object text, used in error messages."""
 
-    if isinstance(obj, Unit):
-        return "I"
-    if isinstance(obj, ObjGen):
-        return obj.name
-    if isinstance(obj, ObjVar):
-        return "?" + obj.name
-    return f"({obj_label(obj.left)} * {obj_label(obj.right)})"
+    parts: list[str] = []
+    todo: list = [obj]  # objects still to label, and text to emit as it is
+    while todo:
+        o = todo.pop()
+        if isinstance(o, str):
+            parts.append(o)
+        elif isinstance(o, ObjTensor):
+            todo += (")", o.right, " * ", o.left, "(")
+        else:
+            parts.append("I" if isinstance(o, Unit) else "?" + o.name if isinstance(o, ObjVar)
+                         else o.name)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

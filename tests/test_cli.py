@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, output format, REPL stepping."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,13 +118,32 @@ def test_normalize(sig_path, capsys):
         "in=[N,A]; layers=[[f([N]->[B])|h([A]->[M])]]; out=[B,M]"
 
 
-def test_crash_exits_2_with_one_line(sig_path, capsys):
-    # 1500 nested parentheses overflow the default recursion limit inside the
-    # library: that is an error (2), never "unequal" (1), and no traceback
-    code = run(["normalize", "--sig", sig_path, "u ; (" * 1499 + "u" + ")" * 1499])
-    err = capsys.readouterr().err
+def test_crash_exits_2_with_one_line(sig_path, capsys, monkeypatch):
+    # a crash inside the library is an error (2), never "unequal" (1), and no traceback
+    def overflow(*_args):
+        raise RecursionError("maximum recursion depth exceeded\n while calling a Python object")
+
+    monkeypatch.setattr("monocat.coherence.sheet_of_term", overflow)
+    code = run(["check", "--sig", sig_path, "--method", "monoidal", "u", "u"])
     assert code == 2
-    assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == \
+        "error: RecursionError: maximum recursion depth exceeded while calling a Python object\n"
+
+
+def test_deep_parentheses_normalize(sig_path, capsys, default_recursion_limit):
+    code = run(["normalize", "--sig", sig_path, "u ; (" * 1499 + "u" + ")" * 1499])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * 1500)}]; out=[A]\n"
+
+
+def test_import_leaves_numpy_out():
+    # only the matrix and relation oracles need numpy; it is imported on their first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, monocat.cli; assert 'numpy' not in sys.modules; "
+            "from monocat import eval_matrix; assert 'numpy' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_long_chain_normalizes(sig_path, capsys):

@@ -1,10 +1,13 @@
 """The regex lexer against the per-character reference lexer."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_lexer
-from monocat.parser import ParseError, parse_signature, tokenize
+from monocat.parser import ParseError, _words, parse_signature, tokenize
 
 # Symbol aliases (one overlaps "->", one starts with a digit, one is a
 # prefix of another) and word aliases, one of them to ``id``.
@@ -48,3 +51,48 @@ def test_tokens_and_errors_match_reference(text, aliases):
 @pytest.mark.parametrize("aliases", ALIAS_SETS)
 def test_edge_cases_match_reference(text, aliases):
     assert _outcome(tokenize, text, aliases) == _outcome(reference_lexer.tokenize, text, aliases)
+
+
+# ---------------------------------------------------------------------------
+# The parser's word list: the tokens' words without positions
+# ---------------------------------------------------------------------------
+
+_OPERATOR_WORD = {"COMPOSE": ";", "TENSOR": "*", "EOF": ""}
+
+
+def _token_words(text, aliases):
+    """The words ``_words`` must give, rebuilt from ``tokenize``'s tokens."""
+
+    return [_OPERATOR_WORD.get(kind, "?" + word if kind == "METAVAR"
+                               else f'"{word}"' if kind == "STRING" else word)
+            for kind, word, *_ in tokenize(text, aliases)]
+
+
+def _assert_words_match(text, aliases):
+    expected = _token_words(text, aliases)
+    words = _words(text, aliases or {})
+    assert words[:len(expected)] == expected and set(words[len(expected):]) <= {""}
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts, st.sampled_from(ALIAS_SETS))
+def test_words_are_the_tokens_words(text, aliases):
+    try:
+        tokenize(text, aliases)
+    except ParseError:
+        return
+    _assert_words_match(text, aliases)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_words_on_prove_pools(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    pool = gen.prove_pool(seed)
+    requests = pool["requests"] + pool["probe"]
+    texts = [r[side] for r in requests for side in ("lhs", "rhs", "expr") if side in r]
+    assert len(texts) > 150
+    for text in texts:
+        _assert_words_match(text, {})

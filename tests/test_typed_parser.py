@@ -3,19 +3,23 @@ shared boundary objects, and depth at the default recursion limit."""
 
 import copy
 import dataclasses
+import importlib.util
 import pickle
 import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import monocat.terms as terms
-from gen import random_term, std_sig
-from monocat.parser import parse_expr, parse_rules, parse_signature, print_expr
+from gen import STD_SIG_TEXT, random_term, std_sig
+from monocat.parser import ParseError, parse_expr, parse_rules, parse_signature, print_expr
+from monocat.coherence import Equal, monoidal_eq
 from monocat.tactics import cancel_isos, foliate
 from monocat.terms import (
     CatError,
     Comp,
+    CompositionMismatch,
     Id,
     Inv,
     MorGen,
@@ -283,3 +287,123 @@ def test_long_constructed_chain_types(default_recursion_limit):
     for _ in range(1500):
         term = Comp(term, MorGen("u"))
     assert typecheck(term, DEPTH_SIG).cod == ObjGen("A")
+
+
+# ---------------------------------------------------------------------------
+# The word-list lexer: aliases, Unicode operators, comments and lexical
+# errors, which a full lex must report before any parse or type error
+# ---------------------------------------------------------------------------
+
+ALIASED = parse_signature(STD_SIG_TEXT + 'alias "then" = compose\nalias "par" = tensor\n'
+                          'alias "ident" = id\nalias "⊸" = compose\nalias "-" = tensor\n'
+                          'alias "2x" = id\nalias "::" = compose\nalias ":::" = tensor\n')
+# declared names that are not lexical names: they can never be used
+ODD_NAMES = parse_signature("category symmetric\nobject A\nobject $\nmor $x : A -> A\n"
+                            'mor ²f : A -> A\nmor "q" : A -> A\nmor ?m : A -> A\n')
+LEXICAL_SIGS = {**SIGS, "alias": ALIASED, "odd": ODD_NAMES}
+
+LEXICAL_CORPUS = [
+    ("alias", "f then g"), ("alias", "f ⊸ g"), ("alias", "u par u"), ("alias", "u - u"),
+    ("alias", "u-u--u"), ("alias", "ident[A] then u"), ("alias", "2x[A] ; u"),
+    ("alias", "2x[A]2x[A]"), ("alias", "f :: g"), ("alias", "u ::: u :: u"), ("alias", "f ∘ g"),
+    ("alias", "(u ⊗ u) ∘ (u * u)"), ("alias", "id[A ⊗ A] then (u par u)"), ("alias", "u then"),
+    ("alias", "then u"), ("alias", "u par"), ("alias", "ident"), ("alias", "ident[Z]"),
+    ("alias", "inv(then)"), ("alias", "id[ident]"), ("alias", "f then f then ²"),
+    ("alias", "f then f ; $"), ("alias", "nosuch - ?"), ("alias", "(u - u) ⊸ id[A * $]"),
+    ("std", "f ∘ g"), ("std", "u ⊗ u ∘ id[A ⊗ A]"), ("std", "id[A ⊗ (B ⊗ C)] ∘ f"),
+    ("std", "u ⊗ f ∘ f"), ("std", "f ∘ f ∘ ²"), ("std", "Ωmega ; 名前"), ("std", "u ; é"),
+    ("std", "u ; # comment\n u"), ("std", "u # trailing"), ("std", "u ;\n# only\n  nosuch"),
+    ("std", "f ;\n f ; f"), ("std", "f ; f\n# c\n"), ("std", "u\n\n ; f ; f ; $"),
+    ("std", "u ; u # \"unterminated in a comment"), ("std", "u ; ?"), ("std", "?"),
+    ("std", "u ; 2"), ("std", "u2 ; u"), ("std", "u ; ²"), ("std", "u ; u²"), ("std", "²u"),
+    ("std", "u ; \"open"), ("std", '"'), ("std", 'u ; "s t"'), ("std", '"u"'), ("std", "$"),
+    ("std", "u ; \x00"), ("std", "u ; !"), ("std", "u ; '"), ("std", "u ; x'"), ("std", "_u"),
+    ("std", "f ; f ; )"), ("std", "f ; f ; ?"), ("std", "f ; f ; $"), ("std", "f ; f ; \"x\""),
+    ("std", "nosuch * $"), ("std", "(((u ; ²"), ("std", "id[²]"), ("std", "id[A * $]"),
+    ("std", "inv(²)"), ("std", "inv(?x)"), ("std", "inv(\"k\")"), ("std", "?x ; u"),
+    ("std", "id[?x]"), ("std", "id[A * ?]"), ("std", "f ; f ; ?x"), ("std", "id[Z] ; ?x"),
+    ("std", ""), ("std", "   "), ("std", "# only a comment"), ("std", "u ; ;"),
+    ("std", "u ->"), ("std", "u => u"), ("std", "id[A, B]"), ("std", "braid[A B]"),
+    ("std", "id[I]"), ("std", "I"), ("std", "id[id]"), ("std", "id[(A * B]"),
+    ("odd", "$x"), ("odd", "²f"), ("odd", '"q"'), ("odd", "?m"), ("odd", "id[$]"),
+    ("odd", "id[A * $]"), ("odd", "$x ; u"), ("odd", "id[A] ; ²f"),
+]
+
+
+@pytest.mark.parametrize("sig_name,text", LEXICAL_CORPUS)
+def test_lexical_corpus_matches_reference(sig_name, text):
+    sig = LEXICAL_SIGS[sig_name]
+    assert _outcome(parse_expr, text, sig) == _outcome(reference_parse_expr, text, sig)
+
+
+def test_random_aliased_and_unicode_texts_match_reference():
+    rng = Random(20261019)
+    spell = {" ; ": (" ; ", " then ", " ⊸ ", " :: ", " ∘ ", ";"),
+             " * ": (" * ", " par ", " - ", " ::: ", " ⊗ ", "*")}
+    kinds = set()
+    for _, text in _random_corpus(600):
+        text = re.sub(r" [;*] ", lambda m: rng.choice(spell[m.group()]), text)
+        if rng.random() < 0.3:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(["# note\n", "\n", " ²", " ?", ' "', " 2", " $"]) + \
+                text[at:]
+        got = _outcome(parse_expr, text, ALIASED)
+        assert got == _outcome(reference_parse_expr, text, ALIASED), text
+        kinds.add(got[0])
+    assert {"ok", "ParseError", "UndeclaredName", "CompositionMismatch"} <= kinds
+
+
+def test_lexical_error_wins_over_earlier_parse_and_type_errors():
+    for text, bad in (("f ; f ; ) ²", "²"), ("nosuch ; ) $", "$"), ("f ; f ; ?", "?"),
+                      ('u ; ) "open', '"')):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, STD)
+        assert exc.value.span.start == text.index(bad)
+
+
+# ---------------------------------------------------------------------------
+# Parentheses at any depth, at the default recursion limit
+# ---------------------------------------------------------------------------
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deep_parenthesized_chain_parses_and_prints(default_recursion_limit):
+    text = "u ; (" * 9998 + "u ; u" + ")" * 9998  # 10k elements
+    term = parse_expr(text, DEPTH_SIG)
+    assert typecheck(term, DEPTH_SIG) == MorType(ObjGen("A"), ObjGen("A"))
+    assert print_expr(term) == text
+
+
+def test_deep_parenthesized_object_parses_and_prints(default_recursion_limit):
+    text = "id[" + "A * (" * 1198 + "A * A" + ")" * 1198 + "]"
+    term = parse_expr(text, DEPTH_SIG)
+    obj, depth = term.obj, 0
+    while isinstance(obj, ObjTensor):
+        obj, depth = obj.right, depth + 1
+    assert depth == 1199 and typecheck(term, DEPTH_SIG).dom is term.obj
+    assert print_expr(term) == text
+
+
+def test_deep_chain_probe_pairs_are_equal(default_recursion_limit):
+    pool = _perfbench_gen().prove_pool(1)
+    sig = parse_signature(pool["sig"])
+    assert len(pool["probe"]) == 8
+    for pair in pool["probe"]:
+        lhs, rhs = parse_expr(pair["lhs"], sig), parse_expr(pair["rhs"], sig)
+        assert isinstance(monoidal_eq(lhs, rhs, sig), Equal), pair["shape"]
+
+
+def test_mismatch_on_a_wide_object_is_reported(default_recursion_limit):
+    label = "A"
+    for _ in range(1199):
+        label = f"({label} * A)"
+    with pytest.raises(CompositionMismatch) as exc:
+        parse_expr("(" + " * ".join(["u"] * 1200) + ") ; f", STD)
+    assert str(exc.value) == f"cannot compose: codomain {label} does not match domain A"
