@@ -260,3 +260,22 @@ def test_rule_lhs_must_be_chain_of_atoms():
     with pytest.raises(ParseError):
         parse_rules("rule bad : ((f ; g) * id[C]) ; (h * id[C]) => (h * id[C]) ; (h * id[C])\n",
                     RULE_SIG)
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("var ? : A -> B\n", "'?' must be followed by a metavariable name", 1),
+    ("var ?x : A -> $\n", "unexpected character '$'", 11),
+    ("var x : A -> B\n", "expected a metavariable, found 'x'", 1),
+    ("var ?x : A -> B C\n", "expected end of declaration, found 'C'", 13),
+    ("rule r : f ; ² => h\n", "unexpected character '²'", 6),
+    ("rule r : f ; g => nosuch ; $\n", "unexpected character '$'", 20),
+    ("rule r : f ; g => ?\n", "'?' must be followed by a metavariable name", 11),
+    ('rule r : f ; g => "s"\n', "expected a morphism, found 's'", 11),
+    ("rule r : f ; g =>\n", "expected a morphism, found ''", 10),
+    ("rule r : f ; id[?] => h\n", "'?' must be followed by a metavariable name", 9),
+])
+def test_rule_file_lexical_and_syntax_errors(text, message, column):
+    # var-line columns count from the declaration after "var", rule columns from the body
+    with pytest.raises(ParseError) as exc:
+        parse_rules(text, RULE_SIG)
+    assert str(exc.value) == message and exc.value.span.column == column
