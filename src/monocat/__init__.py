@@ -2,7 +2,6 @@
 coherence-based normal form, rewriting tactics, matrix/relation
 semantic oracles and string-diagram rendering."""
 
-
 from .coherence import (
     Equal,
     NormalForm,

@@ -12,16 +12,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import TYPE_CHECKING
 
-from . import coherence, render, tactics
+from . import coherence, render, semantics, tactics
 from .coherence import dump_normal_form, monoidal_eq
 from .parser import parse_expr, parse_rules, parse_signature, print_expr, print_obj
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
 from .terms import CatError, MorExpr, Signature, typecheck
-
-if TYPE_CHECKING:
-    from .semantics import MatrixInstance, RelInstance
 
 CONFIG_ENV_VAR = "MONOCAT_CONFIG"
 
@@ -40,7 +36,8 @@ def _render_config(args) -> render.RenderConfig:
 
 
 def _check_pair(method: str, sig: Signature, text1: str, text2: str,
-                backend: Callable[[], MatrixInstance | RelInstance]) -> tuple[bool, str]:
+                backend: Callable[[], semantics.MatrixInstance | semantics.RelInstance]
+                ) -> tuple[bool, str]:
     """Returns (equal, human-readable report)."""
 
     t1 = parse_expr(text1, sig)
@@ -59,16 +56,12 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
             return True, f"proved (cat_easy)\n{trace}"
         return False, f"not proved (cat_easy)\n{trace}"
     if method == "matrix":
-        from . import semantics
-
         inst = backend()
         m1, m2 = semantics.eval_matrix(t1, inst), semantics.eval_matrix(t2, inst)
         if semantics.mat_equiv(m1, m2, inst.tolerance):
             return True, "equal (matrix backend)"
         return False, "unequal (matrix backend)"
     if method == "rel":
-        from . import semantics
-
         inst = backend()
         r1, r2 = semantics.eval_rel(t1, inst), semantics.eval_rel(t2, inst)
         if r1 == r2:
@@ -79,14 +72,10 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
 
 def _cmd_check(args) -> int:
     sig = _load_signature(args.sig)
-
-    @cache
-    def backend() -> MatrixInstance | RelInstance:
-        # one instance per run, built once the first pair to need it has parsed
-        from . import semantics
-
-        return semantics.matrix_instance(sig, args.tolerance) if args.method == "matrix" \
-            else semantics.rel_instance(sig)
+    # one backend instance per run, built once the first pair to need it has parsed;
+    # ``semantics`` (and numpy) loads on its first attribute access, here or in _check_pair
+    backend = cache(lambda: semantics.matrix_instance(sig, args.tolerance)
+                    if args.method == "matrix" else semantics.rel_instance(sig))
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
             pairs = []

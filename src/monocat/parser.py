@@ -109,13 +109,15 @@ STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
 # ``[^\W\d]`` also admits are lexical errors.  Symbol aliases go first.
 _SKIP = r"\s*+(?:#[^\n]*+\s*+)*+"
 _WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*+|\"[^\"]*+\"|[^\W\d][\w']*+|.|\Z"
-_KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "∘": "COMPOSE", "*": "TENSOR",
-          "⊗": "TENSOR", "[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
-          ",": "COMMA", ":": "COLON", "=": "EQUALS"}
-_ALIAS_KIND = {"compose": "COMPOSE", "tensor": "TENSOR", "id": "NAME"}
-#: The word the parser reads for each alias target and Unicode operator.
-_BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}
-_UNICODE = {"∘": ";", "⊗": "*"}
+_KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "*": "TENSOR", "[": "LBRACK",
+          "]": "RBRACK", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQUALS"}
+_BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}  # the word for each alias target
+
+
+def _builtins(aliases: dict[str, str]) -> dict[str, str]:
+    """The builtin word each alias and Unicode operator stands for."""
+
+    return {"∘": ";", "⊗": "*"} | {tok: _BUILTIN[target] for tok, target in aliases.items()}
 
 
 def _is_name(word: str) -> bool:
@@ -148,6 +150,7 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
     """
 
     aliases = aliases or {}
+    builtins = _builtins(aliases)
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _lexer(aliases).finditer(text):
@@ -159,18 +162,16 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
         word = m.group(1)
         if not word:
             break
-        target = aliases.get(word)
-        kind = _KINDS.get(word) if target is None else _ALIAS_KIND[target]
-        if target == "id":
-            word = "id"
-        elif kind is None:
+        builtin = builtins.get(word, word)
+        kind = _KINDS.get(builtin)
+        if kind is None:
             head = word[0]
-            if head == "?" and len(word) > 1:
+            if builtin == "id" or _is_name(word):
+                kind, word = "NAME", builtin
+            elif head == "?" and len(word) > 1:
                 kind, word = "METAVAR", word[1:]
             elif head == '"' and len(word) > 1:
                 kind, word = "STRING", word[1:-1]
-            elif _is_name(head):
-                kind = "NAME"
             else:
                 span = SourceSpan(line, i - line_start + 1, i, len(text) if word == '"' else i + 1)
                 raise ParseError("'?' must be followed by a metavariable name" if word == "?"
@@ -191,8 +192,8 @@ def _words(text: str, aliases: dict[str, str]) -> list[str]:
 
     words = _lexer(aliases).findall(text)
     if aliases or not text.isascii():
-        table = _UNICODE | {tok: _BUILTIN[target] for tok, target in aliases.items()}
-        words = [table.get(w, w) for w in words]
+        builtins = _builtins(aliases)
+        words = [builtins.get(w, w) for w in words]
     return words
 
 
@@ -205,9 +206,9 @@ class _ExprParser:
     makes objects through the typer, so equal boundaries are one object.
     Nodes are built in the post-order a typecheck walks them, so the first
     type error met is the one that walk would raise.  It is recorded, not
-    raised, with the first and last word of the node it names (``spans``
-    holds those of undeclared object names), and typing stops; the caller
-    raises it once the text has parsed.
+    raised, and typing stops; the caller raises it once the text has
+    parsed, with the span of the node it names: ``spans`` holds the first
+    and last word of that node and of each undeclared object name.
 
     Source positions are found only for an error, by :func:`tokenize`,
     which raises a lexical error in the text before any other.
@@ -224,15 +225,8 @@ class _ExprParser:
         self.objs = typer.objs if typer else {}
         self.tensor_obj = typer.tensor_obj if typer else ObjTensor
         self.undeclared = 0  # fresh generators made for names ``objs`` lacks
-        self.known: dict[str, ObjExpr] = {"I": UNIT}  # checked object words: their objects
-        self.gens: dict[str, tuple] = {}  # checked generator words: their boundaries
         self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
-        self.error_span: tuple[int, int] | None = None
-
-    def _source_span(self, first: int, last: int) -> SourceSpan:
-        tokens = tokenize(self.text, self.aliases)
-        return SourceSpan(*tokens[first][2:5], tokens[last][5])
 
     def fail(self, message: str, k: int) -> NoReturn:
         """Raise a ParseError at word ``k``; ``{!r}`` in ``message`` is its token text."""
@@ -262,8 +256,10 @@ class _ExprParser:
         """Raise the recorded type error, if any, with its source span."""
 
         if self.error is not None:
-            if self.error_span is not None:
-                self.error.span = self._source_span(*self.error_span)
+            span = self.spans.get(id(self.error.term))
+            if span is not None:
+                tokens = tokenize(self.text, self.aliases)
+                self.error.span = SourceSpan(*tokens[span[0]][2:5], tokens[span[1]][5])
             raise self.error
 
     def _type(self, fn, node, start: int, *args):
@@ -273,8 +269,8 @@ class _ExprParser:
             return fn(node, *args)
         except CatError as err:
             self.typer, self.error = None, err
-            self.error_span = (start, self.pos - 1) if err.term is node \
-                else self.spans.get(id(err.term))
+            if err.term is node:
+                self.spans[id(node)] = (start, self.pos - 1)
             return None
 
     def _parens(self, node, opened: int) -> None:
@@ -282,59 +278,57 @@ class _ExprParser:
         which widens ``node``'s span if it has one."""
 
         self.expect(")", "')'")
-        if self.error is not None and node is self.error.term:
-            self.error_span = (opened, self.pos - 1)
-        elif id(node) in self.spans:
+        if id(node) in self.spans:
             self.spans[id(node)] = (opened, self.pos - 1)
+
+    def _chains(self, atom, tensor, comp=None):
+        """``atom { "*" atom }`` chains, joined by ";" when ``comp`` is given,
+        where an atom may be a parenthesized group; both operators associate
+        to the left.  ``tensor(left, right)`` and ``comp(left, right, start)``
+        join two results.  Open groups wait on an explicit stack."""
+
+        words = self.words
+        groups = [[self.pos, None, None]]  # per open group: its first word, chain, tensor
+        while True:
+            if words[self.pos] == "(":
+                self.pos += 1
+                groups.append([self.pos, None, None])
+                continue
+            item = atom()
+            while True:
+                group = groups[-1]
+                group[2] = item if group[2] is None else tensor(group[2], item)
+                w = words[self.pos]
+                if w == "*":
+                    self.pos += 1
+                    break
+                group[1] = group[2] if group[1] is None else comp(group[1], group[2], group[0])
+                group[2] = None
+                if w == ";" and comp:
+                    self.pos += 1
+                    break
+                if len(groups) == 1:
+                    return group[1]
+                groups.pop()
+                item = group[1]
+                self._parens(item[0] if comp else item, group[0] - 1)
 
     def parse_expr(self) -> tuple[MorExpr, tuple | None]:
         """``expr := tensor { ";" tensor }``, ``tensor := atom { "*" atom }``,
         where an atom may be a parenthesized ``expr``."""
 
-        words, gens = self.words, self.gens
-        stack: list = []  # per open "(": its word, and the enclosing chain's start, chain, tensor
-        start, chain, tensor = self.pos, None, None  # chain and tensor: (term, type) so far
-        while True:
-            w = words[self.pos]
-            ty = gens.get(w)
-            if ty is not None:
-                item = MorGen(w), ty
-                self.pos += 1
-            elif w == "(":
-                stack.append((self.pos, start, chain, tensor))
-                self.pos += 1
-                start, chain, tensor = self.pos, None, None
-                continue
-            else:
-                item = self.parse_atom()
-            while True:
-                if tensor is None:
-                    tensor = item
-                else:
-                    term = Tensor(tensor[0], item[0])
-                    tensor = term, self.typer and self.typer.tensor(term, tensor[1], item[1])
-                w = words[self.pos]
-                if w == "*":
-                    self.pos += 1
-                    break
-                if chain is None:
-                    chain = tensor
-                else:
-                    term = Comp(chain[0], tensor[0])
-                    ty, rty = chain[1], tensor[1]
-                    if self.typer:
-                        ty = (ty[0], rty[1]) if ty[1] is rty[0] else \
-                            self._type(self.typer.comp, term, start, ty, rty)
-                    chain = term, ty
-                tensor = None
-                if w == ";":
-                    self.pos += 1
-                    break
-                if not stack:
-                    return chain
-                opened, start, outer_chain, tensor = stack.pop()
-                self._parens(chain[0], opened)
-                item, chain = chain, outer_chain
+        return self._chains(self.parse_atom, self._tensor, self._comp)
+
+    def _tensor(self, top, bottom) -> tuple[MorExpr, tuple | None]:
+        term = Tensor(top[0], bottom[0])
+        return term, self.typer and self.typer.tensor(term, top[1], bottom[1])
+
+    def _comp(self, first, second, start: int) -> tuple[MorExpr, tuple | None]:
+        term, ty, rty = Comp(first[0], second[0]), first[1], second[1]
+        if self.typer:
+            ty = (ty[0], rty[1]) if ty[1] is rty[0] else \
+                self._type(self.typer.comp, term, start, ty, rty)
+        return term, ty
 
     def parse_atom(self) -> tuple[MorExpr, tuple | None]:
         """A morphism atom other than a parenthesized expression."""
@@ -364,10 +358,6 @@ class _ExprParser:
             self.fail("'I' is an object, not a morphism", k)
         elif _is_name(w):
             term = MorGen(w)
-            ty = self.typer and self._type(self.typer.atom, term, k)
-            if ty:
-                self.gens[w] = ty
-            return term, ty
         else:
             term = MorVar(self._metavar(w, k, "a morphism"))
         return term, self.typer and self._type(self.typer.atom, term, k,
@@ -386,43 +376,20 @@ class _ExprParser:
         """``obj := objatom { "*" objatom }``, where an objatom may be a
         parenthesized ``obj``."""
 
-        words, known, tensor_obj = self.words, self.known, self.tensor_obj
-        stack: list = []  # per open "(": its word and the enclosing tensor so far
-        obj = None
-        while True:
-            w = words[self.pos]
-            item = known.get(w)
-            if item is not None:
-                self.pos += 1
-            elif w == "(":
-                stack.append((self.pos, obj))
-                self.pos += 1
-                obj = None
-                continue
-            else:
-                item = self.parse_objatom()
-            while True:
-                obj = item if obj is None else tensor_obj(obj, item)
-                if words[self.pos] == "*":
-                    self.pos += 1
-                    break
-                if not stack:
-                    return obj
-                opened, outer = stack.pop()
-                self._parens(obj, opened)
-                item, obj = obj, outer
+        return self._chains(self.parse_objatom, self.tensor_obj)
 
     def parse_objatom(self) -> ObjExpr:
-        """An object atom other than a parenthesized object or a word in ``known``."""
+        """An object atom other than a parenthesized object."""
 
         k = self.pos
         w = self.words[k]
         self.pos = k + 1
         if not _is_name(w):
             return ObjVar(self._metavar(w, k, "an object"))
+        if w == "I":
+            return UNIT
         obj = self.objs.get(w)
         if obj is not None:
-            self.known[w] = obj
             return obj
         if w in RESERVED_NAMES:
             self.fail("{!r} cannot be used as an object", k)
@@ -538,32 +505,26 @@ _TOP_KEYWORDS = {"category", "object", "mor", "iso", "alias", "backend"}
 _BLOCK_KEYWORDS = {"dim", "mat", "inv", "size", "rel", "tolerance"}
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+#: A line up to its comment: a "#" outside a string, which runs to the next quote.
+_CODE = re.compile(r'(?:[^"#]++|"[^"]*+"?)*+')
+
+
+def _depth(line: str) -> int:
+    return sum(map(line.count, "[({")) - sum(map(line.count, "])}"))
 
 
 def _logical_lines(text: str):
     """Yield (line_no, text) with bracket-continuation joining."""
 
-    raw = text.split("\n")
+    raw = [_CODE.match(line).group().rstrip() for line in text.split("\n")]
     i = 0
     while i < len(raw):
-        line = _strip_comment(raw[i])
-        start = i + 1
-        depth = sum(line.count(b) for b in "[({") - sum(line.count(b) for b in "])}")
+        start, line = i + 1, raw[i]
+        depth = _depth(line)
         while depth > 0 and i + 1 < len(raw):
             i += 1
-            nxt = _strip_comment(raw[i])
-            line += " " + nxt.strip()
-            depth += sum(nxt.count(b) for b in "[({") - sum(nxt.count(b) for b in "])}")
+            line += " " + raw[i].strip()
+            depth += _depth(raw[i])
         i += 1
         if line.strip():
             yield start, line.strip()
@@ -618,8 +579,8 @@ def parse_signature(text: str) -> Signature:
             if "->" not in typ:
                 raise ParseError("morphism type needs '->'", span=span)
             dom_s, cod_s = typ.split("->", 1)
-            dom = _parse_obj_raw(dom_s.strip(), span)
-            cod = _parse_obj_raw(cod_s.strip(), span)
+            dom = _parse_obj_raw(dom_s.strip())
+            cod = _parse_obj_raw(cod_s.strip())
             morphisms.append(MorDecl(name, dom, cod, iso=(word == "iso")))
         elif word == "alias":
             toks = tokenize(line[len(word):].strip())
@@ -643,24 +604,19 @@ def parse_signature(text: str) -> Signature:
 
     if not level_seen:
         raise ParseError("signature file must declare a category level")
-    sig = Signature(
+    return Signature(
         level=level,
         objects=tuple(objects),
         morphisms=tuple(morphisms),
         aliases=aliases,
         backend_blocks=tuple(BackendBlock(kind, tuple(entries)) for kind, entries in blocks),
     )
-    return sig
 
 
-def _parse_obj_raw(text: str, span: SourceSpan) -> ObjExpr:
+def _parse_obj_raw(text: str) -> ObjExpr:
     parser = _ExprParser(text)
-    try:
-        obj = parser.parse_obj()
-        parser.expect("", "end of object")
-    except ParseError as err:
-        err.span = err.span or span
-        raise
+    obj = parser.parse_obj()
+    parser.expect("", "end of object")
     return obj
 
 
