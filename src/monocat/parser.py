@@ -168,7 +168,7 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
             head = word[0]
             if builtin == "id" or _is_name(word):
                 kind, word = "NAME", builtin
-            elif head == "?" and len(word) > 1:
+            elif _is_metavar(word):
                 kind, word = "METAVAR", word[1:]
             elif head == '"' and len(word) > 1:
                 kind, word = "STRING", word[1:-1]
