@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -31,3 +32,13 @@ def default_recursion_limit():
 @pytest.fixture(scope="session")
 def golden_dir():
     return Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(scope="session")
+def perfbench_gen():
+    """The benchmark's seeded input generator (``perfbench/gen.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,8 +1,5 @@
 """The regex lexer against the per-character reference lexer."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,12 +82,8 @@ def test_words_are_the_tokens_words(text, aliases):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_words_on_prove_pools(seed):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    pool = gen.prove_pool(seed)
+def test_words_on_prove_pools(perfbench_gen, seed):
+    pool = perfbench_gen.prove_pool(seed)
     requests = pool["requests"] + pool["probe"]
     texts = [r[side] for r in requests for side in ("lhs", "rhs", "expr") if side in r]
     assert len(texts) > 150

@@ -3,18 +3,16 @@ shared boundary objects, and depth at the default recursion limit."""
 
 import copy
 import dataclasses
-import importlib.util
 import pickle
 import re
-from pathlib import Path
 from random import Random
 
 import pytest
 
 import monocat.terms as terms
 from gen import STD_SIG_TEXT, random_term, std_sig
-from monocat.parser import ParseError, parse_expr, parse_rules, parse_signature, print_expr
 from monocat.coherence import Equal, monoidal_eq
+from monocat.parser import ParseError, parse_expr, parse_rules, parse_signature, print_expr
 from monocat.tactics import cancel_isos, foliate
 from monocat.terms import (
     CatError,
@@ -366,14 +364,6 @@ def test_lexical_error_wins_over_earlier_parse_and_type_errors():
 # ---------------------------------------------------------------------------
 
 
-def _perfbench_gen():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_deep_parenthesized_chain_parses_and_prints(default_recursion_limit):
     text = "u ; (" * 9998 + "u ; u" + ")" * 9998  # 10k elements
     term = parse_expr(text, DEPTH_SIG)
@@ -391,8 +381,8 @@ def test_deep_parenthesized_object_parses_and_prints(default_recursion_limit):
     assert print_expr(term) == text
 
 
-def test_deep_chain_probe_pairs_are_equal(default_recursion_limit):
-    pool = _perfbench_gen().prove_pool(1)
+def test_deep_chain_probe_pairs_are_equal(perfbench_gen, default_recursion_limit):
+    pool = perfbench_gen.prove_pool(1)
     sig = parse_signature(pool["sig"])
     assert len(pool["probe"]) == 8
     for pair in pool["probe"]:
