@@ -107,22 +107,19 @@ STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
 # exactly ``str.isalnum()`` plus "_", so names are ``[\w']`` runs; a name
 # starts with a letter or "_", and the few non-decimal numerals that
 # ``[^\W\d]`` also admits are lexical errors.  Symbol aliases go first.
-_SKIP = r"\s*+(?:#[^\n]*+\s*+)*+"
-_WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*+|\"[^\"]*+\"|[^\W\d][\w']*+|.|\Z"
+# After the skip, "." or "\Z" always fits, so the skip is never undone.
+_SKIP = r"\s*(?:#[^\n]*\s*)*"
+_WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*|\"[^\"]*\"|[^\W\d][\w']*|.|\Z"
 _KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "*": "TENSOR", "[": "LBRACK",
           "]": "RBRACK", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQUALS"}
 _BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}  # the word for each alias target
 
 
-def _builtins(aliases: dict[str, str]) -> dict[str, str]:
-    """The builtin word each alias and Unicode operator stands for."""
-
+def _builtins(aliases: dict[str, str]) -> dict[str, str]:  # for aliases and ∘ ⊗
     return {"∘": ";", "⊗": "*"} | {tok: _BUILTIN[target] for tok, target in aliases.items()}
 
 
-def _is_name(word: str) -> bool:
-    """Whether ``word`` starts like a name: with a letter or "_"."""
-
+def _is_name(word: str) -> bool:  # starts with a letter or "_"
     return word[:1].isalpha() or word[:1] == "_"
 
 
@@ -131,14 +128,9 @@ def _is_metavar(word: str) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _compile(symbol_aliases: tuple[str, ...]) -> re.Pattern:
-    alias = "".join(re.escape(tok) + "|" for tok in symbol_aliases)
-    return re.compile(f"{_SKIP}({alias}{_WORD})")
-
-
-def _lexer(aliases: dict[str, str]) -> re.Pattern:
-    return _compile(tuple(sorted((tok for tok in aliases if not _is_name(tok)),
-                                 key=len, reverse=True)))
+def _lexer(alias_words: tuple[str, ...]) -> re.Pattern:
+    symbols = sorted((tok for tok in alias_words if not _is_name(tok)), key=len, reverse=True)
+    return re.compile(f"{_SKIP}({''.join(re.escape(tok) + '|' for tok in symbols)}{_WORD})")
 
 
 def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
@@ -153,7 +145,7 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
     builtins = _builtins(aliases)
     tokens: list[Token] = []
     line, line_start = 1, 0
-    for m in _lexer(aliases).finditer(text):
+    for m in _lexer(tuple(aliases)).finditer(text):
         skipped, (i, j) = m.start(), m.span(1)
         newline = text.rfind("\n", skipped, i)
         if newline >= 0:
@@ -184,13 +176,10 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
 
 
 def _words(text: str, aliases: dict[str, str]) -> list[str]:
-    """The words of ``text`` as :func:`tokenize` would lex them, without
-    positions, checks or kinds: alias words and ``∘``/``⊗`` become the
-    builtin they stand for, metavariables keep their "?" and strings their
-    quotes, and "" marks the end.  Lexical errors are words no grammar rule
-    accepts."""
+    """The words :func:`tokenize` would lex, unchecked, as their text: with "?"
+    and quotes kept, aliases and ``∘``/``⊗`` as builtins, and "" at the end."""
 
-    words = _lexer(aliases).findall(text)
+    words = _lexer(tuple(aliases)).findall(text)
     if aliases or not text.isascii():
         builtins = _builtins(aliases)
         words = [builtins.get(w, w) for w in words]
@@ -198,20 +187,18 @@ def _words(text: str, aliases: dict[str, str]) -> list[str]:
 
 
 class _ExprParser:
-    """Parser for morphism and object expressions over :func:`_words`.
+    """Parser for morphism and object expressions over :func:`_words`;
+    parentheses wait on an explicit stack, so no nesting depth recurses.
 
-    Parentheses wait on an explicit stack, so no nesting depth recurses.
     Given a :class:`Typer`, it types each morphism node as it builds it
     (``parse_*`` return the node and its ``(dom, cod)``, else ``None``) and
     makes objects through the typer, so equal boundaries are one object.
     Nodes are built in the post-order a typecheck walks them, so the first
-    type error met is the one that walk would raise.  It is recorded, not
-    raised, and typing stops; the caller raises it once the text has
-    parsed, with the span of the node it names: ``spans`` holds the first
-    and last word of that node and of each undeclared object name.
-
-    Source positions are found only for an error, by :func:`tokenize`,
-    which raises a lexical error in the text before any other.
+    type error met is the one that walk would raise.  It is recorded, and
+    typing stops; the caller raises it once the text has parsed, with the
+    span of the node it names (``spans`` holds the first and last word of
+    that node and of each undeclared object name).  Source positions come
+    from :func:`tokenize`, only for an error, so a lexical error is first.
     """
 
     def __init__(self, text: str, aliases: dict[str, str] | None = None,
@@ -228,38 +215,33 @@ class _ExprParser:
         self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
 
+    def _span(self, first: int, last: int) -> tuple[str, SourceSpan]:
+        """The text of word ``first`` and the span of words ``first`` to ``last``."""
+
+        tokens = tokenize(self.text, self.aliases)
+        return tokens[first][1], SourceSpan(*tokens[first][2:5], tokens[last][5])
+
     def fail(self, message: str, k: int) -> NoReturn:
         """Raise a ParseError at word ``k``; ``{!r}`` in ``message`` is its token text."""
 
-        t = tokenize(self.text, self.aliases)[k]
-        raise ParseError(message.format(t[1]), span=SourceSpan(*t[2:]))
+        word, span = self._span(k, k)
+        raise ParseError(message.format(word), span=span)
 
-    def expect(self, word: str, what: str) -> None:
-        if self.words[self.pos] != word:
-            self._expected(what)
-        self.pos += 1
-
-    def take(self, is_word, what: str) -> str:
-        """The next word, which must satisfy ``is_word``."""
+    def take(self, want, what: str) -> str:
+        """The next word, which must equal ``want`` or, if callable, satisfy it."""
 
         w = self.words[self.pos]
-        if not is_word(w):
-            self._expected(what)
+        if w != want and (type(want) is str or not want(w)):
+            self.fail(f"expected {what}, found {'{!r}' if w else 'end of input'}", self.pos)
         self.pos += 1
         return w
-
-    def _expected(self, what: str) -> NoReturn:
-        found = "{!r}" if self.words[self.pos] else "end of input"
-        self.fail(f"expected {what}, found {found}", self.pos)
 
     def raise_error(self) -> None:
         """Raise the recorded type error, if any, with its source span."""
 
         if self.error is not None:
-            span = self.spans.get(id(self.error.term))
-            if span is not None:
-                tokens = tokenize(self.text, self.aliases)
-                self.error.span = SourceSpan(*tokens[span[0]][2:5], tokens[span[1]][5])
+            if id(self.error.term) in self.spans:
+                self.error.span = self._span(*self.spans[id(self.error.term)])[1]
             raise self.error
 
     def _type(self, fn, node, start: int, *args):
@@ -272,14 +254,6 @@ class _ExprParser:
             if err.term is node:
                 self.spans[id(node)] = (start, self.pos - 1)
             return None
-
-    def _parens(self, node, opened: int) -> None:
-        """Close the parenthesis opened at word ``opened`` around ``node``,
-        which widens ``node``'s span if it has one."""
-
-        self.expect(")", "')'")
-        if id(node) in self.spans:
-            self.spans[id(node)] = (opened, self.pos - 1)
 
     def _chains(self, atom, tensor, comp=None):
         """``atom { "*" atom }`` chains, joined by ";" when ``comp`` is given,
@@ -311,12 +285,12 @@ class _ExprParser:
                     return group[1]
                 groups.pop()
                 item = group[1]
-                self._parens(item[0] if comp else item, group[0] - 1)
+                self.take(")", "')'")
+                node = id(item[0] if comp else item)  # widen its span over the parentheses
+                if node in self.spans:
+                    self.spans[node] = (group[0] - 1, self.pos - 1)
 
     def parse_expr(self) -> tuple[MorExpr, tuple | None]:
-        """``expr := tensor { ";" tensor }``, ``tensor := atom { "*" atom }``,
-        where an atom may be a parenthesized ``expr``."""
-
         return self._chains(self.parse_atom, self._tensor, self._comp)
 
     def _tensor(self, top, bottom) -> tuple[MorExpr, tuple | None]:
@@ -337,45 +311,32 @@ class _ExprParser:
         w = self.words[k]
         self.pos = k + 1
         undeclared = self.undeclared
-        if w == "id":
-            self.expect("[", "'['")
-            term = Id(self.parse_obj())
-            self.expect("]", "']'")
-        elif w in STRUCTURAL_KEYWORDS:
-            cls, arity = STRUCTURAL_KEYWORDS[w]
-            self.expect("[", "'['")
+        if w == "id" or w in STRUCTURAL_KEYWORDS:
+            cls, arity = STRUCTURAL_KEYWORDS.get(w, (Id, 1))
+            self.take("[", "'['")
             args = [self.parse_obj()]
             for _ in range(arity - 1):
-                self.expect(",", "','")
+                self.take(",", "','")
                 args.append(self.parse_obj())
-            self.expect("]", "']'")
+            self.take("]", "']'")
             term = cls(*args)
         elif w == "inv":
-            self.expect("(", "'('")
+            self.take("(", "'('")
             term = Inv(self.take(_is_name, "a generator name"))
-            self.expect(")", "')'")
+            self.take(")", "')'")
         elif w == "I":
             self.fail("'I' is an object, not a morphism", k)
         elif _is_name(w):
             term = MorGen(w)
+        elif _is_metavar(w) and self.allow_metavars:
+            term = MorVar(w[1:])
         else:
-            term = MorVar(self._metavar(w, k, "a morphism"))
+            self.fail("metavariables are only allowed in rule files" if _is_metavar(w)
+                      else "expected a morphism, found {!r}", k)
         return term, self.typer and self._type(self.typer.atom, term, k,
                                                undeclared == self.undeclared)
 
-    def _metavar(self, w: str, k: int, what: str) -> str:
-        """The name of metavariable word ``w`` at ``k``, where ``what`` was expected."""
-
-        if not _is_metavar(w):
-            self.fail(f"expected {what}, found {{!r}}", k)
-        if not self.allow_metavars:
-            self.fail("metavariables are only allowed in rule files", k)
-        return w[1:]
-
     def parse_obj(self) -> ObjExpr:
-        """``obj := objatom { "*" objatom }``, where an objatom may be a
-        parenthesized ``obj``."""
-
         return self._chains(self.parse_objatom, self.tensor_obj)
 
     def parse_objatom(self) -> ObjExpr:
@@ -385,7 +346,10 @@ class _ExprParser:
         w = self.words[k]
         self.pos = k + 1
         if not _is_name(w):
-            return ObjVar(self._metavar(w, k, "an object"))
+            if _is_metavar(w) and self.allow_metavars:
+                return ObjVar(w[1:])
+            self.fail("metavariables are only allowed in rule files" if _is_metavar(w)
+                      else "expected an object, found {!r}", k)
         if w == "I":
             return UNIT
         obj = self.objs.get(w)
@@ -409,7 +373,7 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
 
     parser = _ExprParser(text, sig.aliases, typer=Typer(sig))
     term, ty = parser.parse_expr()
-    parser.expect("", "end of expression")
+    parser.take("", "end of expression")
     parser.raise_error()
     keep_type(term, sig, MorType(*ty))
     return term
@@ -420,7 +384,7 @@ def parse_obj(text: str, sig: Signature) -> ObjExpr:
 
     parser = _ExprParser(text, sig.aliases)
     obj = parser.parse_obj()
-    parser.expect("", "end of expression")
+    parser.take("", "end of expression")
     for name in flatten_object(obj):
         if not sig.is_object(name):
             raise UndeclaredName(f"undeclared object {name!r}")
@@ -505,26 +469,32 @@ _TOP_KEYWORDS = {"category", "object", "mor", "iso", "alias", "backend"}
 _BLOCK_KEYWORDS = {"dim", "mat", "inv", "size", "rel", "tolerance"}
 
 
-#: A line up to its comment: a "#" outside a string, which runs to the next quote.
-_CODE = re.compile(r'(?:[^"#]++|"[^"]*+"?)*+')
-
-
-def _depth(line: str) -> int:
-    return sum(map(line.count, "[({")) - sum(map(line.count, "])}"))
+def _strip_comment(line: str) -> str:
+    out = []
+    in_string = False
+    for ch in line:
+        if ch == '"':
+            in_string = not in_string
+        if ch == "#" and not in_string:
+            break
+        out.append(ch)
+    return "".join(out).rstrip()
 
 
 def _logical_lines(text: str):
     """Yield (line_no, text) with bracket-continuation joining."""
 
-    raw = [_CODE.match(line).group().rstrip() for line in text.split("\n")]
+    raw = text.split("\n")
     i = 0
     while i < len(raw):
-        start, line = i + 1, raw[i]
-        depth = _depth(line)
+        line = _strip_comment(raw[i])
+        start = i + 1
+        depth = sum(line.count(b) for b in "[({") - sum(line.count(b) for b in "])}")
         while depth > 0 and i + 1 < len(raw):
             i += 1
-            line += " " + raw[i].strip()
-            depth += _depth(raw[i])
+            nxt = _strip_comment(raw[i])
+            line += " " + nxt.strip()
+            depth += sum(nxt.count(b) for b in "[({") - sum(nxt.count(b) for b in "])}")
         i += 1
         if line.strip():
             yield start, line.strip()
@@ -604,19 +574,20 @@ def parse_signature(text: str) -> Signature:
 
     if not level_seen:
         raise ParseError("signature file must declare a category level")
-    return Signature(
+    sig = Signature(
         level=level,
         objects=tuple(objects),
         morphisms=tuple(morphisms),
         aliases=aliases,
         backend_blocks=tuple(BackendBlock(kind, tuple(entries)) for kind, entries in blocks),
     )
+    return sig
 
 
 def _parse_obj_raw(text: str) -> ObjExpr:
     parser = _ExprParser(text)
     obj = parser.parse_obj()
-    parser.expect("", "end of object")
+    parser.take("", "end of object")
     return obj
 
 
@@ -689,11 +660,11 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
         if word == "var":
             parser = _ExprParser(line[len(word):].strip(), allow_metavars=True)
             mv = parser.take(_is_metavar, "a metavariable")[1:]
-            parser.expect(":", "':'")
+            parser.take(":", "':'")
             dom = parser.parse_obj()
-            parser.expect("->", "'->'")
+            parser.take("->", "'->'")
             cod = parser.parse_obj()
-            parser.expect("", "end of declaration")
+            parser.take("", "end of declaration")
             if mv in declared:
                 raise ParseError(f"metavariable ?{mv} declared twice", span=span)
             declared[mv] = MorType(dom, cod)
@@ -706,9 +677,9 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
             name = name.strip()
             parser = _ExprParser(body, sig.aliases, allow_metavars=True)
             lhs = parser.parse_expr()[0]
-            parser.expect("=>", "'=>'")
+            parser.take("=>", "'=>'")
             rhs = parser.parse_expr()[0]
-            parser.expect("", "end of rule")
+            parser.take("", "end of rule")
             if any(tensor_leaves(el) is None for el in comp_chain(lhs)):
                 raise ParseError("rule lhs chain elements must be composition-free", span=span)
             free = _collect_metavars(rhs) - _collect_metavars(lhs) - set(declared)
