@@ -176,8 +176,11 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
 
 
 def _words(text: str, aliases: dict[str, str]) -> list[str]:
-    """The words :func:`tokenize` would lex, unchecked, as their text: with "?"
-    and quotes kept, aliases and ``∘``/``⊗`` as builtins, and "" at the end."""
+    """The words of ``text`` as :func:`tokenize` would lex them, without
+    positions, checks or kinds: alias words and ``∘``/``⊗`` become the
+    builtin they stand for, metavariables keep their "?" and strings their
+    quotes, and "" marks the end.  Lexical errors are words no grammar rule
+    accepts."""
 
     words = _lexer(tuple(aliases)).findall(text)
     if aliases or not text.isascii():
