@@ -2,6 +2,8 @@
 coherence-based normal form, rewriting tactics, matrix/relation
 semantic oracles and string-diagram rendering."""
 
+from types import ModuleType as _ModuleType
+
 from .coherence import (
     Equal,
     NormalForm,
@@ -101,5 +103,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_SEMANTICS])
+__all__ = sorted([name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)] + [*_SEMANTICS])
 __version__ = "0.1.0"

@@ -472,16 +472,11 @@ _TOP_KEYWORDS = {"category", "object", "mor", "iso", "alias", "backend"}
 _BLOCK_KEYWORDS = {"dim", "mat", "inv", "size", "rel", "tolerance"}
 
 
+_COMMENT_FREE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')  # a line up to its first '#' outside quotes
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+    return _COMMENT_FREE.match(line).group().rstrip()
 
 
 def _logical_lines(text: str):

@@ -49,6 +49,7 @@ from .terms import (
     Signature,
     Tensor,
     UNIT,
+    comp_chain,
     node_fields,
     typecheck,
 )
@@ -152,8 +153,10 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
     ``ev`` builds a subterm's value on its own boundary.  ``apply(t, v, pre)``
     acts with ``t`` on the targets of ``v`` (top wire most significant) below
     wires of total size ``pre``, and returns ``t``'s total output size too.
-    The backend gives ``gen(t)`` for a generator or inverse, ``eye``, ``kron``,
-    ``box(gen(t), v, pre)`` and ``swap(v, pre, a, b)`` of two target blocks.
+    Both loop over a composition chain's elements and recurse only into
+    tensor factors.  The backend gives ``gen(t)`` for a generator or inverse,
+    ``eye``, ``kron``, ``box(gen(t), v, pre)`` and ``swap(v, pre, a, b)`` of
+    two target blocks.
     """
 
     ty = typecheck(term, sig)
@@ -165,7 +168,11 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
 
     def ev(t: MorExpr):
         if isinstance(t, Comp):
-            return apply(t.second, ev(t.first), 1)[0]
+            first, *rest = comp_chain(t)
+            v = [ev(first)]  # pop hands each value over, so apply can free it once replaced
+            for el in rest:
+                v.append(apply(el, v.pop(), 1)[0])
+            return v[0]
         if isinstance(t, Tensor):
             return kron(ev(t.top), ev(t.bottom))
         if isinstance(t, (MorGen, Inv)):
@@ -174,8 +181,9 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
 
     def apply(t: MorExpr, v, pre: int) -> tuple:
         if isinstance(t, Comp):
-            v, _ = apply(t.first, v, pre)
-            return apply(t.second, v, pre)
+            for el in comp_chain(t):
+                v, out = apply(el, v, pre)
+            return v, out
         if isinstance(t, Tensor):
             v, top = apply(t.top, v, pre)
             v, bottom = apply(t.bottom, v, pre * top)

@@ -20,21 +20,16 @@ from .terms import (
     CatError,
     Comp,
     Id,
-    Inv,
     MorExpr,
-    MorGen,
     MorVar,
     NotInvertible,
-    OBJECT_ATOMS,
     ObjExpr,
-    ObjGen,
     ObjTensor,
     ObjVar,
     Signature,
     Tensor,
     Typer,
     TypeMismatch,
-    Unit,
     comp_chain,
     fold,
     iso_inverse,
@@ -149,172 +144,126 @@ def weak_foliate(term: MorExpr, sig: Signature) -> MorExpr:
 
 
 # ---------------------------------------------------------------------------
-# Chain search shared by partner and assoc_rw
+# Chain rewriting shared by partner and assoc_rw
 # ---------------------------------------------------------------------------
 
 
-def _rewrite_leftmost(term: MorExpr, attempt) -> MorExpr | None:
-    """Apply ``attempt`` to the leftmost-outermost matching chain.
+def _match(pattern, value, binds: dict, metavar_types: dict, sig: Signature) -> bool:
+    """Whether ``value`` is ``pattern`` with its metavariables replaced.
 
-    ``attempt(elements)`` returns the new element list or ``None``.  The
-    matched chain is rebuilt right-associated; enclosing structure keeps
-    its shape.  Chains are searched outermost first, then inside each
-    element's tensor factors, left to right (top before bottom).
+    Objects and morphisms are compared node by node over their fields,
+    names by ``==``.  Each ``MorVar``/``ObjVar`` node is bound in ``binds``
+    to the value it meets first and must meet an equal value again; a
+    morphism metavariable with a declared type also matches that type's
+    objects against the value's boundary.
     """
 
-    chain = comp_chain(term)
-    new = attempt(chain)
-    if new is not None:
-        return right_comp(new, None)  # window surgery always leaves an element
-    for idx, el in enumerate(chain):
-        replacement = _rewrite_in_element(el, attempt)
-        if replacement is not None:
-            return replace_chain_element(term, idx, replacement)
-    return None
+    todo = [(pattern, value)]
+    while todo:
+        p, v = todo.pop()
+        cls = p.__class__
+        if cls is MorVar or cls is ObjVar:
+            declared = metavar_types.get(p.name) if cls is MorVar else None
+            if declared is not None:
+                ty = typecheck(v, sig)
+                todo += ((declared.dom, ty.dom), (declared.cod, ty.cod))
+            todo.append((binds.setdefault(p, v), v))  # a bound value holds no metavariable
+        elif cls is not v.__class__:
+            return False
+        elif cls is str:
+            if p != v:
+                return False
+        elif p is not v:
+            todo += zip(node_fields(p), node_fields(v))
+    return True
 
 
-def _rewrite_in_element(el: MorExpr, attempt) -> MorExpr | None:
-    if isinstance(el, Tensor):
-        top = _rewrite_leftmost(el.top, attempt)
-        if top is not None:
-            return Tensor(top, el.bottom)
-        bottom = _rewrite_leftmost(el.bottom, attempt)
-        if bottom is not None:
-            return Tensor(el.top, bottom)
+def _instantiate(pattern, binds: dict):
+    """``pattern`` rebuilt with each metavariable replaced by its binding."""
+
+    out: list = []  # every finished node, in order
+    todo: list = [pattern]  # nodes to build, and (node, where its fields start in out)
+    while todo:
+        p = todo.pop()
+        cls = p.__class__
+        if cls is tuple:
+            node, start = p
+            out[start:] = [type(node)(*out[start:])]
+        elif cls is MorVar or cls is ObjVar:
+            if p not in binds:
+                kind = "object metavariable" if cls is ObjVar else "metavariable"
+                raise InconsistentBinding(f"{kind} ?{p.name} left unbound")
+            out.append(binds[p])
+        elif cls is str:
+            out.append(p)
+        else:
+            todo.append((p, len(out)))
+            todo += reversed(node_fields(p))
+    return out[0]
+
+
+def _rewrite(term: MorExpr, window: list[MorExpr], make, metavar_types: dict,
+             sig: Signature) -> MorExpr | None:
+    """Replace the leftmost-outermost chain window matching ``window``.
+
+    Composition chains are searched outermost first, then inside each
+    element's tensor factors, left to right (top before bottom).  The
+    first window whose elements match ``window`` (see :func:`_match`) is
+    replaced by ``make(binds)``; that chain is rebuilt right-associated and
+    the structure around it keeps its shape.  ``None`` if nothing matches.
+    """
+
+    k = len(window)
+    todo = [(term, None)]  # a chain's term and its way up: (way up, term, index, element, top)
+    while todo:
+        t, up = todo.pop()
+        chain = comp_chain(t)
+        for start in range(len(chain) - k + 1):
+            binds: dict = {}
+            if all(_match(p, el, binds, metavar_types, sig)
+                   for p, el in zip(window, chain[start:start + k])):
+                new = right_comp(chain[:start] + [make(binds)] + chain[start + k:], None)
+                while up is not None:
+                    up, t, i, el, top = up
+                    new = replace_chain_element(
+                        t, i, Tensor(new, el.bottom) if top else Tensor(el.top, new))
+                return new
+        for i, el in reversed([*enumerate(chain)]):
+            if el.__class__ is Tensor:
+                todo += ((el.bottom, (up, t, i, el, False)), (el.top, (up, t, i, el, True)))
     return None
 
 
 def partner(term: MorExpr, p: MorExpr, q: MorExpr, sig: Signature) -> MorExpr:
     """Reassociate so that ``p ; q`` appears as one grouped element.
 
-    Searches maximal composition chains (recursing under tensors); in
-    the leftmost chain with adjacent elements equal to ``p`` then ``q``,
+    Searches maximal composition chains (and inside tensors); in the
+    leftmost chain with adjacent elements equal to ``p`` then ``q``,
     groups them and rebuilds that chain right-associated.
     """
 
-    typecheck(term, sig)
-    typecheck(p, sig)
-    typecheck(q, sig)
-
-    def attempt(chain: list[MorExpr]) -> list[MorExpr] | None:
-        for i in range(len(chain) - 1):
-            if chain[i] == p and chain[i + 1] == q:
-                return chain[:i] + [Comp(p, q)] + chain[i + 2:]
-        return None
-
-    result = _rewrite_leftmost(term, attempt)
+    for t in (term, p, q):
+        typecheck(t, sig)
+    result = _rewrite(term, [p, q], lambda binds: Comp(p, q), {}, sig)
     if result is None:
         raise NotAdjacent(
             f"no chain contains {print_expr(p)} immediately followed by {print_expr(q)}")
     return result
 
 
-# ---------------------------------------------------------------------------
-# Pattern matching for assoc_rw
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Bindings:
-    mor: dict[str, MorExpr]
-    obj: dict[str, ObjExpr]
-
-    def copy(self) -> "_Bindings":
-        return _Bindings(dict(self.mor), dict(self.obj))
-
-
-def _match_obj(pattern: ObjExpr, obj: ObjExpr, b: _Bindings) -> bool:
-    if isinstance(pattern, ObjVar):
-        if pattern.name in b.obj:
-            return b.obj[pattern.name] == obj
-        b.obj[pattern.name] = obj
-        return True
-    if isinstance(pattern, Unit):
-        return isinstance(obj, Unit)
-    if isinstance(pattern, ObjGen):
-        return isinstance(obj, ObjGen) and pattern.name == obj.name
-    if isinstance(pattern, ObjTensor):
-        return (isinstance(obj, ObjTensor)
-                and _match_obj(pattern.left, obj.left, b)
-                and _match_obj(pattern.right, obj.right, b))
-    return False
-
-
-def _match_element(pattern: MorExpr, el: MorExpr, b: _Bindings,
-                   metavar_types, sig: Signature) -> bool:
-    if isinstance(pattern, MorVar):
-        declared = metavar_types.get(pattern.name)
-        if declared is not None:
-            ty = typecheck(el, sig)
-            if not (_match_obj(declared.dom, ty.dom, b) and _match_obj(declared.cod, ty.cod, b)):
-                return False
-        if pattern.name in b.mor:
-            return b.mor[pattern.name] == el
-        b.mor[pattern.name] = el
-        return True
-    if isinstance(pattern, MorGen):
-        return isinstance(el, MorGen) and pattern.name == el.name
-    if isinstance(pattern, Inv):
-        return isinstance(el, Inv) and pattern.name == el.name
-    if isinstance(pattern, OBJECT_ATOMS):
-        return type(el) is type(pattern) and all(
-            _match_obj(p, o, b) for p, o in zip(node_fields(pattern), node_fields(el)))
-    if isinstance(pattern, Tensor):
-        return (isinstance(el, Tensor)
-                and _match_element(pattern.top, el.top, b, metavar_types, sig)
-                and _match_element(pattern.bottom, el.bottom, b, metavar_types, sig))
-    return False
-
-
-def _instantiate_obj(pattern: ObjExpr, b: _Bindings) -> ObjExpr:
-    if isinstance(pattern, ObjVar):
-        if pattern.name not in b.obj:
-            raise InconsistentBinding(f"object metavariable ?{pattern.name} left unbound")
-        return b.obj[pattern.name]
-    if isinstance(pattern, ObjTensor):
-        return ObjTensor(_instantiate_obj(pattern.left, b), _instantiate_obj(pattern.right, b))
-    return pattern
-
-
-def _instantiate(pattern: MorExpr, b: _Bindings) -> MorExpr:
-    if isinstance(pattern, MorVar):
-        if pattern.name not in b.mor:
-            raise InconsistentBinding(f"metavariable ?{pattern.name} left unbound")
-        return b.mor[pattern.name]
-    if isinstance(pattern, Comp):
-        return Comp(_instantiate(pattern.first, b), _instantiate(pattern.second, b))
-    if isinstance(pattern, Tensor):
-        return Tensor(_instantiate(pattern.top, b), _instantiate(pattern.bottom, b))
-    if isinstance(pattern, OBJECT_ATOMS):
-        return type(pattern)(*(_instantiate_obj(o, b) for o in node_fields(pattern)))
-    return pattern
-
-
 def assoc_rw(term: MorExpr, rule: RewriteRule, sig: Signature) -> MorExpr:
     """Rewrite the leftmost chain window matching ``rule``'s lhs.
 
-    Composition chains are searched outermost first, recursing into
-    tensor factors; the first contiguous window whose elements unify
-    with the lhs chain (concrete atoms syntactically, metavariables
-    binding one element each, bindings consistent) is replaced by the
-    instantiated rhs and the chain is rebuilt right-associated.
+    Composition chains are searched outermost first, then inside tensor
+    factors; the first contiguous window whose elements unify with the
+    lhs chain (concrete atoms syntactically, metavariables binding one
+    element each, bindings consistent) is replaced by the instantiated
+    rhs and the chain is rebuilt right-associated.
     """
 
     typecheck(term, sig)
-    lhs_chain = rule.lhs_chain
-    metavar_types = rule.metavar_types()
-    k = len(lhs_chain)
-
-    def attempt(chain: list[MorExpr]) -> list[MorExpr] | None:
-        for start in range(len(chain) - k + 1):
-            b = _Bindings({}, {})
-            if all(_match_element(lhs_chain[j], chain[start + j], b, metavar_types, sig)
-                   for j in range(k)):
-                replacement = _instantiate(rule.rhs, b)
-                return chain[:start] + [replacement] + chain[start + k:]
-        return None
-
-    result = _rewrite_leftmost(term, attempt)
+    result = _rewrite(term, rule.lhs_chain, lambda binds: _instantiate(rule.rhs, binds),
+                      rule.metavar_types(), sig)
     if result is None:
         raise NoMatch(f"rule {rule.name!r} matches nothing in {print_expr(term)}")
     return result
@@ -407,12 +356,10 @@ def cat_simpl(term: MorExpr, sig: Signature) -> MorExpr:
     this is what makes the tactic idempotent.
     """
 
-    current = term
-    while True:
-        step = _remove_ids(cancel_isos(current, sig))
-        if step == current:
-            return step
-        current = step
+    # a pass returns its input itself or a term with fewer atoms
+    while (step := _remove_ids(cancel_isos(term, sig))) is not term:
+        term = step
+    return term
 
 
 def right_associate(term: MorExpr) -> MorExpr:
@@ -439,16 +386,15 @@ class NotProved:
 
 def cat_easy(t1: MorExpr, t2: MorExpr, sig: Signature) -> Proved | NotProved:
     """Close a structural goal: simplify, right-associate and weakly
-    foliate both sides, then compare syntactically."""
+    foliate both sides, then compare syntactically (by printed text, which
+    parses back to exactly its term)."""
 
-    ty1 = typecheck(t1, sig)
-    ty2 = typecheck(t2, sig)
-    if ty1 != ty2:
+    if typecheck(t1, sig) != typecheck(t2, sig):
         raise TypeMismatch("cat_easy goals must share a boundary type")
 
     trace: list[TraceStep] = []
 
-    def pipeline(t: MorExpr, side: str) -> MorExpr:
+    def pipeline(t: MorExpr, side: str) -> str:
         for name, fn in (
             ("cat_simpl", lambda x: cat_simpl(x, sig)),
             ("right_associate", right_associate),
@@ -456,9 +402,7 @@ def cat_easy(t1: MorExpr, t2: MorExpr, sig: Signature) -> Proved | NotProved:
         ):
             t = fn(t)
             trace.append(TraceStep(f"{name}({side})", print_expr(t)))
-        return t
+        return trace[-1].term
 
-    left = pipeline(t1, "lhs")
-    right = pipeline(t2, "rhs")
-    steps = tuple(trace)
-    return Proved(steps) if left == right else NotProved(steps)
+    proved = pipeline(t1, "lhs") == pipeline(t2, "rhs")
+    return (Proved if proved else NotProved)(tuple(trace))

@@ -250,8 +250,6 @@ STRUCTURAL = {
     Braid: ("braid", "braided", BraidInv, lambda T, a, b: (T(a, b), T(b, a)), None),
     BraidInv: ("braid_inv", "braided", Braid, lambda T, a, b: (T(b, a), T(a, b)), None),
 }
-#: Atoms whose fields are all objects.
-OBJECT_ATOMS = (Id, *STRUCTURAL)
 
 
 def node_fields(node) -> tuple:

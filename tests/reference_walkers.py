@@ -1,10 +1,13 @@
-"""The recursive term walkers that ``monocat.terms.fold`` replaced.
+"""The recursive term walkers that ``monocat.terms.fold`` and the tactics'
+iterative chain-rewrite engine replaced.
 
 Each recurses once per nesting level of ``Comp``/``Tensor``, so it fails
 on deep terms at the default recursion limit; on the shallow random terms
-of the tests it is the reference the fold-based walker must match exactly:
+of the tests it is the reference the iterative walker must match exactly:
 ``print_expr`` texts by ``==``, sheets by ``==`` and terms by their printed
-text.
+text.  ``reference_partner`` and ``reference_assoc_rw`` keep the
+hand-dispatched matchers (bindings in two dicts, one for morphism and one
+for object metavariables) that ``tactics._match`` replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from monocat.coherence import (
     flatten_object,
     layer_output,
 )
-from monocat.parser import print_obj
+from monocat.parser import RewriteRule, print_expr, print_obj
 from monocat.terms import (
     STRUCTURAL,
     Assoc,
@@ -35,18 +38,26 @@ from monocat.terms import (
     MorVar,
     NotInvertible,
     ObjExpr,
+    ObjGen,
     ObjTensor,
+    ObjVar,
     RUnit,
     RUnitInv,
     Signature,
     Tensor,
     Typer,
+    Unit,
     comp_chain,
     iso_inverse,
     node_fields,
+    replace_chain_element,
     right_comp,
     typecheck,
 )
+from monocat.tactics import InconsistentBinding, NoMatch, NotAdjacent
+
+#: Atoms whose fields are all objects.
+OBJECT_ATOMS = (Id, *STRUCTURAL)
 
 
 def reference_print_expr(term: MorExpr) -> str:
@@ -229,3 +240,131 @@ def reference_right_associate(term: MorExpr) -> MorExpr:
         return Tensor(reference_right_associate(term.top),
                       reference_right_associate(term.bottom))
     return term
+
+
+def _rewrite_leftmost(term: MorExpr, attempt) -> MorExpr | None:
+    chain = comp_chain(term)
+    new = attempt(chain)
+    if new is not None:
+        return right_comp(new, None)
+    for idx, el in enumerate(chain):
+        replacement = _rewrite_in_element(el, attempt)
+        if replacement is not None:
+            return replace_chain_element(term, idx, replacement)
+    return None
+
+
+def _rewrite_in_element(el: MorExpr, attempt) -> MorExpr | None:
+    if isinstance(el, Tensor):
+        top = _rewrite_leftmost(el.top, attempt)
+        if top is not None:
+            return Tensor(top, el.bottom)
+        bottom = _rewrite_leftmost(el.bottom, attempt)
+        if bottom is not None:
+            return Tensor(el.top, bottom)
+    return None
+
+
+def reference_partner(term: MorExpr, p: MorExpr, q: MorExpr, sig: Signature) -> MorExpr:
+    typecheck(term, sig)
+    typecheck(p, sig)
+    typecheck(q, sig)
+
+    def attempt(chain: list[MorExpr]) -> list[MorExpr] | None:
+        for i in range(len(chain) - 1):
+            if chain[i] == p and chain[i + 1] == q:
+                return chain[:i] + [Comp(p, q)] + chain[i + 2:]
+        return None
+
+    result = _rewrite_leftmost(term, attempt)
+    if result is None:
+        raise NotAdjacent(
+            f"no chain contains {print_expr(p)} immediately followed by {print_expr(q)}")
+    return result
+
+
+def _match_obj(pattern: ObjExpr, obj: ObjExpr, b: dict) -> bool:
+    if isinstance(pattern, ObjVar):
+        if pattern.name in b["obj"]:
+            return b["obj"][pattern.name] == obj
+        b["obj"][pattern.name] = obj
+        return True
+    if isinstance(pattern, Unit):
+        return isinstance(obj, Unit)
+    if isinstance(pattern, ObjGen):
+        return isinstance(obj, ObjGen) and pattern.name == obj.name
+    if isinstance(pattern, ObjTensor):
+        return (isinstance(obj, ObjTensor)
+                and _match_obj(pattern.left, obj.left, b)
+                and _match_obj(pattern.right, obj.right, b))
+    return False
+
+
+def _match_element(pattern: MorExpr, el: MorExpr, b: dict, metavar_types, sig: Signature) -> bool:
+    if isinstance(pattern, MorVar):
+        declared = metavar_types.get(pattern.name)
+        if declared is not None:
+            ty = typecheck(el, sig)
+            if not (_match_obj(declared.dom, ty.dom, b) and _match_obj(declared.cod, ty.cod, b)):
+                return False
+        if pattern.name in b["mor"]:
+            return b["mor"][pattern.name] == el
+        b["mor"][pattern.name] = el
+        return True
+    if isinstance(pattern, MorGen):
+        return isinstance(el, MorGen) and pattern.name == el.name
+    if isinstance(pattern, Inv):
+        return isinstance(el, Inv) and pattern.name == el.name
+    if isinstance(pattern, OBJECT_ATOMS):
+        return type(el) is type(pattern) and all(
+            _match_obj(p, o, b) for p, o in zip(node_fields(pattern), node_fields(el)))
+    if isinstance(pattern, Tensor):
+        return (isinstance(el, Tensor)
+                and _match_element(pattern.top, el.top, b, metavar_types, sig)
+                and _match_element(pattern.bottom, el.bottom, b, metavar_types, sig))
+    return False
+
+
+def _instantiate_obj(pattern: ObjExpr, b: dict) -> ObjExpr:
+    if isinstance(pattern, ObjVar):
+        if pattern.name not in b["obj"]:
+            raise InconsistentBinding(f"object metavariable ?{pattern.name} left unbound")
+        return b["obj"][pattern.name]
+    if isinstance(pattern, ObjTensor):
+        return ObjTensor(_instantiate_obj(pattern.left, b), _instantiate_obj(pattern.right, b))
+    return pattern
+
+
+def _instantiate(pattern: MorExpr, b: dict) -> MorExpr:
+    if isinstance(pattern, MorVar):
+        if pattern.name not in b["mor"]:
+            raise InconsistentBinding(f"metavariable ?{pattern.name} left unbound")
+        return b["mor"][pattern.name]
+    if isinstance(pattern, Comp):
+        return Comp(_instantiate(pattern.first, b), _instantiate(pattern.second, b))
+    if isinstance(pattern, Tensor):
+        return Tensor(_instantiate(pattern.top, b), _instantiate(pattern.bottom, b))
+    if isinstance(pattern, OBJECT_ATOMS):
+        return type(pattern)(*(_instantiate_obj(o, b) for o in node_fields(pattern)))
+    return pattern
+
+
+def reference_assoc_rw(term: MorExpr, rule: RewriteRule, sig: Signature) -> MorExpr:
+    typecheck(term, sig)
+    lhs_chain = rule.lhs_chain
+    metavar_types = rule.metavar_types()
+    k = len(lhs_chain)
+
+    def attempt(chain: list[MorExpr]) -> list[MorExpr] | None:
+        for start in range(len(chain) - k + 1):
+            b = {"mor": {}, "obj": {}}
+            if all(_match_element(lhs_chain[j], chain[start + j], b, metavar_types, sig)
+                   for j in range(k)):
+                replacement = _instantiate(rule.rhs, b)
+                return chain[:start] + [replacement] + chain[start + k:]
+        return None
+
+    result = _rewrite_leftmost(term, attempt)
+    if result is None:
+        raise NoMatch(f"rule {rule.name!r} matches nothing in {print_expr(term)}")
+    return result

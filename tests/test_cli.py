@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output format, REPL stepping."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -144,6 +145,40 @@ def test_import_leaves_numpy_out():
             "from monocat import eval_matrix; assert 'numpy' in sys.modules")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+#: Every name ``monocat.__all__`` exports: classes, functions and constants, no submodule
+PUBLIC_NAMES = """
+Assoc AssocInv Braid BraidInv CatError Comp CompositionMismatch DuplicateName Equal Id Inv
+LUnit LUnitInv LayoutNode LevelViolation MatrixInstance MorDecl MorExpr MorGen MorType
+NormalForm NotAnIso NotDecided NotInvertible NotProved ObjExpr ObjGen ObjTensor ParseError
+Proved RUnit RUnitInv RelInstance RenderConfig RewriteRule RuleFile Sheet Signature SourceSpan
+Tensor TypeMismatch UNIT UndeclaredName Unit UnknownLevel assoc_rw braid_matrix cancel_isos
+canonicalize cat_easy cat_simpl check_coherence dump_normal_form emit_svg emit_tikz eval_matrix
+eval_rel flatten_object foliate is_stack iso_inverse layout mat_equiv matrix_instance
+monoidal_eq parse_expr parse_rules parse_signature partner print_expr print_obj rel_instance
+sheet_of_term structural_atoms typecheck weak_foliate
+""".split()
+
+
+def test_all_names_no_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, types, monocat; assert 'numpy' not in sys.modules; "
+            "print(' '.join(monocat.__all__)); "
+            "assert not any(isinstance(getattr(monocat, n), types.ModuleType) "
+            "for n in monocat.__all__)")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == PUBLIC_NAMES
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*root.glob("src/**/*.py"), *root.glob("tests/*.py"),
+                        *root.glob("perfbench/*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_long_chain_normalizes(sig_path, capsys):

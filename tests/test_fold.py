@@ -1,25 +1,56 @@
-"""``terms.fold`` and the walkers built on it: the same outputs as the
-recursive walkers they replaced, and no recursion on deep or wide terms."""
+"""The iterative walkers (``terms.fold`` and the walkers built on it, the
+tactics' chain-rewrite engine, the evaluators' chain loops): the same
+outputs as the recursive walkers they replaced, and no recursion on deep or
+wide terms."""
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from gen import random_term, std_sig, struct_sig
 from monocat.coherence import Equal, monoidal_eq, sheet_of_term
-from monocat.parser import parse_expr, parse_signature, print_expr
+from monocat.parser import RewriteRule, parse_expr, parse_rules, parse_signature, print_expr
+from monocat.semantics import MatrixInstance, RelInstance, eval_matrix, eval_rel
 from monocat.tactics import (
+    InconsistentBinding,
+    NoMatch,
+    NotAdjacent,
+    NotProved,
+    Proved,
     _remove_ids,
+    assoc_rw,
     cancel_isos,
+    cat_easy,
     cat_simpl,
     foliate,
+    partner,
     right_associate,
     weak_foliate,
 )
-from monocat.terms import MorGen, Tensor, fold, right_comp
+from monocat.terms import (
+    CatError,
+    Comp,
+    Id,
+    MorGen,
+    MorType,
+    MorVar,
+    ObjTensor,
+    ObjVar,
+    Tensor,
+    comp_chain,
+    fold,
+    node_fields,
+    right_comp,
+    tensor_leaves,
+    typecheck,
+)
 from reference_walkers import (
+    OBJECT_ATOMS,
+    reference_assoc_rw,
     reference_cancel_isos,
     reference_foliate,
+    reference_partner,
     reference_print_expr,
     reference_remove_ids,
     reference_right_associate,
@@ -89,6 +120,125 @@ def test_cancel_isos_keeps_untouched_terms(random_terms):
     for term, s in random_terms:
         if print_expr(reference_cancel_isos(term, s)) == print_expr(term):
             assert cancel_isos(term, s) is term
+
+
+# ---------------------------------------------------------------------------
+# partner and assoc_rw against the recursive search and matchers
+# ---------------------------------------------------------------------------
+
+
+def _chains(term):
+    """Every composition chain of ``term``: the outermost, then those inside
+    its elements' tensor factors."""
+
+    chains, todo = [], [term]
+    while todo:
+        chain = comp_chain(todo.pop())
+        chains.append(chain)
+        todo += [f for el in chain if isinstance(el, Tensor) for f in (el.bottom, el.top)]
+    return chains
+
+
+def _obj_pattern(rng, obj):
+    # "x" names a morphism metavariable too: the two kinds bind apart
+    if rng.random() < 0.25:
+        return ObjVar(rng.choice("abx"))
+    if isinstance(obj, ObjTensor):
+        return ObjTensor(_obj_pattern(rng, obj.left), _obj_pattern(rng, obj.right))
+    return obj
+
+
+def _element_pattern(rng, el, sig, declared):
+    """A pattern that ``el`` may match: some subterms become morphism
+    metavariables (typed with ``el``'s type, a generalized one, the reversed
+    one, or untyped), some objects of identities and structural atoms object
+    metavariables.  Elements holding a composition always become metavariables,
+    as a parsed rule's lhs elements are composition-free."""
+
+    if tensor_leaves(el) is None or rng.random() < 0.3:
+        name = rng.choice("xyz")
+        if name not in declared:
+            ty = typecheck(el, sig)
+            declared[name] = rng.choice(
+                [ty, MorType(_obj_pattern(rng, ty.dom), _obj_pattern(rng, ty.cod)),
+                 MorType(ty.cod, ty.dom), None])
+        return MorVar(name)
+    if isinstance(el, Tensor):
+        return Tensor(_element_pattern(rng, el.top, sig, declared),
+                      _element_pattern(rng, el.bottom, sig, declared))
+    if isinstance(el, OBJECT_ATOMS):
+        return type(el)(*(_obj_pattern(rng, o) for o in node_fields(el)))
+    return el
+
+
+def _random_rule(rng, term, sig):
+    """A rule whose lhs is drawn from a window of one of ``term``'s chains, and
+    whose rhs composes and tensors lhs elements, sometimes with an identity
+    on an object metavariable or a morphism metavariable that may be unbound;
+    and whether that chain lies inside a tensor."""
+
+    chains = _chains(term)
+    chain = rng.choice(chains)
+    k = rng.randint(1, min(3, len(chain)))
+    start = rng.randrange(len(chain) - k + 1)
+    declared: dict = {}
+    window = [_element_pattern(rng, el, sig, declared) for el in chain[start:start + k]]
+    pieces = [rng.choice(window) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        pieces.append(Id(ObjVar(rng.choice("abxc"))))
+    if rng.random() < 0.2:
+        pieces.append(MorVar(rng.choice("xyzw")))
+    rng.shuffle(pieces)
+    rhs = pieces[0]
+    for piece in pieces[1:]:
+        rhs = rng.choice([Comp, Tensor])(rhs, piece)
+    metavars = tuple((n, ty) for n, ty in declared.items() if ty is not None)
+    return RewriteRule("r", metavars, right_comp(window, None), rhs), chain is not chains[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return print_expr(fn(*args))
+    except CatError as err:
+        return type(err), str(err)
+
+
+def test_assoc_rw_matches_reference(random_terms):
+    rng = Random(5)
+    kinds = {"rewritten": 0, "rewritten_inside": 0, NoMatch: 0, InconsistentBinding: 0}
+    same_sig: dict = {}
+    for term, s in random_terms:
+        same_sig.setdefault(id(s), []).append(term)
+    for term, s in random_terms:
+        for _ in range(3):
+            # mostly a window of the term itself, sometimes of another term
+            source = term if rng.random() < 0.8 else rng.choice(same_sig[id(s)])
+            rule, inside = _random_rule(rng, source, s)
+            got = _outcome(assoc_rw, term, rule, s)
+            assert got == _outcome(reference_assoc_rw, term, rule, s), (print_expr(term), rule)
+            if isinstance(got, str):
+                kinds["rewritten"] += 1
+                kinds["rewritten_inside"] += inside
+            else:
+                kinds[got[0]] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_partner_matches_reference(random_terms):
+    rng = Random(6)
+    kinds = {"grouped": 0, NotAdjacent: 0}
+    for term, s in random_terms:
+        chains = _chains(term)
+        chain = rng.choice(chains)
+        if len(chain) > 1 and rng.random() < 0.7:
+            i = rng.randrange(len(chain) - 1)
+            p, q = chain[i], chain[i + 1]
+        else:
+            p, q = (rng.choice(rng.choice(chains + [[term]])) for _ in range(2))
+        got = _outcome(partner, term, p, q, s)
+        assert got == _outcome(reference_partner, term, p, q, s), print_expr(term)
+        kinds["grouped" if isinstance(got, str) else got[0]] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +312,50 @@ def test_wide_terms_print_and_flatten(default_recursion_limit, text):
     sheet = sheet_of_term(term, DEPTH_SIG)
     assert sheet.input == ("A",) * 1200
     assert [len(layer) for layer in sheet.layers] == ([1200] if isinstance(term, Tensor) else [])
+
+
+WIDE_TEXT = " * ".join(["u"] * 1200)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return parse_expr(WIDE_TEXT, DEPTH_SIG)
+
+
+def test_wide_tensor_assoc_rw(default_recursion_limit, wide):
+    grow, shrink = parse_rules("rule grow : u => u ; u\nrule shrink : u ; u => u\n",
+                               DEPTH_SIG).rules
+    out = assoc_rw(wide, grow, DEPTH_SIG)
+    assert print_expr(out) == "(u ; u) * " + " * ".join(["u"] * 1199)
+    assert print_expr(assoc_rw(out, shrink, DEPTH_SIG)) == WIDE_TEXT
+    with pytest.raises(NoMatch):
+        assoc_rw(wide, shrink, DEPTH_SIG)
+
+
+def test_wide_tensor_partner(default_recursion_limit, wide):
+    u = MorGen("u")
+    term = parse_expr("(u ; (u ; u)) * " + " * ".join(["u"] * 1199), DEPTH_SIG)
+    out = partner(term, u, u, DEPTH_SIG)
+    assert print_expr(out) == "(u ; u ; u) * " + " * ".join(["u"] * 1199)
+    with pytest.raises(NotAdjacent):
+        partner(wide, u, u, DEPTH_SIG)
+
+
+@pytest.mark.parametrize("n", [500, N])
+def test_long_chain_cat_easy(default_recursion_limit, n):
+    chain = parse_expr(" ; ".join(["u"] * n), DEPTH_SIG)
+    assert isinstance(cat_easy(chain, right_comp([MorGen("u")] * n, None), DEPTH_SIG), Proved)
+    shorter = parse_expr(" ; ".join(["u"] * (n - 1)), DEPTH_SIG)
+    assert isinstance(cat_easy(chain, shorter, DEPTH_SIG), NotProved)
+
+
+@pytest.mark.parametrize("n", [1000, N])
+@pytest.mark.parametrize("nested", ["left", "right"])
+def test_long_chain_evaluates(default_recursion_limit, n, nested):
+    term = (parse_expr(" ; ".join(["u"] * n), DEPTH_SIG) if nested == "left"
+            else right_comp([MorGen("u")] * n, None))
+    flip = np.array([[0, 1], [1, 0]])
+    mat = eval_matrix(term, MatrixInstance(DEPTH_SIG, {"A": 2}, {"u": flip}))
+    assert (mat == np.linalg.matrix_power(flip, n)).all()
+    rel = eval_rel(term, RelInstance(DEPTH_SIG, {"A": 2}, {"u": {(0, 1), (1, 0)}}))
+    assert rel == ({(0, 0), (1, 1)} if n % 2 == 0 else {(0, 1), (1, 0)})

@@ -3,12 +3,14 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import random_term
 from monocat.parser import (
     FreeMetavarInRhs,
     IllTypedRule,
     ParseError,
+    _strip_comment,
     parse_expr,
     parse_obj,
     parse_rules,
@@ -29,6 +31,7 @@ from monocat.terms import (
     UndeclaredName,
     UnknownLevel,
 )
+from reference_parser import reference_strip_comment
 
 A, B = ObjGen("A"), ObjGen("B")
 f, g, h = MorGen("f"), MorGen("g"), MorGen("h")
@@ -279,3 +282,9 @@ def test_rule_file_lexical_and_syntax_errors(text, message, column):
     with pytest.raises(ParseError) as exc:
         parse_rules(text, RULE_SIG)
     assert str(exc.value) == message and exc.value.span.column == column
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet='ab #"\t;', max_size=30))
+def test_strip_comment_matches_reference(line):
+    assert _strip_comment(line) == reference_strip_comment(line)
