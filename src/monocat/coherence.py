@@ -158,7 +158,7 @@ def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
         decl = sig.morphism(t.name)
         dom, cod = (decl.dom, decl.cod) if cls is MorGen else (decl.cod, decl.dom)
     else:
-        dom, cod = STRUCTURAL[cls][3](ObjTensor, *node_fields(t))
+        dom, cod = STRUCTURAL[cls][3](*node_fields(t))
     return flatten_object(dom), flatten_object(cod)
 
 

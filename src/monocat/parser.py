@@ -33,7 +33,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .coherence import flatten_object
 from .terms import (
     BackendBlock,
     CatError,
@@ -56,9 +55,9 @@ from .terms import (
     Tensor,
     Typer,
     UNIT,
-    UndeclaredName,
     Unit,
     UnknownLevel,
+    _check_obj,
     comp_chain,
     fold,
     keep_type,
@@ -194,14 +193,14 @@ class _ExprParser:
     parentheses wait on an explicit stack, so no nesting depth recurses.
 
     Given a :class:`Typer`, it types each morphism node as it builds it
-    (``parse_*`` return the node and its ``(dom, cod)``, else ``None``) and
-    makes objects through the typer, so equal boundaries are one object.
+    (``parse_*`` return the node and its ``(dom, cod)``, else ``None``).
     Nodes are built in the post-order a typecheck walks them, so the first
     type error met is the one that walk would raise.  It is recorded, and
     typing stops; the caller raises it once the text has parsed, with the
     span of the node it names (``spans`` holds the first and last word of
-    that node and of each undeclared object name).  Source positions come
-    from :func:`tokenize`, only for an error, so a lexical error is first.
+    that node and of each undeclared object name's first occurrence, as
+    one name is one object).  Source positions come from :func:`tokenize`,
+    only for an error, so a lexical error is first.
     """
 
     def __init__(self, text: str, aliases: dict[str, str] | None = None,
@@ -212,9 +211,8 @@ class _ExprParser:
         self.pos = 0
         self.allow_metavars = allow_metavars
         self.typer = typer
-        self.objs = typer.objs if typer else {}
-        self.tensor_obj = typer.tensor_obj if typer else ObjTensor
-        self.undeclared = 0  # fresh generators made for names ``objs`` lacks
+        self.gens = typer.sig._gens if typer else {}
+        self.undeclared = 0  # generators made for names the signature lacks
         self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
 
@@ -290,7 +288,7 @@ class _ExprParser:
                 item = group[1]
                 self.take(")", "')'")
                 node = id(item[0] if comp else item)  # widen its span over the parentheses
-                if node in self.spans:
+                if self.spans.get(node, (None,))[0] == group[0]:
                     self.spans[node] = (group[0] - 1, self.pos - 1)
 
     def parse_expr(self) -> tuple[MorExpr, tuple | None]:
@@ -340,7 +338,7 @@ class _ExprParser:
                                                undeclared == self.undeclared)
 
     def parse_obj(self) -> ObjExpr:
-        return self._chains(self.parse_objatom, self.tensor_obj)
+        return self._chains(self.parse_objatom, ObjTensor)
 
     def parse_objatom(self) -> ObjExpr:
         """An object atom other than a parenthesized object."""
@@ -355,7 +353,7 @@ class _ExprParser:
                       else "expected an object, found {!r}", k)
         if w == "I":
             return UNIT
-        obj = self.objs.get(w)
+        obj = self.gens.get(w)
         if obj is not None:
             return obj
         if w in RESERVED_NAMES:
@@ -363,7 +361,7 @@ class _ExprParser:
         obj = ObjGen(w)
         if self.typer:
             self.undeclared += 1
-            self.spans[id(obj)] = (k, k)
+            self.spans.setdefault(id(obj), (k, k))
         return obj
 
 
@@ -388,9 +386,7 @@ def parse_obj(text: str, sig: Signature) -> ObjExpr:
     parser = _ExprParser(text, sig.aliases)
     obj = parser.parse_obj()
     parser.take("", "end of expression")
-    for name in flatten_object(obj):
-        if not sig.is_object(name):
-            raise UndeclaredName(f"undeclared object {name!r}")
+    _check_obj(obj, sig._gens, allow_vars=False)
     return obj
 
 
@@ -606,9 +602,6 @@ class RewriteRule:
     @property
     def lhs_chain(self) -> list[MorExpr]:
         return comp_chain(self.lhs)
-
-    def metavar_types(self) -> dict[str, MorType]:
-        return dict(self.metavars)
 
 
 @dataclass(frozen=True)

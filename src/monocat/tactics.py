@@ -148,7 +148,7 @@ def weak_foliate(term: MorExpr, sig: Signature) -> MorExpr:
 # ---------------------------------------------------------------------------
 
 
-def _match(pattern, value, binds: dict, metavar_types: dict, sig: Signature) -> bool:
+def _match(pattern, value, binds: dict, metavars: dict, sig: Signature) -> bool:
     """Whether ``value`` is ``pattern`` with its metavariables replaced.
 
     Objects and morphisms are compared node by node over their fields,
@@ -163,7 +163,7 @@ def _match(pattern, value, binds: dict, metavar_types: dict, sig: Signature) -> 
         p, v = todo.pop()
         cls = p.__class__
         if cls is MorVar or cls is ObjVar:
-            declared = metavar_types.get(p.name) if cls is MorVar else None
+            declared = metavars.get(p.name) if cls is MorVar else None
             if declared is not None:
                 ty = typecheck(v, sig)
                 todo += ((declared.dom, ty.dom), (declared.cod, ty.cod))
@@ -202,7 +202,7 @@ def _instantiate(pattern, binds: dict):
     return out[0]
 
 
-def _rewrite(term: MorExpr, window: list[MorExpr], make, metavar_types: dict,
+def _rewrite(term: MorExpr, window: list[MorExpr], make, metavars: dict,
              sig: Signature) -> MorExpr | None:
     """Replace the leftmost-outermost chain window matching ``window``.
 
@@ -220,7 +220,7 @@ def _rewrite(term: MorExpr, window: list[MorExpr], make, metavar_types: dict,
         chain = comp_chain(t)
         for start in range(len(chain) - k + 1):
             binds: dict = {}
-            if all(_match(p, el, binds, metavar_types, sig)
+            if all(_match(p, el, binds, metavars, sig)
                    for p, el in zip(window, chain[start:start + k])):
                 new = right_comp(chain[:start] + [make(binds)] + chain[start + k:], None)
                 while up is not None:
@@ -263,7 +263,7 @@ def assoc_rw(term: MorExpr, rule: RewriteRule, sig: Signature) -> MorExpr:
 
     typecheck(term, sig)
     result = _rewrite(term, rule.lhs_chain, lambda binds: _instantiate(rule.rhs, binds),
-                      rule.metavar_types(), sig)
+                      dict(rule.metavars), sig)
     if result is None:
         raise NoMatch(f"rule {rule.name!r} matches nothing in {print_expr(term)}")
     return result

@@ -88,27 +88,51 @@ class UnknownLevel(CatError):
 
 
 class ObjExpr:
-    """Base class of object expressions."""
+    """Base class of object expressions, which are hash-consed (Filliâtre &
+    Conchon, "Type-Safe Modular Hash-Consing", 2006): a constructor call
+    looks its class and already interned fields up in one table of weak
+    references, so equal objects are one object, ``==`` is ``is`` and
+    ``hash`` never walks the tree.  Copies and pickles rebuild through it.
+    The table has no lock: objects are built by one thread at a time.
+    """
 
     __slots__ = ()
+    _interned: dict = {}  # (class, fields) -> weak reference to the one live object
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__dataclass_fields__
+        if kwargs:  # keywords go in field order after the positional fields
+            args += tuple(kwargs.pop(name) for name in list(names)[len(args):] if name in kwargs)
+        key = (cls, args)
+        ref = ObjExpr._interned.get(key)
+        obj = ref and ref()
+        if obj is not None and not kwargs:
+            return obj
+        if kwargs or len(args) != len(names):  # a live object's key has the right fields
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)})")
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(names, args))
+        ObjExpr._interned[key] = weakref.ref(obj, lambda ref: (
+            ObjExpr._interned.get(key) is ref and ObjExpr._interned.pop(key)))
+        return obj
+
+    def __reduce__(self):
+        return type(self), node_fields(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Unit(ObjExpr):
     """The distinguished unit object ``I`` (not a declarable generator)."""
 
-    def __repr__(self):
-        return "Unit()"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ObjGen(ObjExpr):
     """A declared object generator."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ObjTensor(ObjExpr):
     """Tensor of two objects; the tree shape is never reassociated."""
 
@@ -116,7 +140,7 @@ class ObjTensor(ObjExpr):
     right: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ObjVar(ObjExpr):
     """Object metavariable (legal only inside rewrite-rule patterns)."""
 
@@ -236,19 +260,21 @@ class MorVar(MorExpr):
 
 
 #: Each structural atom class: its keyword, the level it needs, its inverse,
-#: its (dom, cod) from a tensor constructor ``T`` and its object fields, and
-#: the glyph a diagram labels it with (``None``: drawn as a crossing).
+#: its (dom, cod) from its object fields, and the glyph a diagram labels it
+#: with (``None``: drawn as a crossing).
 STRUCTURAL = {
     Assoc: ("alpha", "monoidal", AssocInv,
-            lambda T, a, b, c: (T(T(a, b), c), T(a, T(b, c))), "α"),
+            lambda a, b, c: (ObjTensor(ObjTensor(a, b), c), ObjTensor(a, ObjTensor(b, c))), "α"),
     AssocInv: ("alpha_inv", "monoidal", Assoc,
-               lambda T, a, b, c: (T(a, T(b, c)), T(T(a, b), c)), "α⁻¹"),
-    LUnit: ("lunit", "monoidal", LUnitInv, lambda T, a: (T(UNIT, a), a), "λ"),
-    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda T, a: (a, T(UNIT, a)), "λ⁻¹"),
-    RUnit: ("runit", "monoidal", RUnitInv, lambda T, a: (T(a, UNIT), a), "ρ"),
-    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda T, a: (a, T(a, UNIT)), "ρ⁻¹"),
-    Braid: ("braid", "braided", BraidInv, lambda T, a, b: (T(a, b), T(b, a)), None),
-    BraidInv: ("braid_inv", "braided", Braid, lambda T, a, b: (T(b, a), T(a, b)), None),
+               lambda a, b, c: (ObjTensor(a, ObjTensor(b, c)), ObjTensor(ObjTensor(a, b), c)),
+               "α⁻¹"),
+    LUnit: ("lunit", "monoidal", LUnitInv, lambda a: (ObjTensor(UNIT, a), a), "λ"),
+    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda a: (a, ObjTensor(UNIT, a)), "λ⁻¹"),
+    RUnit: ("runit", "monoidal", RUnitInv, lambda a: (ObjTensor(a, UNIT), a), "ρ"),
+    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda a: (a, ObjTensor(a, UNIT)), "ρ⁻¹"),
+    Braid: ("braid", "braided", BraidInv, lambda a, b: (ObjTensor(a, b), ObjTensor(b, a)), None),
+    BraidInv: ("braid_inv", "braided", Braid,
+               lambda a, b: (ObjTensor(b, a), ObjTensor(a, b)), None),
 }
 
 
@@ -318,15 +344,10 @@ class Signature:
                 raise DuplicateName(f"{name!r} declared more than once")
             seen.add(name)
         self._by_name = {m.name: m for m in self.morphisms}
-        objset = set(self.objects)
+        self._gens = {name: ObjGen(name) for name in self.objects}  # declared name -> object
         for decl in self.morphisms:
             for obj in (decl.dom, decl.cod):
-                _check_obj(obj, objset, allow_vars=False)
-        # one object per value: name -> ObjGen, (id(left), id(right)) -> ObjTensor
-        self._objs: dict = {}
-        self._types = {m.name: (self._share(m.dom), self._share(m.cod)) for m in self.morphisms}
-        for name in self.objects:
-            self._objs.setdefault(name, ObjGen(name))
+                _check_obj(obj, self._gens, allow_vars=False)
         self._kept: dict[int, tuple] = {}  # see keep_type
         for token, target in self.aliases.items():
             if target not in ("compose", "tensor", "id"):
@@ -335,17 +356,9 @@ class Signature:
                 )
 
     def __reduce__(self):
-        # copies and pickles rebuild the tables above: they hold ids and weak references
+        # copies and pickles start with no kept boundaries: those are keyed by id
         return Signature, (self.level, self.objects, self.morphisms, self.aliases,
                            self.backend_blocks)
-
-    def _share(self, obj: ObjExpr) -> ObjExpr:
-        if isinstance(obj, ObjTensor):
-            left, right = self._share(obj.left), self._share(obj.right)
-            fresh = left is not obj.left or right is not obj.right
-            return self._objs.setdefault((id(left), id(right)),
-                                         ObjTensor(left, right) if fresh else obj)
-        return self._objs.setdefault(obj.name, obj) if isinstance(obj, ObjGen) else obj
 
     def morphism(self, name: str) -> MorDecl:
         try:
@@ -354,14 +367,14 @@ class Signature:
             raise UndeclaredName(f"undeclared morphism {name!r}") from None
 
     def is_object(self, name: str) -> bool:
-        return name in self.objects
+        return name in self._gens
 
     def has_level(self, wanted: str) -> bool:
         return LEVELS.index(self.level) >= LEVELS.index(wanted)
 
 
-def _check_obj(obj: ObjExpr, objset, allow_vars: bool) -> None:
-    """Raise at the leftmost undeclared generator or disallowed metavariable."""
+def _check_obj(obj: ObjExpr, declared, allow_vars: bool) -> None:
+    """Raise at the leftmost generator not in ``declared`` or disallowed metavariable."""
 
     todo = [obj]
     while todo:
@@ -369,7 +382,7 @@ def _check_obj(obj: ObjExpr, objset, allow_vars: bool) -> None:
         if isinstance(o, ObjTensor):
             todo += (o.right, o.left)
         elif isinstance(o, ObjGen):
-            if o.name not in objset:
+            if o.name not in declared:
                 raise UndeclaredName(f"undeclared object {o.name!r}", term=o)
         elif isinstance(o, ObjVar):
             if not allow_vars:
@@ -437,38 +450,27 @@ class Typer:
     """The typechecker behind :func:`typecheck`, set up once for ``sig``:
     call it on a term, or type nodes one at a time as the parser does.
 
-    Boundaries are ``(dom, cod)`` pairs.  Tensored objects are made by
-    :meth:`tensor_obj`, one per pair of parts, starting from the
-    signature's own objects, so equal boundaries built by one typer are
-    usually the same object and a composition check is an ``is`` test.
+    Boundaries are ``(dom, cod)`` pairs of interned objects, so a
+    composition check is an ``is`` test.
     """
 
     def __init__(self, sig: Signature, metavars: dict[str, MorType] | None = None):
         self.sig = sig
         self.metavars = metavars
-        self.objs = dict(sig._objs)
-        self.objset = set(sig.objects)
-
-    def tensor_obj(self, left: ObjExpr, right: ObjExpr) -> ObjTensor:
-        key = (id(left), id(right))
-        obj = self.objs.get(key)
-        if obj is None:
-            obj = self.objs[key] = ObjTensor(left, right)
-        return obj
 
     def atom(self, t: MorExpr, checked: bool = False) -> tuple[ObjExpr, ObjExpr]:
         """``t``'s boundary; ``checked`` says its objects are known declared."""
 
         cls = type(t)
         if cls is MorGen or cls is Inv:
-            ty = self.sig._types.get(t.name)
-            if ty is None:
+            decl = self.sig._by_name.get(t.name)
+            if decl is None:
                 raise UndeclaredName(f"undeclared morphism {t.name!r}", term=t)
             if cls is MorGen:
-                return ty
-            if not self.sig.morphism(t.name).iso:
+                return decl.dom, decl.cod
+            if not decl.iso:
                 raise NotAnIso(f"{t.name!r} is not declared iso", term=t)
-            return ty[1], ty[0]
+            return decl.cod, decl.dom
         if cls is MorVar:
             if self.metavars is None or t.name not in self.metavars:
                 raise UndeclaredName(f"undeclared metavariable ?{t.name}", term=t)
@@ -483,17 +485,17 @@ class Typer:
         args = (t.obj,) if spec is None else node_fields(t)
         if not checked:
             for obj in args:
-                _check_obj(obj, self.objset, allow_vars=self.metavars is not None)
-        return (t.obj, t.obj) if spec is None else spec[3](self.tensor_obj, *args)
+                _check_obj(obj, self.sig._gens, allow_vars=self.metavars is not None)
+        return (t.obj, t.obj) if spec is None else spec[3](*args)
 
     def comp(self, t: Comp, fst, snd) -> tuple[ObjExpr, ObjExpr]:
-        if fst[1] is not snd[0] and fst[1] != snd[0]:
+        if fst[1] is not snd[0]:
             raise CompositionMismatch(f"cannot compose: codomain {obj_label(fst[1])} "
                                       f"does not match domain {obj_label(snd[0])}", term=t)
         return fst[0], snd[1]
 
     def tensor(self, t: Tensor, top, bottom) -> tuple[ObjTensor, ObjTensor]:
-        return self.tensor_obj(top[0], bottom[0]), self.tensor_obj(top[1], bottom[1])
+        return ObjTensor(top[0], bottom[0]), ObjTensor(top[1], bottom[1])
 
     def __call__(self, term: MorExpr) -> MorType:
         return MorType(*fold(term, self.atom, self.comp, self.tensor))

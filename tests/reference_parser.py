@@ -1,7 +1,8 @@
 """The untyped expression parser that ``monocat.parser.parse_expr`` replaced.
 
 It builds the whole term first, recording every node's span by
-``id(node)``, and only then typechecks it in a separate recursive walk
+``id(node)`` (an interned object's at its first occurrence), and only
+then typechecks it in a separate recursive walk
 (the typechecker as it was, restated here); a type error gets the span of
 the node it names.  Kept as the reference the typing parser is tested
 against: on any text both must return equal terms, or raise the same
@@ -69,8 +70,20 @@ class ReferenceParser:
     def _error(self, message: str, t) -> ParseError:
         return ParseError(message, span=SourceSpan(*t[2:]))
 
-    def _note(self, term, start, end):
-        self.spans[id(term)] = (start[-4], start[-3], start[-2], end[-1])
+    def _note(self, term, start):
+        """Record ``term``'s span from token ``start`` to the last consumed
+        token, unless an earlier occurrence of the same node (objects are
+        interned) has one: an error names a node's first occurrence."""
+        end = self.tokens[self.pos - 1]
+        self.spans.setdefault(id(term), (start[-4], start[-3], start[-2], end[-1]))
+        return term
+
+    def _widen(self, term, lparen, inner):
+        """Widen ``term``'s span over the parentheses just consumed when it
+        is the occurrence just parsed: its span starts at token ``inner``."""
+        span = self.spans.get(id(term))
+        if span is not None and span[2] == inner[-2]:
+            self.spans[id(term)] = (*lparen[-4:-1], self.tokens[self.pos - 1][-1])
         return term
 
     def parse_expr(self) -> MorExpr:
@@ -79,7 +92,7 @@ class ReferenceParser:
         while self.tokens[self.pos][0] == "COMPOSE":
             self.pos += 1
             rhs = self.parse_tensor()
-            term = self._note(Comp(term, rhs), start, self.spans[id(rhs)])
+            term = self._note(Comp(term, rhs), start)
         return term
 
     def parse_tensor(self) -> MorExpr:
@@ -88,25 +101,28 @@ class ReferenceParser:
         while self.tokens[self.pos][0] == "TENSOR":
             self.pos += 1
             rhs = self.parse_atom()
-            term = self._note(Tensor(term, rhs), start, self.spans[id(rhs)])
+            term = self._note(Tensor(term, rhs), start)
         return term
 
     def parse_atom(self) -> MorExpr:
         t = self.next()
         kind, name = t[0], t[1]
         if kind == "LPAREN":
+            inner = self.tokens[self.pos]
             term = self.parse_expr()
-            return self._note(term, t, self.expect("RPAREN", "')'"))
+            self.expect("RPAREN", "')'")
+            return self._widen(term, t, inner)
         if kind == "METAVAR":
             if not self.allow_metavars:
                 raise self._error("metavariables are only allowed in rule files", t)
-            return self._note(MorVar(name), t, t)
+            return self._note(MorVar(name), t)
         if kind != "NAME":
             raise self._error(f"expected a morphism, found {name!r}", t)
         if name == "id":
             self.expect("LBRACK", "'['")
             obj = self.parse_obj()
-            return self._note(Id(obj), t, self.expect("RBRACK", "']'"))
+            self.expect("RBRACK", "']'")
+            return self._note(Id(obj), t)
         if name in STRUCTURAL_KEYWORDS:
             cls, arity = STRUCTURAL_KEYWORDS[name]
             self.expect("LBRACK", "'['")
@@ -114,14 +130,16 @@ class ReferenceParser:
             for _ in range(arity - 1):
                 self.expect("COMMA", "','")
                 args.append(self.parse_obj())
-            return self._note(cls(*args), t, self.expect("RBRACK", "']'"))
+            self.expect("RBRACK", "']'")
+            return self._note(cls(*args), t)
         if name == "inv":
             self.expect("LPAREN", "'('")
             inner = self.expect("NAME", "a generator name")
-            return self._note(Inv(inner[1]), t, self.expect("RPAREN", "')'"))
+            self.expect("RPAREN", "')'")
+            return self._note(Inv(inner[1]), t)
         if name == "I":
             raise self._error("'I' is an object, not a morphism", t)
-        return self._note(MorGen(name), t, t)
+        return self._note(MorGen(name), t)
 
     def parse_obj(self) -> ObjExpr:
         start = self.tokens[self.pos]
@@ -129,26 +147,28 @@ class ReferenceParser:
         while self.tokens[self.pos][0] == "TENSOR":
             self.pos += 1
             rhs = self.parse_objatom()
-            obj = self._note(ObjTensor(obj, rhs), start, self.spans[id(rhs)])
+            obj = self._note(ObjTensor(obj, rhs), start)
         return obj
 
     def parse_objatom(self) -> ObjExpr:
         t = self.next()
         kind, name = t[0], t[1]
         if kind == "LPAREN":
+            inner = self.tokens[self.pos]
             obj = self.parse_obj()
-            return self._note(obj, t, self.expect("RPAREN", "')'"))
+            self.expect("RPAREN", "')'")
+            return self._widen(obj, t, inner)
         if kind == "METAVAR":
             if not self.allow_metavars:
                 raise self._error("metavariables are only allowed in rule files", t)
-            return self._note(ObjVar(name), t, t)
+            return self._note(ObjVar(name), t)
         if kind != "NAME":
             raise self._error(f"expected an object, found {name!r}", t)
         if name == "I":
-            return self._note(UNIT, t, t)
+            return self._note(UNIT, t)
         if name in RESERVED_NAMES:
             raise self._error(f"{name!r} cannot be used as an object", t)
-        return self._note(ObjGen(name), t, t)
+        return self._note(ObjGen(name), t)
 
 
 def reference_typecheck(term: MorExpr, sig: Signature) -> MorType:

@@ -352,7 +352,7 @@ def _instantiate(pattern: MorExpr, b: dict) -> MorExpr:
 def reference_assoc_rw(term: MorExpr, rule: RewriteRule, sig: Signature) -> MorExpr:
     typecheck(term, sig)
     lhs_chain = rule.lhs_chain
-    metavar_types = rule.metavar_types()
+    metavar_types = dict(rule.metavars)
     k = len(lhs_chain)
 
     def attempt(chain: list[MorExpr]) -> list[MorExpr] | None:

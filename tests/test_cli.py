@@ -138,6 +138,14 @@ def test_deep_parentheses_normalize(sig_path, capsys, default_recursion_limit):
         f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * 1500)}]; out=[A]\n"
 
 
+def test_check_wide_declared_boundary(tmp_path, capsys, default_recursion_limit):
+    wide = " * ".join(["A"] * 1200)
+    path = tmp_path / "wide.txt"
+    path.write_text(f"category symmetric\nobject A\nmor v : {wide} -> A\n", encoding="utf-8")
+    assert run(["check", "--sig", str(path), "--method", "monoidal", "v", f"id[{wide}] ; v"]) == 0
+    assert "equal (monoidal)" in capsys.readouterr().out
+
+
 def test_import_leaves_numpy_out():
     # only the matrix and relation oracles need numpy; it is imported on their first use
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,11 +1,17 @@
-"""Core term language: typechecking, atom enumeration, inverses."""
+"""Core term language: typechecking, atom enumeration, inverses, and
+hash-consed objects."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import random_term
-from monocat.parser import parse_expr
+from monocat.parser import parse_expr, parse_obj, parse_signature
 from monocat.terms import (
     Assoc,
     AssocInv,
@@ -24,14 +30,17 @@ from monocat.terms import (
     MorType,
     NotAnIso,
     NotInvertible,
+    ObjExpr,
     ObjGen,
     ObjTensor,
+    ObjVar,
     RUnit,
     RUnitInv,
     Signature,
     Tensor,
     UNIT,
     UndeclaredName,
+    Unit,
     UnknownLevel,
     comp_chain,
     iso_inverse,
@@ -176,3 +185,70 @@ def test_chain_helpers(sig):
 def test_parse_expr_integration(sig):
     term = parse_expr("f ; g", sig)
     assert typecheck(term, sig) == MorType(A, C)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed objects: one object per value, however it is built
+# ---------------------------------------------------------------------------
+
+OBJ_SIG = parse_signature("category symmetric\nobject A\nobject Bb\nobject C\n")
+
+#: An object as a tree: a name, None for the unit, or a (left, right) pair.
+obj_trees = st.recursive(st.sampled_from(["A", "Bb", "C", None]),
+                         lambda kids: st.tuples(kids, kids), max_leaves=12)
+
+
+def _text(tree) -> str:
+    if isinstance(tree, tuple):
+        return f"({_text(tree[0])} * {_text(tree[1])})"
+    return "I" if tree is None else tree
+
+
+def _built(tree, keywords: bool):
+    """Constructed bottom-up, the right factor first; names are fresh strings."""
+
+    if isinstance(tree, tuple):
+        right, left = _built(tree[1], keywords), _built(tree[0], keywords)
+        return ObjTensor(right=right, left=left) if keywords else ObjTensor(left, right)
+    if tree is None:
+        return Unit()
+    name = "".join(list(tree))
+    return ObjGen(name=name) if keywords else ObjGen(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj_trees)
+def test_one_object_however_built(tree):
+    obj = parse_obj(_text(tree), OBJ_SIG)
+    same = [_built(tree, False), _built(tree, True), dataclasses.replace(obj), copy.copy(obj),
+            copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+    if isinstance(obj, ObjTensor):
+        same.append(dataclasses.replace(ObjTensor(obj.right, obj.left), left=obj.left,
+                                        right=obj.right))
+    for other in same:
+        assert other is obj and other == obj and hash(other) == hash(obj)
+
+
+def test_interned_table_holds_only_live_objects():
+    table = ObjExpr._interned
+    before = len(table)
+    obj = ObjTensor(ObjGen("dead_a"), ObjTensor(ObjVar("dead_b"), UNIT))
+    assert len(table) == before + 4
+    del obj
+    gc.collect()
+    assert len(table) == before
+    assert all(ref() is not None for ref in table.values())
+
+
+def test_object_repr_fields_and_constructor_unchanged():
+    obj = ObjTensor(ObjGen("A"), ObjTensor(ObjVar("x"), UNIT))
+    assert repr(obj) == "ObjTensor(left=ObjGen(name='A'), right=ObjTensor(left=ObjVar(name='x'), " \
+        "right=Unit()))"
+    assert [f.name for f in dataclasses.fields(obj)] == ["left", "right"]
+    assert [[f.name for f in dataclasses.fields(cls)] for cls in (ObjGen, ObjVar, Unit)] == \
+        [["name"], ["name"], []]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.left = UNIT
+    for args, kwargs in (((A,), {}), ((A, B, C), {}), ((A,), {"left": B}), ((), {"nme": A})):
+        with pytest.raises(TypeError):
+            ObjTensor(*args, **kwargs)

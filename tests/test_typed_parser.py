@@ -12,8 +12,15 @@ import pytest
 import monocat.terms as terms
 from gen import STD_SIG_TEXT, random_term, std_sig
 from monocat.coherence import Equal, monoidal_eq
-from monocat.parser import ParseError, parse_expr, parse_rules, parse_signature, print_expr
-from monocat.tactics import cancel_isos, foliate
+from monocat.parser import (
+    ParseError,
+    parse_expr,
+    parse_obj,
+    parse_rules,
+    parse_signature,
+    print_expr,
+)
+from monocat.tactics import Proved, cancel_isos, cat_easy, foliate
 from monocat.terms import (
     CatError,
     Comp,
@@ -69,6 +76,7 @@ ERROR_CORPUS = [
     ("monoidal", "braid[Z, A]"), ("monoidal", "braid[A, B]"), ("monoidal", "lunit[Z]"),
     ("monoidal", "alpha[A, B, A] ; alpha_inv[A, B, A] ; id[Z]"),
     ("std", "id[I] * u ; lunit[A]"), ("std", "f ; g ; h"), ("std", "(f * u) ; (g * f)"),
+    ("std", "id[Z] ; id[Z]"), ("std", "id[Z * Z] ; f"), ("std", "(id[Z]) ; id[(Z)]"),
 ]
 
 _NAMES = ["A", "B", "C", "Z", "I", "f", "g", "h", "u", "p", "q", "k", "w", "s", "e", "zz", "id"]
@@ -278,6 +286,27 @@ def test_wide_staircase_parses_and_types(default_recursion_limit):
     term = parse_expr(_staircase(512), DEPTH_SIG)
     ty = typecheck(term, DEPTH_SIG)
     assert ty.dom is ty.cod and _depth(ty.dom) == 511
+
+
+def test_two_parses_of_a_wide_tensor_are_equal(default_recursion_limit):
+    text = " * ".join(["u"] * 1200)
+    lhs, rhs = parse_expr(text, DEPTH_SIG), parse_expr(text, DEPTH_SIG)
+    assert isinstance(monoidal_eq(lhs, rhs, DEPTH_SIG), Equal)
+    assert isinstance(cat_easy(lhs, rhs, DEPTH_SIG), Proved)
+
+
+def test_wide_declared_boundary(default_recursion_limit):
+    wide = " * ".join(["A"] * 1200)
+    sig = parse_signature(f"category symmetric\nobject A\nmor v : {wide} -> A\n")
+    assert _depth(sig.morphism("v").dom) == 1199
+    assert isinstance(monoidal_eq(parse_expr("v", sig), parse_expr(f"id[{wide}] ; v", sig), sig),
+                      Equal)
+
+
+def test_wide_objects_from_two_parses_hash_and_compare(default_recursion_limit):
+    wide = " * ".join(["A"] * 1200)
+    first, second = parse_obj(wide, DEPTH_SIG), parse_obj(wide, DEPTH_SIG)
+    assert first == second and hash(first) == hash(second)
 
 
 def test_long_constructed_chain_types(default_recursion_limit):
