@@ -46,6 +46,7 @@ from .terms import (
     Tensor,
     TypeMismatch,
     Unit,
+    _set_wires,
     fold,
     node_fields,
     obj_label,
@@ -108,20 +109,33 @@ class NotDecided:
 
 
 def flatten_object(obj: ObjExpr) -> WireList:
-    """Erase bracketing and units: the ordered generator names of ``obj``."""
+    """Erase bracketing and units: the ordered generator names of ``obj``.
 
+    Objects are interned, so the list is computed once per object and kept
+    on it (``ObjExpr._wires``); the walk reuses the lists kept on the
+    sub-objects asked before.
+    """
+
+    wires = obj._wires
+    if wires is not None:
+        return wires
     names: list[str] = []
     todo = [obj]
     while todo:
         o = todo.pop()
+        kept = o._wires
         cls = type(o)
-        if cls is ObjTensor:
+        if kept is not None:
+            names += kept
+        elif cls is ObjTensor:
             todo += (o.right, o.left)
         elif cls is ObjGen:
             names.append(o.name)
         elif cls is not Unit:
             raise TypeError(f"cannot flatten {o!r}")
-    return tuple(names)
+    wires = tuple(names)
+    _set_wires(obj, wires)
+    return wires
 
 
 def slot_in(slot: Slot) -> WireList:
@@ -141,10 +155,6 @@ def layer_output(layer: Layer) -> WireList:
 
 def sheet_output(sheet: Sheet) -> WireList:
     return layer_output(sheet.layers[-1]) if sheet.layers else sheet.input
-
-
-def _wire_layer(wires: WireList) -> Layer:
-    return tuple(WireSlot(w) for w in wires)
 
 
 def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
@@ -169,11 +179,13 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     generators, declared-iso inverses and braidings become single-box
     layers; composition concatenates layers and tensoring pads the
     shorter sheet with wire layers at its end, then joins layers
-    sidewise (top slots first).
+    sidewise (top slots first).  Each wire list's pad layer is built once
+    per call and shared by every pad over it.
     """
 
     ty = typecheck(term, sig)
     layers: list[Layer] = []  # every subterm's layers, in order, from its first index on
+    pads: dict[WireList, Layer] = {}  # wire list -> its wire-only layer
 
     def atom(t: MorExpr) -> tuple[int, WireList]:
         ins, outs = atom_wires(t, sig)
@@ -195,10 +207,13 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
         (i, top_in), (j, bottom_in) = top, bottom
         t_layers, b_layers = layers[i:j], layers[j:]
         del layers[i:]
-        while len(t_layers) < len(b_layers):
-            t_layers.append(_wire_layer(layer_output(t_layers[-1]) if t_layers else top_in))
-        while len(b_layers) < len(t_layers):
-            b_layers.append(_wire_layer(layer_output(b_layers[-1]) if b_layers else bottom_in))
+        if len(t_layers) != len(b_layers):  # pad the shorter side with its output wires
+            short, short_in = ((t_layers, top_in) if len(t_layers) < len(b_layers)
+                               else (b_layers, bottom_in))
+            wires = layer_output(short[-1]) if short else short_in
+            if wires not in pads:
+                pads[wires] = tuple(WireSlot(w) for w in wires)
+            short += [pads[wires]] * abs(len(t_layers) - len(b_layers))
         layers.extend(map(tuple.__add__, t_layers, b_layers))
         return i, top_in + bottom_in
 

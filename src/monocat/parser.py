@@ -338,6 +338,10 @@ class _ExprParser:
                                                undeclared == self.undeclared)
 
     def parse_obj(self) -> ObjExpr:
+        k, words = self.pos, self.words
+        # one word before "]" or "," is an object atom; "" is only ever the last word
+        if words[k] not in ("(", "") and words[k + 1] in ("]", ","):
+            return self.parse_objatom()
         return self._chains(self.parse_objatom, ObjTensor)
 
     def parse_objatom(self) -> ObjExpr:

@@ -94,9 +94,15 @@ class ObjExpr:
     references, so equal objects are one object, ``==`` is ``is`` and
     ``hash`` never walks the tree.  Copies and pickles rebuild through it.
     The table has no lock: objects are built by one thread at a time.
+
+    What is derived from an object is kept on it once computed: the one
+    slot ``_wires`` holds the flat wire list (``None`` until
+    ``coherence.flatten_object`` first asks).  It lives on this base
+    class, outside the dataclass fields, so ``vars()``, ``repr``, ``==``,
+    copies and pickles never see it.
     """
 
-    __slots__ = ()
+    __slots__ = ("_wires",)
     _interned: dict = {}  # (class, fields) -> weak reference to the one live object
 
     def __new__(cls, *args, **kwargs):
@@ -112,12 +118,16 @@ class ObjExpr:
             raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)})")
         obj = object.__new__(cls)
         obj.__dict__.update(zip(names, args))
+        _set_wires(obj, None)
         ObjExpr._interned[key] = weakref.ref(obj, lambda ref: (
             ObjExpr._interned.get(key) is ref and ObjExpr._interned.pop(key)))
         return obj
 
     def __reduce__(self):
         return type(self), node_fields(self)
+
+
+_set_wires = ObjExpr._wires.__set__  # past the frozen dataclasses' __setattr__
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -156,9 +166,39 @@ UNIT = Unit()
 
 
 class MorExpr:
-    """Base class of morphism expressions."""
+    """Base class of morphism expressions.
+
+    Atoms compare and hash by their fields, as dataclasses do; their
+    fields are names and interned objects, so that never recurses.
+    ``Comp`` and ``Tensor`` take ``==`` and ``hash`` from here: the same
+    structural ones, walked on an explicit stack, so no depth recurses.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if self.__class__ is not other.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            cls = a.__class__
+            if a is b:
+                continue
+            if cls is not b.__class__:
+                return False
+            if cls is Comp or cls is Tensor:
+                todo += zip(a.__dict__.values(), b.__dict__.values())
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        return fold(self, hash, _node_hash, _node_hash)
+
+
+def _node_hash(t: MorExpr, first: int, second: int) -> int:
+    return hash((t.__class__, first, second))
 
 
 @dataclass(frozen=True)
@@ -175,7 +215,7 @@ class Id(MorExpr):
     obj: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Comp(MorExpr):
     """Diagrammatic composition: ``first`` then ``second``."""
 
@@ -183,7 +223,7 @@ class Comp(MorExpr):
     second: MorExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor(MorExpr):
     """Tensor (vertical stacking): ``top`` above ``bottom``."""
 
@@ -495,7 +535,10 @@ class Typer:
         return fst[0], snd[1]
 
     def tensor(self, t: Tensor, top, bottom) -> tuple[ObjTensor, ObjTensor]:
-        return ObjTensor(top[0], bottom[0]), ObjTensor(top[1], bottom[1])
+        dom = ObjTensor(top[0], bottom[0])
+        if top[0] is top[1] and bottom[0] is bottom[1]:  # both endomorphic
+            return dom, dom
+        return dom, ObjTensor(top[1], bottom[1])
 
     def __call__(self, term: MorExpr) -> MorType:
         return MorType(*fold(term, self.atom, self.comp, self.tensor))

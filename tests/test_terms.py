@@ -5,12 +5,14 @@ import copy
 import dataclasses
 import gc
 import pickle
+import weakref
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gen import random_term
+from monocat.coherence import flatten_object
 from monocat.parser import parse_expr, parse_obj, parse_signature
 from monocat.terms import (
     Assoc,
@@ -252,3 +254,51 @@ def test_object_repr_fields_and_constructor_unchanged():
     for args, kwargs in (((A,), {}), ((A, B, C), {}), ((A,), {"left": B}), ((), {"nme": A})):
         with pytest.raises(TypeError):
             ObjTensor(*args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The flat wire list kept on each interned object
+# ---------------------------------------------------------------------------
+
+
+def _flat(tree) -> tuple[str, ...]:
+    """The flat wire list of an object tree, by plain recursion."""
+
+    if isinstance(tree, tuple):
+        return _flat(tree[0]) + _flat(tree[1])
+    return () if tree is None else (tree,)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the limit is not state
+@given(obj_trees, st.sampled_from([0, 1, 2, 1200]), st.booleans())
+def test_flatten_object_first_and_kept(default_recursion_limit, tree, width, warm):
+    text = _text(tree) + " * A" * width  # then ``width`` more factors, nesting to the left
+    obj = parse_obj(text, OBJ_SIG)
+    if warm and isinstance(obj, ObjTensor):  # a sub-object's list is kept first
+        left = _flat(tree) + ("A",) * (width - 1) if width else _flat(tree[0])
+        assert flatten_object(obj.left) == left
+    expected = _flat(tree) + ("A",) * width
+    assert flatten_object(obj) == expected
+    assert flatten_object(obj) == expected
+
+
+def test_kept_wires_stay_out_of_sight():
+    obj = parse_obj("A * (Bb * I) * C", OBJ_SIG)
+    seen = (dict(vars(obj)), repr(obj), dataclasses.fields(obj), pickle.dumps(obj))
+    assert flatten_object(obj) == ("A", "Bb", "C") and flatten_object(obj.left) == ("A", "Bb")
+    assert (vars(obj), repr(obj), dataclasses.fields(obj), pickle.dumps(obj)) == seen
+    for same in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert same is obj and flatten_object(same) == ("A", "Bb", "C")
+
+
+def test_interned_table_drops_objects_with_kept_wires():
+    table = ObjExpr._interned
+    before = len(table)
+    obj = ObjTensor(ObjGen("gone_a"), ObjTensor(ObjGen("gone_b"), UNIT))
+    assert flatten_object(obj.right) == ("gone_b",) and flatten_object(obj) == ("gone_a", "gone_b")
+    assert len(table) == before + 4
+    ref = weakref.ref(obj)
+    del obj
+    gc.collect()
+    assert ref() is None and len(table) == before

@@ -77,6 +77,10 @@ ERROR_CORPUS = [
     ("monoidal", "alpha[A, B, A] ; alpha_inv[A, B, A] ; id[Z]"),
     ("std", "id[I] * u ; lunit[A]"), ("std", "f ; g ; h"), ("std", "(f * u) ; (g * f)"),
     ("std", "id[Z] ; id[Z]"), ("std", "id[Z * Z] ; f"), ("std", "(id[Z]) ; id[(Z)]"),
+    # one-word bracket arguments, which skip the chain loop
+    ("std", "id["), ("std", "id[A"), ("std", "alpha[A,]"), ("std", "braid[A,B"), ("std", "id[]"),
+    ("std", "braid[A,]"), ("std", "alpha[A,B,C"), ("std", "id[(]"), ("std", "id[A,]"),
+    ("std", "braid[I,?]"), ("std", "lunit[id]"), ("monoidal", "braid[B,Z]"),
 ]
 
 _NAMES = ["A", "B", "C", "Z", "I", "f", "g", "h", "u", "p", "q", "k", "w", "s", "e", "zz", "id"]
@@ -309,6 +313,29 @@ def test_wide_objects_from_two_parses_hash_and_compare(default_recursion_limit):
     assert first == second and hash(first) == hash(second)
 
 
+@pytest.mark.parametrize("op", [" * ", " ; "], ids=["wide", "chain"])
+def test_two_parses_of_a_deep_term_compare_and_hash(default_recursion_limit, op):
+    text = op.join(["u"] * 1200)
+    lhs, rhs = parse_expr(text, DEPTH_SIG), parse_expr(text, DEPTH_SIG)
+    assert lhs is not rhs and lhs == rhs and not lhs != rhs and hash(lhs) == hash(rhs)
+    deep_leaf = parse_expr(op.join(["id[A]"] + ["u"] * 1199), DEPTH_SIG)  # the leftmost leaf
+    assert deep_leaf != lhs and not deep_leaf == lhs and lhs != deep_leaf
+
+
+def test_term_equality_hash_repr_and_fields_unchanged():
+    f, A = MorGen("u"), ObjGen("A")
+    term = Comp(Tensor(f, Id(A)), Inv("u"))
+    assert term == Comp(Tensor(MorGen("u"), Id(ObjGen("A"))), Inv("u"))
+    assert hash(term) == hash(Comp(Tensor(MorGen("u"), Id(ObjGen("A"))), Inv("u")))
+    assert term != Comp(Tensor(f, Id(A)), MorGen("u")) and term != Comp(Id(A), Inv("u"))
+    assert MorGen("u") != Inv("u") and Tensor(f, f) != Comp(f, f) and f != "u"
+    assert len({MorGen("u"), MorGen("u"), Inv("u"), Comp(f, f), Comp(f, f)}) == 3
+    assert repr(term) == "Comp(first=Tensor(top=MorGen(name='u'), bottom=Id(obj=ObjGen(" \
+        "name='A'))), second=Inv(name='u'))"
+    assert [[f.name for f in dataclasses.fields(cls)] for cls in (Comp, Tensor, Id, Inv)] == \
+        [["first", "second"], ["top", "bottom"], ["obj"], ["name"]]
+
+
 def test_long_constructed_chain_types(default_recursion_limit):
     term = MorGen("u")
     for _ in range(1500):
@@ -353,7 +380,7 @@ LEXICAL_CORPUS = [
     ("std", "u ->"), ("std", "u => u"), ("std", "id[A, B]"), ("std", "braid[A B]"),
     ("std", "id[I]"), ("std", "I"), ("std", "id[id]"), ("std", "id[(A * B]"),
     ("odd", "$x"), ("odd", "²f"), ("odd", '"q"'), ("odd", "?m"), ("odd", "id[$]"),
-    ("odd", "id[A * $]"), ("odd", "$x ; u"), ("odd", "id[A] ; ²f"),
+    ("odd", "id[A * $]"), ("odd", "$x ; u"), ("odd", "id[A] ; ²f"), ("odd", "id[$,]"),
 ]
 
 
