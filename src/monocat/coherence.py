@@ -9,8 +9,10 @@ boundary are equal up to monoidal structure whenever their normal forms
 are structurally identical.
 
 ``Equal`` results are sound for every lawful backend.  ``NotDecided``
-results carry no information: the procedure is complete only for
-equalities following from monoidal structure plus identity sliding.
+results carry no information: the procedure is complete for equalities
+following from monoidal structure plus identity sliding, except between
+terms holding both a box with no input wires (a "scalar") and a box
+with no output wires (an "effect").
 
 Braiding boxes are keyed by their two flattened halves, so braidings
 over differently bracketed but identically flattened objects are
@@ -18,13 +20,16 @@ identified, while braidings that split the same wire list at different
 points stay distinct (they denote different permutations).  A braiding
 with a unit-like half permutes nothing and is erased like the unitors.
 
-Boxes with no input wires ("scalar" states) have no wire dependencies;
-they slide left only through layers consisting entirely of wires, and
-where one stops depends on the order in which the pass loop of
-single-layer slides (:func:`_slide_to_fixpoint`) visits passes and
-slots.  A sheet holding one takes that loop; any other sheet is
-canonicalized in one left-to-right sweep (:func:`_sweep`), in time
-linear in the input plus the output.
+Every sheet is canonicalized in one left-to-right sweep (:func:`_sweep`),
+in time linear in the input plus the output, plus one sort of the
+scalars.  A scalar has no input to wait for; by planar isotopy (Joyal &
+Street, "The geometry of tensor calculus I", 1991) it slides left within
+the gap between its neighbouring wires until a box closes that gap: a
+box it would land among the outputs of, or an effect ending a wire at
+its point.  An effect and a scalar meeting at one point (``e ; s``
+against ``s * e``) form a floating piece whose side is not canonical;
+placing those needs Delpeuch & Vicary's quadratic algorithm
+(arXiv:1804.07832), which is not implemented here.
 """
 
 from __future__ import annotations
@@ -138,10 +143,6 @@ def flatten_object(obj: ObjExpr) -> WireList:
     return wires
 
 
-def slot_in(slot: Slot) -> WireList:
-    return (slot.obj,) if isinstance(slot, WireSlot) else slot.ins
-
-
 def slot_out(slot: Slot) -> WireList:
     return (slot.obj,) if isinstance(slot, WireSlot) else slot.outs
 
@@ -222,101 +223,107 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     return Sheet(ins, tuple(layers))
 
 
-def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
-    """Move the box at ``layers[k][i]`` into layer ``k-1`` if wires permit."""
-
-    box = layers[k][i]
-    prev = layers[k - 1]
-    start = sum(len(slot_in(s)) for s in layers[k][:i])
-    width = len(box.ins)
-
-    if width == 0:
-        # scalar state: only a pure wire layer can absorb it
-        if any(isinstance(s, BoxSlot) for s in prev):
-            return False
-        prev.insert(start, box)
-        layers[k][i:i + 1] = [WireSlot(w) for w in box.outs]
-        return True
-
-    covering: list[int] = []
-    pos = 0
-    for j, slot in enumerate(prev):
-        w = len(slot_out(slot))
-        if pos < start + width and pos + w > start:
-            if not isinstance(slot, WireSlot):
-                return False
-            covering.append(j)
-        pos += w
-    if len(covering) != width:
-        return False
-    j0 = covering[0]
-    prev[j0:j0 + width] = [box]
-    layers[k][i:i + 1] = [WireSlot(w) for w in box.outs]
-    return True
-
-
 def canonicalize(sheet: Sheet) -> NormalForm:
     """Slide every box as far left as possible, then drop wire-only layers.
 
-    A wire-consuming box lands one layer after the latest producer of its
-    inputs or zero-output box between them; a scalar box stops at the
-    first layer holding another box.
+    A box lands one layer after the latest producer of its inputs or
+    zero-output box between them; a box without inputs lands one layer
+    after the latest box that closes the gap it sits in.
     """
 
-    scalar = any(isinstance(slot, BoxSlot) and not slot.ins
-                 for layer in sheet.layers for slot in layer)
-    layers = _slide_to_fixpoint(sheet) if scalar else _sweep(sheet)
-    return NormalForm(sheet.input, sheet_output(sheet), layers)
+    return NormalForm(sheet.input, sheet_output(sheet), _sweep(sheet))
 
 
 def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
-    """Canonical layers of a sheet without scalar boxes, in one pass.
+    """Canonical layers of a sheet, in one pass.
 
-    Each wire id keeps its producer's layer (-1 for inputs) and each gap
-    between neighbouring wires the latest zero-output box consumed in it;
-    a box lands one layer after the latest of both among its inputs, so
-    every layer up to the deepest holds a box.  Each layer is then rebuilt
-    once along its input boundary, a box replacing its run of input wires.
+    Each wire id keeps its producer's layer (-1 for inputs), and each gap
+    between neighbouring wires a bound: the latest zero-output box consumed
+    in it, or the box whose outputs it lies between.  A box lands one layer
+    after the latest producer of its inputs and bound between them, a box
+    without inputs one layer after its gap's bound, so every layer up to
+    the deepest holds a box.  All ids also take one left-to-right order,
+    built only when the sheet holds a box without inputs: a box's outputs
+    (or, without any, a placeholder) follow its last input, or without
+    inputs the last id before it in its layer.  Each layer is then rebuilt
+    once along its input boundary, a box replacing its run of input wires
+    and a box without inputs going just before the first boundary wire
+    after it in that order.
     """
 
     names = list(sheet.input)  # wire id -> object name
     produced = [-1] * len(names)  # wire id -> layer of its producer
+    links = [(-1, range(len(names)))]  # (id, run of ids ordered right after it); -1 heads the order
+    holes = -1  # placeholder ids of zero-output boxes: -2, -3, ...
     placed: dict[int, tuple[int, BoxSlot, range]] = {}  # first input id -> (layer, box, output ids)
+    scalars: list[tuple[int, int, BoxSlot, range]] = []  # (layer, first id, box, output ids)
     boundary = list(range(len(names)))
-    gaps = [-1] * (len(names) + 1)  # gaps[p]: latest zero-output box just before boundary[p]
+    gaps = [-1] * (len(names) + 1)  # gaps[p]: bound of the gap just before boundary[p]
     for layer in sheet.layers:
         nxt: list[int] = []
         nxt_gaps = gaps[:1]
         pos = 0
+        last = -1  # the last id (or placeholder) placed in this layer so far
         for slot in layer:
             if isinstance(slot, WireSlot):
-                nxt.append(boundary[pos])
+                last = boundary[pos]
+                nxt.append(last)
                 nxt_gaps.append(gaps[pos + 1])
                 pos += 1
                 continue
             n = len(slot.ins)
             ins = boundary[pos:pos + n]
-            at = 1 + max([produced[w] for w in ins] + gaps[pos + 1:pos + n])
             outs = range(len(names), len(names) + len(slot.outs))
+            if not outs:
+                holes -= 1
+            run = outs or (holes,)
+            if n:
+                at = 1 + max([produced[w] for w in ins] + gaps[pos + 1:pos + n])
+                placed[ins[0]] = (at, slot, outs)
+                prior = ins[-1]
+            else:  # bounded by its gap alone, ordered after its left neighbour
+                at = 1 + gaps[pos]
+                scalars.append((at, run[0], slot, outs))
+                prior = last
+            links.append((prior, run))
+            last = run[-1]
             names += slot.outs
             produced += [at] * len(outs)
-            placed[ins[0]] = (at, slot, outs)
             nxt += outs
             if outs:
-                nxt_gaps += [-1] * (len(outs) - 1) + [gaps[pos + n]]
+                nxt_gaps += [at] * (len(outs) - 1) + [gaps[pos + n]]
             else:
                 nxt_gaps[-1] = max(nxt_gaps[-1], at, gaps[pos + n])
             pos += n
         boundary, gaps = nxt, nxt_gaps
 
+    rank: dict[int, int] = {}  # id -> its place in the order, once a scalar needs it
+    if scalars:
+        after = {-1: None}  # id -> the next id in order
+        for prior, run in links:
+            after.update(zip((prior, *run), (*run, after[prior])))
+        w = after[-1]
+        while w is not None:
+            rank[w] = len(rank)
+            w = after[w]
+    due: dict[int, list[tuple[int, BoxSlot, range]]] = {}  # layer -> (rank, box, output ids), last first
+    for at, first, slot, outs in sorted(scalars, key=lambda s: rank[s[1]], reverse=True):
+        due.setdefault(at, []).append((rank[first], slot, outs))
     wire_slot = {name: WireSlot(name) for name in set(names)}
     kept = []
     boundary = list(range(len(sheet.input)))
-    for k in range(1 + max((at for at, _, _ in placed.values()), default=-1)):
+    depth = max([at for at, _, _ in placed.values()] + [at for at, *_ in scalars], default=-1)
+    for k in range(1 + depth):
         slots: list[Slot] = []
         nxt = []
+        queue = due.get(k, [])
         i = 0
-        while i < len(boundary):
+        while i < len(boundary) or queue:
+            if queue and (i == len(boundary) or queue[-1][0] < rank[boundary[i]]):
+                _, slot, outs = queue.pop()
+                slots.append(slot)
+                nxt += outs
+                continue
             w = boundary[i]
             box = placed.get(w)
             if box is not None and box[0] == k:
@@ -330,26 +337,6 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
         kept.append(tuple(slots))
         boundary = nxt
     return tuple(kept)
-
-
-def _slide_to_fixpoint(sheet: Sheet) -> tuple[Layer, ...]:
-    """Canonical layers by passes of single-layer slides until none moves;
-    the definition for sheets holding scalar boxes."""
-
-    layers: list[list[Slot]] = [list(layer) for layer in sheet.layers]
-    moved = True
-    while moved:
-        moved = False
-        for k in range(1, len(layers)):
-            i = 0
-            while i < len(layers[k]):
-                slot = layers[k][i]
-                if isinstance(slot, BoxSlot) and _try_move(layers, k, i):
-                    moved = True
-                    i += len(slot.outs)
-                else:
-                    i += 1
-    return tuple(tuple(layer) for layer in layers if any(isinstance(s, BoxSlot) for s in layer))
 
 
 def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
@@ -383,46 +370,3 @@ def dump_normal_form(nf: NormalForm) -> str:
 
     layers = ", ".join("[" + "|".join(slot_text(s) for s in layer) + "]" for layer in nf.layers)
     return (f"in=[{','.join(nf.input)}]; layers=[{layers}]; out=[{','.join(nf.output)}]")
-
-
-def check_normal_form(nf: NormalForm) -> None:
-    """Assert the structural invariants of a normal form (test support).
-
-    Checks boundary consistency layer by layer, absence of wire-only
-    layers, and that every wire-consuming box sits exactly one layer
-    after the latest box producing one of its inputs, unless the layer
-    before it holds a zero-output box between its inputs (earliest-possible
-    placement).  Scalar boxes must be at layer 0 or behind a layer
-    containing some box.
-    """
-
-    boundary = nf.input
-    produced = [-1] * len(boundary)  # boundary position -> layer of its producer
-    ends: set[int] = set()  # boundary positions of the last layer's zero-output boxes
-    for k, layer in enumerate(nf.layers):
-        if not any(isinstance(s, BoxSlot) for s in layer):
-            raise AssertionError(f"layer {k} is wire-only")
-        ins = tuple(w for slot in layer for w in slot_in(slot))
-        if ins != boundary:
-            raise AssertionError(f"layer {k} consumes {ins}, boundary is {boundary}")
-        nxt: list[int] = []
-        nxt_ends: set[int] = set()
-        pos = 0
-        for slot in layer:
-            n = len(slot_in(slot))
-            if isinstance(slot, WireSlot):
-                nxt.append(produced[pos])
-            elif n:
-                latest = max(produced[pos:pos + n])
-                if k != latest + 1 and not any(pos < p < pos + n for p in ends):
-                    raise AssertionError(f"box {slot.label} at layer {k}, expected {latest + 1}")
-            elif k > 0 and not any(isinstance(s, BoxSlot) for s in nf.layers[k - 1]):
-                raise AssertionError(f"scalar box {slot.label} behind wire-only layer")
-            if isinstance(slot, BoxSlot):
-                if not slot.outs:
-                    nxt_ends.add(len(nxt))
-                nxt += [k] * len(slot.outs)
-            pos += n
-        boundary, produced, ends = layer_output(layer), nxt, nxt_ends
-    if boundary != nf.output:
-        raise AssertionError(f"final boundary {boundary} != output {nf.output}")

@@ -153,10 +153,12 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
     ``ev`` builds a subterm's value on its own boundary.  ``apply(t, v, pre)``
     acts with ``t`` on the targets of ``v`` (top wire most significant) below
     wires of total size ``pre``, and returns ``t``'s total output size too.
-    Both loop over a composition chain's elements and recurse only into
-    tensor factors.  The backend gives ``gen(t)`` for a generator or inverse,
-    ``eye``, ``kron``, ``box(gen(t), v, pre)`` and ``swap(v, pre, a, b)`` of
-    two target blocks.
+    Both walk the term on an explicit stack, so neither depth nor width
+    recurses: ``ev`` joins a tensor's factor values with ``kron`` and hands
+    a chain's first value to its other elements; ``apply`` acts with a
+    tensor's bottom below its top's output size.  The backend gives
+    ``gen(t)`` for a generator or inverse, ``eye``, ``kron``,
+    ``box(gen(t), v, pre)`` and ``swap(v, pre, a, b)`` of two target blocks.
     """
 
     ty = typecheck(term, sig)
@@ -167,33 +169,48 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
         return math.prod(dim(obj) for obj in node_fields(t))
 
     def ev(t: MorExpr):
-        if isinstance(t, Comp):
-            first, *rest = comp_chain(t)
-            v = [ev(first)]  # pop hands each value over, so apply can free it once replaced
-            for el in rest:
-                v.append(apply(el, v.pop(), 1)[0])
-            return v[0]
-        if isinstance(t, Tensor):
-            return kron(ev(t.top), ev(t.bottom))
-        if isinstance(t, (MorGen, Inv)):
-            return gen(t)
-        return apply(t, eye(size(t)), 1)[0]
+        values = []  # valued subterms, each popped by the step that takes it over
+        todo = [("value", t)]
+        while todo:
+            step, t = todo.pop()
+            if step == "kron":  # both factors of a tensor are valued
+                bottom = values.pop()
+                values.append(kron(values.pop(), bottom))
+            elif step == "chain":  # a chain's first element is valued: apply the rest
+                for el in t:
+                    values.append(apply(el, values.pop(), 1)[0])
+            elif isinstance(t, Comp):
+                first, *rest = comp_chain(t)
+                todo += (("chain", rest), ("value", first))
+            elif isinstance(t, Tensor):
+                todo += (("kron", None), ("value", t.bottom), ("value", t.top))
+            elif isinstance(t, (MorGen, Inv)):
+                values.append(gen(t))
+            else:
+                values.append(apply(t, eye(size(t)), 1)[0])
+        return values.pop()
 
     def apply(t: MorExpr, v, pre: int) -> tuple:
-        if isinstance(t, Comp):
-            for el in comp_chain(t):
-                v, out = apply(el, v, pre)
-            return v, out
-        if isinstance(t, Tensor):
-            v, top = apply(t.top, v, pre)
-            v, bottom = apply(t.bottom, v, pre * top)
-            return v, top * bottom
-        if isinstance(t, (MorGen, Inv)):
-            return box(gen(t), v, pre)
-        if isinstance(t, (Braid, BraidInv)):
-            blocks = (dim(t.a), dim(t.b)) if isinstance(t, Braid) else (dim(t.b), dim(t.a))
-            return swap(v, pre, *blocks), blocks[0] * blocks[1]
-        return v, size(t)  # identities, associators and unitors move no wire
+        out = 1  # output size of the last subterm that acted
+        todo = [("act", t, pre)]
+        while todo:
+            step, t, n = todo.pop()
+            if step == "bottom":  # the tensor t's top has acted below n
+                todo += (("times", None, out), ("act", t.bottom, n * out))
+            elif step == "times":  # a tensor's bottom has acted; n is its top's size
+                out = n * out
+            elif isinstance(t, Comp):
+                todo += [("act", el, n) for el in reversed(comp_chain(t))]
+            elif isinstance(t, Tensor):
+                todo += (("bottom", t, n), ("act", t.top, n))
+            elif isinstance(t, (MorGen, Inv)):
+                v, out = box(gen(t), v, n)
+            elif isinstance(t, (Braid, BraidInv)):
+                blocks = (dim(t.a), dim(t.b)) if isinstance(t, Braid) else (dim(t.b), dim(t.a))
+                v, out = swap(v, n, *blocks), blocks[0] * blocks[1]
+            else:
+                out = size(t)  # identities, associators and unitors move no wire
+        return v, out
 
     return ev(term), ty
 

@@ -56,6 +56,22 @@ mor e : A -> I
 """
 
 
+#: Boxes with both inputs and outputs only; tests add ``s : I -> A`` or ``e : A -> I``
+TWO_SIDED_SIG_TEXT = """
+category symmetric
+object A
+object B
+object C
+mor f : A -> B
+mor g : B -> C
+mor h : C -> A
+mor u : A -> A
+mor p : A * B -> C
+mor q : C -> B * A
+iso k : A -> B
+"""
+
+
 def std_sig() -> Signature:
     return parse_signature(STD_SIG_TEXT)
 
@@ -262,6 +278,52 @@ def random_term(rng: Random, sig: Signature, max_leaves: int = 8,
     names = names or sig.objects
     dom = random_object(rng, names, max_leaves=2)
     return random_term_with_dom(rng, sig, dom, max_leaves)
+
+
+def interchange_rewrite(rng: Random, term: MorExpr, sig: Signature) -> MorExpr:
+    """``term`` with one random tensor ``f * g`` rewritten by the interchange
+    law, to ``(f * id) ; (id * g)`` or ``(id * g) ; (f * id)``; ``term``
+    itself if it holds no tensor."""
+
+    def tensors(t: MorExpr):
+        if isinstance(t, Tensor):
+            yield t
+        if isinstance(t, (Comp, Tensor)):
+            for child in (t.first, t.second) if isinstance(t, Comp) else (t.top, t.bottom):
+                yield from tensors(child)
+
+    found = list(tensors(term))
+    if not found:
+        return term
+    target = rng.choice(found)
+    tf, tg = typecheck(target.top, sig), typecheck(target.bottom, sig)
+    if rng.random() < 0.5:
+        rewritten = Comp(Tensor(target.top, Id(tg.dom)), Tensor(Id(tf.cod), target.bottom))
+    else:
+        rewritten = Comp(Tensor(Id(tf.dom), target.bottom), Tensor(target.top, Id(tg.cod)))
+
+    def rebuild(t: MorExpr) -> MorExpr:
+        if t is target:
+            return rewritten
+        if isinstance(t, Comp):
+            return Comp(rebuild(t.first), rebuild(t.second))
+        if isinstance(t, Tensor):
+            return Tensor(rebuild(t.top), rebuild(t.bottom))
+        return t
+
+    return rebuild(term)
+
+
+def interchange_pair(seed: int, sig: Signature) -> tuple[MorExpr, MorExpr]:
+    """A seeded ``random_term`` and the same term after 1-4 interchange
+    rewrites: equal in every monoidal category."""
+
+    rng = Random(seed)
+    term = random_term(rng, sig, max_leaves=rng.randint(2, 12))
+    other = term
+    for _ in range(rng.randint(1, 4)):
+        other = interchange_rewrite(rng, other, sig)
+    return term, other
 
 
 # ---------------------------------------------------------------------------

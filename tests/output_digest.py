@@ -1,9 +1,11 @@
-"""One SHA-256 digest over monocat's observable outputs, for checking that a
+"""SHA-256 digests over monocat's observable outputs, for checking that a
 refactor changed none of them.
 
 Run from the root of a checkout::
 
     PYTHONPATH=src python tests/output_digest.py
+
+It prints two lines, ``full <digest>`` and ``scalar-free <digest>``.
 
 It hashes, for every request of the benchmark's ``prove`` pools of seeds
 1-3 (built by ``perfbench/gen.py``), each parsed side's ``print_expr``
@@ -14,6 +16,8 @@ rule's rewrite.  Then it hashes the same term outputs, SVG and TikZ
 included, for 2,000 seeded ``gen.random_term``s over the standard
 signature, whose ``s : I -> A`` and ``e : A -> I`` give scalar boxes.
 The pools' deep-chain probe is left out: it is about depth, not output.
+The scalar-free digest hashes the same texts, leaving out every random
+term whose sheet holds a box without inputs; the ``prove`` pools have none.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 from random import Random
 
 import monocat as m
+from monocat.coherence import BoxSlot
 
 import gen as testgen  # tests/gen.py: the script's own directory is on sys.path
 
@@ -77,24 +82,37 @@ def prove_outputs(seed: int):
             yield m.print_expr(m.assoc_rw(sides[0], rules.rule(req["rule"]), sig))
 
 
+def _has_scalar(term: m.MorExpr, sig: m.Signature) -> bool:
+    return any(isinstance(slot, BoxSlot) and not slot.ins
+               for layer in m.sheet_of_term(term, sig).layers for slot in layer)
+
+
 def random_outputs(count: int):
+    """Each random term's outputs, and whether its sheet holds a scalar box."""
+
     sig = testgen.std_sig()
     for i in range(count):
         rng = Random(i)
         term = testgen.random_term(rng, sig, max_leaves=rng.randint(1, 12))
-        yield from _term_outputs(term, sig)
-        yield from _render_outputs(term, sig)
+        yield [*_term_outputs(term, sig), *_render_outputs(term, sig)], _has_scalar(term, sig)
 
 
-def digest() -> str:
-    h = hashlib.sha256()
+def digests() -> tuple[str, str]:
+    """The full and the scalar-free digest."""
+
+    full, scalar_free = hashlib.sha256(), hashlib.sha256()
     for seed in (1, 2, 3):
         for text in prove_outputs(seed):
-            h.update(text.encode() + b"\0")
-    for text in random_outputs(2000):
-        h.update(text.encode() + b"\0")
-    return h.hexdigest()
+            full.update(text.encode() + b"\0")
+            scalar_free.update(text.encode() + b"\0")
+    for texts, scalar in random_outputs(2000):
+        for text in texts:
+            full.update(text.encode() + b"\0")
+            if not scalar:
+                scalar_free.update(text.encode() + b"\0")
+    return full.hexdigest(), scalar_free.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    full, scalar_free = digests()
+    print(f"full {full}\nscalar-free {scalar_free}")

@@ -146,6 +146,19 @@ def test_check_wide_declared_boundary(tmp_path, capsys, default_recursion_limit)
     assert "equal (monoidal)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["matrix", "rel"])
+def test_check_wide_tensor_by_backend(tmp_path, capsys, default_recursion_limit, method):
+    # 1200 factors of dimension 1: both evaluators walk tensors without recursing
+    path = tmp_path / "one.txt"
+    path.write_text("category symmetric\nobject A\nmor u : A -> A\n"
+                    "backend matrix\ndim A = 1\nmat u = [[-1]]\n"
+                    "backend rel\nsize A = 1\nrel u = {(0,0)}\n", encoding="utf-8")
+    wide = " * ".join(["u"] * 1200)
+    ident = f"id[{' * '.join(['A'] * 1200)}]"
+    assert run(["check", "--sig", str(path), "--method", method, wide, f"({wide}) ; {ident}"]) == 0
+    assert capsys.readouterr().out.startswith("equal (")
+
+
 def test_import_leaves_numpy_out():
     # only the matrix and relation oracles need numpy; it is imported on their first use
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,12 +1,17 @@
 """Normal forms: flattening, sheets, canonicalization, equality decisions."""
 
 import copy
+import time
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import (
     STD_SIG_TEXT,
+    TWO_SIDED_SIG_TEXT,
+    interchange_pair,
     random_object,
     random_structural_term,
     random_term,
@@ -14,6 +19,7 @@ from gen import (
     structural_connector,
     struct_sig,
 )
+from reference_coherence import _slide_to_fixpoint, _try_move, check_normal_form
 from monocat.coherence import (
     BoxSlot,
     Equal,
@@ -21,11 +27,8 @@ from monocat.coherence import (
     NotDecided,
     Sheet,
     WireSlot,
-    _slide_to_fixpoint,
     _sweep,
-    _try_move,
     canonicalize,
-    check_normal_form,
     dump_normal_form,
     flatten_object,
     layer_output,
@@ -156,24 +159,67 @@ def test_braid_split_distinguished(sig):
     assert isinstance(r, NotDecided)
 
 
-def test_scalar_state_blocked_by_box_layer(sig):
-    # s : I -> A behind a box layer stays put
+def test_scalar_slides_past_a_box_layer(sig):
+    # s : I -> A enters any layer where its gap is open: here beside f
     t = parse_expr("f ; runit_inv[B] ; (id[B] * s)", sig)
     nf = canonicalize(sheet_of_term(t, sig))
-    assert len(nf.layers) == 2
-    assert nf.layers[1] == (WireSlot("B"), BoxSlot("s", (), ("A",)))
+    assert nf.layers == ((BoxSlot("f", ("A",), ("B",)), BoxSlot("s", (), ("A",))),)
     check_normal_form(nf)
+    assert isinstance(monoidal_eq(t, parse_expr("runit_inv[A] ; (f * s)", sig), sig), Equal)
 
 
-def test_scalar_state_slides_through_wire_layer(sig):
-    # h vacates the middle layer, then s slides into the pure wire layer
-    t = parse_expr(
-        "(f * id[C]) ; (id[B] * h) ; runit_inv[B * A] ; (id[B * A] * s)", sig)
+def test_scalar_stays_out_of_a_box_outputs(sig):
+    # s sits between q's two outputs: it may not slide below q
+    t = parse_expr("q ; (id[B] * lunit_inv[A]) ; (id[B] * (s * id[A]))", sig)
     nf = canonicalize(sheet_of_term(t, sig))
-    assert len(nf.layers) == 2
-    assert nf.layers[0] == (BoxSlot("f", ("A",), ("B",)), BoxSlot("h", ("C",), ("A",)))
-    assert nf.layers[1] == (WireSlot("B"), WireSlot("A"), BoxSlot("s", (), ("A",)))
+    assert dump_normal_form(nf) == (
+        "in=[C]; layers=[[q([C]->[B,A])], [wire(B)|s([]->[A])|wire(A)]]; out=[B,A,A]")
     check_normal_form(nf)
+
+
+def test_scalar_held_by_an_effect_at_its_point(sig):
+    # e ends the wire where s starts: which side s takes is not canonical,
+    # so the three interchange-equal forms stay apart
+    forms = ["e ; s", "lunit_inv[A] ; (s * e) ; runit[A]", "runit_inv[A] ; (e * s) ; lunit[A]"]
+    nfs = [canonicalize(sheet_of_term(parse_expr(text, sig), sig)) for text in forms]
+    for nf in nfs:
+        check_normal_form(nf)
+    assert len(nfs[0].layers) == 2
+    assert len(set(nfs)) == 3
+
+
+def test_scalar_sheets_normalize_alike(sig):
+    # both texts are u u stacked on the first wire, u on the second and s
+    # between them: one normal form, s beside the first layer's boxes
+    texts = ["(u * id[A]) ; (u * id[A]) ; (id[A] * lunit_inv[A]) ; (id[A] * (s * u))",
+             "(u ; u) * (lunit_inv[A] ; (s * id[A]) ; (id[A] * u))"]
+    terms = [parse_expr(text, sig) for text in texts]
+    for term in terms:
+        assert dump_normal_form(canonicalize(sheet_of_term(term, sig))) == (
+            "in=[A,A]; layers=[[u([A]->[A])|s([]->[A])|u([A]->[A])], "
+            "[u([A]->[A])|wire(A)|wire(A)]]; out=[A,A,A]")
+    assert isinstance(monoidal_eq(*terms, sig), Equal)
+
+
+NO_EFFECT_SIG = parse_signature(STD_SIG_TEXT.replace("mor e : A -> I\n", ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_interchange_rewrites_are_equal_without_effects(seed):
+    # a term and the same term after 1-4 interchange rewrites, scalars
+    # included: only a sheet with both a scalar and an effect stays open
+    lhs, rhs = interchange_pair(seed, NO_EFFECT_SIG)
+    assert isinstance(monoidal_eq(lhs, rhs, NO_EFFECT_SIG), Equal)
+
+
+def test_scalars_pass_each_other_by_interchange(sig):
+    lhs = parse_expr("(s * s) ; (u * u)", sig)
+    rhs = parse_expr("((s ; u) * id[I]) ; (id[A] * (s ; u))", sig)
+    r = monoidal_eq(lhs, rhs, sig)
+    assert isinstance(r, Equal)
+    assert dump_normal_form(r.normal_form) == (
+        "in=[]; layers=[[s([]->[A])|s([]->[A])], [u([A]->[A])|u([A]->[A])]]; out=[A,A]")
 
 
 def test_erasure_soundness_random_structural():
@@ -280,19 +326,23 @@ def _sheet_padded_at_start(term, sig):
     return build(term)
 
 
-def test_tensor_padding_direction_immaterial():
-    # holds on the scalar-free fragment; zero-input boxes slide
-    # conservatively, so their layer is construction-dependent by design
-    nos = parse_signature(
-        "category symmetric\nobject A\nobject B\nobject C\n"
-        "mor f : A -> B\nmor g : B -> C\nmor h : C -> A\nmor u : A -> A\n"
-        "mor p : A * B -> C\nmor q : C -> B * A\niso k : A -> B\nmor e : A -> I\n")
-    rng = Random(9)
-    for _ in range(100):
-        term = random_term(rng, nos, max_leaves=9)
-        end_padded = canonicalize(sheet_of_term(term, nos))
-        start_padded = canonicalize(_sheet_padded_at_start(term, nos))
+def _padding_direction_immaterial(sig, seed: int, count: int):
+    rng = Random(seed)
+    for _ in range(count):
+        term = random_term(rng, sig, max_leaves=9)
+        end_padded = canonicalize(sheet_of_term(term, sig))
+        start_padded = canonicalize(_sheet_padded_at_start(term, sig))
         assert end_padded == start_padded, dump_normal_form(end_padded)
+
+
+def test_tensor_padding_direction_immaterial():
+    # with effects: no box lacks inputs
+    _padding_direction_immaterial(parse_signature(TWO_SIDED_SIG_TEXT + "mor e : A -> I\n"), 9, 100)
+
+
+def test_tensor_padding_direction_immaterial_with_scalars():
+    # with scalars and no effect, where a scalar lands is canonical too
+    _padding_direction_immaterial(parse_signature(TWO_SIDED_SIG_TEXT + "mor s : I -> A\n"), 10, 400)
 
 
 def test_dump_format(sig):
@@ -375,23 +425,6 @@ def test_sweep_equals_loop_on_staircases(k):
         assert len(nf.layers) == depth, name
 
 
-def test_scalar_sheets_take_the_loop(sig, monkeypatch):
-    def no_sweep(sheet):
-        raise AssertionError("a sheet with a scalar box reached the sweep")
-
-    monkeypatch.setattr("monocat.coherence._sweep", no_sweep)
-    cases = {
-        "(u * id[A]) ; (u * id[A]) ; (id[A] * lunit_inv[A]) ; (id[A] * (s * u))":
-            "in=[A,A]; layers=[[u([A]->[A])|u([A]->[A])], [u([A]->[A])|wire(A)], "
-            "[wire(A)|s([]->[A])|wire(A)]]; out=[A,A,A]",
-        "(u ; u) * (lunit_inv[A] ; (s * id[A]) ; (id[A] * u))":
-            "in=[A,A]; layers=[[u([A]->[A])|s([]->[A])|u([A]->[A])], "
-            "[u([A]->[A])|wire(A)|wire(A)]]; out=[A,A,A]",
-    }
-    for text, dump in cases.items():
-        assert dump_normal_form(canonicalize(sheet_of_term(parse_expr(text, sig), sig))) == dump
-
-
 def test_sweep_waits_for_an_effect_between_inputs(sig):
     # p's inputs A and B are inputs of the sheet, but e consumes the wire
     # between them two layers in: p may not jump over it
@@ -404,22 +437,35 @@ def test_sweep_waits_for_an_effect_between_inputs(sig):
     assert isinstance(monoidal_eq(parse_expr(text, sig), other, sig), NotDecided)
 
 
-def _random_sheet(rng: Random, width: int, depth: int) -> Sheet:
-    """Layers of random boxes, one to three inputs, zero to two outputs."""
+def _random_sheet(rng: Random, width: int, depth: int, scalars: float = 0.0,
+                  outs: tuple[int, ...] = (0, 0, 1, 2), cap: int = 64) -> Sheet:
+    """Layers of random boxes over wires A and B: one to three inputs and a
+    number of outputs drawn from ``outs``; before each slot, with chance
+    ``scalars``, a box without inputs.  No boundary grows past ``cap`` wires."""
 
     boundary = tuple(rng.choice("AB") for _ in range(width))
     start, layers = boundary, []
     for d in range(depth):
-        slots, pos = [], 0
-        while pos < len(boundary):
+        slots, pos, made = [], 0, 0  # made: output wires of this layer so far
+        while True:
+            room = cap - made - (len(boundary) - pos)
+            if scalars and room > 0 and rng.random() < scalars:
+                produced = tuple(rng.choice("AB") for _ in range(min(rng.choice(outs), room)))
+                slots.append(BoxSlot(f"s{d}.{len(slots)}", (), produced))
+                made += len(produced)
+                continue
+            if pos == len(boundary):
+                break
             if rng.random() < 0.6:
                 slots.append(WireSlot(boundary[pos]))
                 pos += 1
+                made += 1
                 continue
             n = min(rng.choice((1, 1, 2, 3)), len(boundary) - pos)
-            outs = tuple(rng.choice("AB") for _ in range(rng.choice((0, 0, 1, 2))))
-            slots.append(BoxSlot(f"b{d}.{pos}", boundary[pos:pos + n], outs))
+            produced = tuple(rng.choice("AB") for _ in range(min(rng.choice(outs), n + room)))
+            slots.append(BoxSlot(f"b{d}.{pos}", boundary[pos:pos + n], produced))
             pos += n
+            made += len(produced)
         layers.append(tuple(slots))
         boundary = layer_output(layers[-1])
     return Sheet(start, tuple(layers))
@@ -429,6 +475,82 @@ def test_sweep_equals_loop_on_random_sheets_with_effects():
     rng = Random(8)
     for _ in range(1500):
         _sweep_matches_loop(_random_sheet(rng, rng.randint(1, 8), rng.randint(1, 8)))
+
+
+def test_sweep_equals_loop_on_random_sheets_with_scalars():
+    # boxes without inputs, none without outputs: the reference's slides
+    # reach one fixpoint whatever their order, and the sweep must meet it
+    rng = Random(13)
+    for _ in range(1500):
+        _sweep_matches_loop(_random_sheet(rng, rng.randint(0, 6), rng.randint(1, 7),
+                                          scalars=0.15, outs=(1, 1, 2), cap=12))
+
+
+def _sheet_matrix(layers, wires, boxes: dict, rng: Random) -> np.ndarray:
+    """The matrix of a sheet: one random matrix per box label, dimension 2
+    per wire, each layer the ``kron`` of its slots."""
+
+    total = np.eye(2 ** len(wires))
+    for layer in layers:
+        step = np.ones((1, 1))
+        for slot in layer:
+            if isinstance(slot, WireSlot):
+                step = np.kron(step, np.eye(2))
+                continue
+            if slot.label not in boxes:
+                boxes[slot.label] = np.array(
+                    [[rng.gauss(0, 1) for _ in range(2 ** len(slot.ins))]
+                     for _ in range(2 ** len(slot.outs))])
+            step = np.kron(step, boxes[slot.label])
+        total = step @ total
+    return total
+
+
+def _stable(nf: NormalForm) -> bool:
+    """No slide of the reference applies to any box of ``nf``."""
+
+    layers = [list(layer) for layer in nf.layers]
+    return not any(isinstance(slot, BoxSlot) and _try_move(copy.deepcopy(layers), k, i)
+                   for k in range(1, len(layers)) for i, slot in enumerate(layers[k]))
+
+
+def test_sweep_on_random_sheets_with_scalars_and_effects():
+    # with boxes of both kinds the slides' fixpoint depends on their order
+    # (e ; s against s * e); the sweep's result must still be a valid,
+    # stable, idempotent normal form of the same matrix, and meet the
+    # reference whenever one kind is missing
+    rng = Random(14)
+    both = 0
+    for _ in range(1500):
+        sheet = _random_sheet(rng, rng.randint(0, 5), rng.randint(1, 7),
+                              scalars=0.15, outs=(0, 1, 1, 2), cap=6)
+        boxes = [slot for layer in sheet.layers for slot in layer if isinstance(slot, BoxSlot)]
+        if not (any(not b.ins for b in boxes) and any(not b.outs for b in boxes)):
+            _sweep_matches_loop(sheet)
+            continue
+        both += 1
+        nf = canonicalize(sheet)
+        check_normal_form(nf)
+        assert _stable(nf), dump_normal_form(nf)
+        assert canonicalize(Sheet(nf.input, nf.layers)) == nf
+        mats: dict = {}
+        expected = _sheet_matrix(sheet.layers, sheet.input, mats, rng)
+        assert np.allclose(_sheet_matrix(nf.layers, nf.input, mats, rng), expected)
+    assert both >= 500
+
+
+def test_scalar_on_a_wide_staircase_is_linear():
+    # 256 one-wire boxes, one per wire, then a scalar below them: the
+    # scalar lands beside them at once (the pass loop took seconds)
+    sig = parse_signature(STAIR_SIG + "mor s : I -> A\n")
+    k = 256
+    text = " ; ".join([_stair_layer(k, i, "u", 1) for i in range(k)]
+                      + [f"runit_inv[{' * '.join(['A'] * k)}]", f"id[{' * '.join(['A'] * k)}] * s"])
+    sheet = sheet_of_term(parse_expr(text, sig), sig)
+    began = time.perf_counter()
+    nf = canonicalize(sheet)
+    assert time.perf_counter() - began < 1.0
+    assert len(nf.layers) == 1 and nf.layers[0][-1] == BoxSlot("s", (), ("A",))
 
 
 def test_check_normal_form_allows_only_an_effect_to_hold_a_box_back():
@@ -443,3 +565,18 @@ def test_check_normal_form_allows_only_an_effect_to_hold_a_box_back():
         (box_p,)))
     with pytest.raises(AssertionError, match="box p at layer 1, expected 0"):
         check_normal_form(late)
+
+
+def test_check_normal_form_checks_where_a_scalar_may_enter():
+    box_s = BoxSlot("s", (), ("A",))
+    q = BoxSlot("q", ("C",), ("B", "A"))
+    # between q's outputs: s may not enter q's layer
+    inside = NormalForm(("C",), ("B", "A", "A"), ((q,), (WireSlot("B"), box_s, WireSlot("A"))))
+    check_normal_form(inside)
+    # at the edge after q's outputs: s could enter q's layer
+    beside = NormalForm(("C",), ("B", "A", "A"), ((q,), (WireSlot("B"), WireSlot("A"), box_s)))
+    with pytest.raises(AssertionError, match="box s without inputs could enter layer 0"):
+        check_normal_form(beside)
+    # an effect on the same edge holds s back
+    held = NormalForm(("A",), ("A",), ((BoxSlot("e", ("A",), ()),), (box_s,)))
+    check_normal_form(held)

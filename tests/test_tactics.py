@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
-from gen import random_term, random_matrix_instance, random_rel_instance
-from monocat.coherence import monoidal_eq
+from gen import TWO_SIDED_SIG_TEXT, random_term, random_matrix_instance, random_rel_instance
+from monocat.coherence import Equal, monoidal_eq
 from monocat.parser import parse_expr, parse_rules, parse_signature, print_expr
 from monocat.semantics import eval_matrix, eval_rel, mat_equiv
 from monocat.tactics import (
@@ -287,21 +287,23 @@ def test_type_and_semantics_preservation(sig):
             assert eval_rel(out, ri) == r, name
 
 
-def test_foliate_equal_under_monoidal_eq():
-    # zero-input "scalar" generators are excluded: their sliding is
-    # deliberately conservative, so reassociation can change their layer
-    nos = parse_signature(
-        "category symmetric\nobject A\nobject B\nobject C\n"
-        "mor f : A -> B\nmor g : B -> C\nmor h : C -> A\nmor u : A -> A\n"
-        "mor p : A * B -> C\nmor q : C -> B * A\niso k : A -> B\nmor e : A -> I\n")
-    rng = Random(61)
-    from monocat.coherence import Equal
+def _foliate_equal_under_monoidal_eq(sig, seed: int, count: int):
+    rng = Random(seed)
+    for _ in range(count):
+        t = random_term(rng, sig, max_leaves=8)
+        assert isinstance(monoidal_eq(t, foliate(t, sig), sig), Equal)
+        assert isinstance(monoidal_eq(t, weak_foliate(t, sig), sig), Equal)
+        assert isinstance(monoidal_eq(t, right_associate(t), sig), Equal)
 
-    for _ in range(60):
-        t = random_term(rng, nos, max_leaves=8)
-        assert isinstance(monoidal_eq(t, foliate(t, nos), nos), Equal)
-        assert isinstance(monoidal_eq(t, weak_foliate(t, nos), nos), Equal)
-        assert isinstance(monoidal_eq(t, right_associate(t), nos), Equal)
+
+def test_foliate_equal_under_monoidal_eq():
+    # with effects: no box lacks inputs
+    _foliate_equal_under_monoidal_eq(parse_signature(TWO_SIDED_SIG_TEXT + "mor e : A -> I\n"), 61, 60)
+
+
+def test_foliate_equal_under_monoidal_eq_with_scalars():
+    # with scalars and no effect, reassociating never moves a scalar's layer
+    _foliate_equal_under_monoidal_eq(parse_signature(TWO_SIDED_SIG_TEXT + "mor s : I -> A\n"), 62, 400)
 
 
 def test_cancel_isos_returns_an_unchanged_chain_itself(sig):
