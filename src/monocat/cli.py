@@ -10,14 +10,14 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import cache
 
 from . import coherence, render, semantics, tactics
 from .coherence import dump_normal_form, monoidal_eq
 from .parser import parse_expr, parse_rules, parse_signature, print_expr, print_obj
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
-from .terms import CatError, MorExpr, Signature, typecheck
+from .terms import CatError, MorExpr, Signature, record, typecheck
 
 CONFIG_ENV_VAR = "MONOCAT_CONFIG"
 
@@ -154,7 +154,7 @@ def _cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class ReplState:
     """Interactive session state; every term on the stack typechecks."""
 

@@ -34,8 +34,6 @@ placing those needs Delpeuch & Vicary's quadratic algorithm
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     STRUCTURAL,
     Braid,
@@ -55,20 +53,21 @@ from .terms import (
     fold,
     node_fields,
     obj_label,
+    record,
     typecheck,
 )
 
 WireList = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WireSlot:
     """One wire passing through a layer unchanged."""
 
     obj: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoxSlot:
     """A box consuming ``ins`` and producing ``outs`` inside one layer."""
 
@@ -81,7 +80,7 @@ Slot = WireSlot | BoxSlot
 Layer = tuple[Slot, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sheet:
     """Flattened diagram: layers of slots over an input wire list."""
 
@@ -89,7 +88,7 @@ class Sheet:
     layers: tuple[Layer, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NormalForm:
     """Canonical sheet: every box at its earliest layer, no wire-only layers."""
 
@@ -98,14 +97,14 @@ class NormalForm:
     layers: tuple[Layer, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Equal:
     """Decided equal; carries the shared normal form."""
 
     normal_form: NormalForm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotDecided:
     """Not decided (NOT a disproof); carries both normal forms."""
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .terms import (
@@ -62,6 +61,7 @@ from .terms import (
     fold,
     keep_type,
     node_fields,
+    record,
     tensor_leaves,
     typecheck,
 )
@@ -79,7 +79,7 @@ class FreeMetavarInRhs(CatError):
     """A rule rhs mentions a metavariable absent from lhs and declarations."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SourceSpan:
     """Location of a token or phrase in its source text."""
 
@@ -594,7 +594,7 @@ def _parse_obj_raw(text: str) -> ObjExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RewriteRule:
     """One rewrite rule: a composition-chain pattern and a replacement."""
 
@@ -608,8 +608,10 @@ class RewriteRule:
         return comp_chain(self.lhs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RuleFile:
+    """The rules of one rule file, in file order."""
+
     rules: tuple[RewriteRule, ...]
 
     def rule(self, name: str) -> RewriteRule:

@@ -18,7 +18,7 @@ wires (unit objects) are labeled ``I``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import field as dc_field
 from typing import NamedTuple
 
 from .coherence import atom_wires, flatten_object
@@ -36,6 +36,7 @@ from .terms import (
     Signature,
     fold,
     node_fields,
+    record,
     typecheck,
 )
 
@@ -44,7 +45,7 @@ class RenderConfigError(CatError):
     """Bad render configuration value."""
 
 
-@dataclass
+@record
 class RenderConfig:
     """Geometry and styling knobs; every dimension must be positive."""
 
@@ -93,7 +94,7 @@ class RenderConfig:
 Port = tuple[float, str]  # (y coordinate, wire label)
 
 
-@dataclass
+@record
 class LayoutNode:
     """A positioned diagram element; coordinates are absolute after layout."""
 
@@ -120,9 +121,8 @@ def _box(cfg: RenderConfig, kind: str, label: str,
          ins: tuple[str, ...], outs: tuple[str, ...], emphasized: bool = False) -> LayoutNode:
     h = cfg.unit * max(len(ins), len(outs), 1)
     w = max(cfg.box_min_width, cfg.font_size * 0.62 * len(label) + 2 * cfg.box_padding)
-    return LayoutNode(kind, 0.0, 0.0, w, h, label=label,
-                      in_ports=_spread(h, ins), out_ports=_spread(h, outs),
-                      emphasized=emphasized)
+    return LayoutNode(kind, 0.0, 0.0, w, h, label, _spread(h, ins), _spread(h, outs), [], [],
+                      emphasized, 0)
 
 
 def _connect(a: tuple[float, float], b: tuple[float, float]) -> list[tuple[float, float]]:
@@ -153,31 +153,27 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             return _box(cfg, "isobox" if iso else "genbox", t.name, ins, outs, emphasized=iso)
         if cls is Inv:
             gen = _box(cfg, "isobox", t.name, ins, outs, emphasized=True)
-            marker = LayoutNode("marker", 0.0, (gen.h - cfg.unit * 0.6) / 2.0,
-                                cfg.unit * 0.6, cfg.unit * 0.6, label="-1")
+            side = cfg.unit * 0.6
+            marker = LayoutNode("marker", 0.0, (gen.h - side) / 2.0, side, side, "-1", [], [], [],
+                                [], False, 0)
             gen.x = marker.w
-            node = LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h,
-                              in_ports=gen.in_ports, out_ports=gen.out_ports,
-                              children=[marker, gen])
-            node.wires = [_connect((0.0, y), (gen.x, y)) for y, _ in gen.in_ports]
-            return node
+            return LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h, "", gen.in_ports,
+                              gen.out_ports, [marker, gen],
+                              [_connect((0.0, y), (gen.x, y)) for y, _ in gen.in_ports], False, 0)
         if cls is Id:
-            h = cfg.unit * max(len(ins), 1)
-            node = LayoutNode("idwire", 0.0, 0.0, cfg.box_min_width, h,
-                              label="" if ins else "I",
-                              in_ports=_spread(h, ins), out_ports=_spread(h, ins))
-            node.wires = [[(0.0, y), (node.w, y)] for y, _ in node.in_ports]
-            return node
+            h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width
+            ports = _spread(h, ins)
+            return LayoutNode("idwire", 0.0, 0.0, w, h, "" if ins else "I", ports, _spread(h, ins),
+                              [], [[(0.0, y), (w, y)] for y, _ in ports], False, 0)
         if cls is Braid or cls is BraidInv:
-            h = cfg.unit * max(len(ins), 1)
-            node = LayoutNode("braidcross", 0.0, 0.0, cfg.box_min_width * 1.2, h,
-                              in_ports=_spread(h, ins), out_ports=_spread(h, outs))
+            h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width * 1.2
+            in_ports, out_ports = _spread(h, ins), _spread(h, outs)
             # straight diagonals: input i leaves at output i + len(second half), cyclically
             shift = len(flatten_object(t.b if cls is Braid else t.a))
-            node.wires = [[(0.0, node.in_ports[i][0]),
-                           (node.w, node.out_ports[(i + shift) % len(ins)][0])]
-                          for i in range(len(ins))]
-            return node
+            wires = [[(0.0, in_ports[i][0]), (w, out_ports[(i + shift) % len(ins)][0])]
+                     for i in range(len(ins))]
+            return LayoutNode("braidcross", 0.0, 0.0, w, h, "", in_ports, out_ports, [], wires,
+                              False, 0)
         label = f"{STRUCTURAL[cls][4]}[{','.join(map(print_obj, node_fields(t)))}]"
         return _box(cfg, "structbox", label, ins, outs, emphasized=True)
 
@@ -188,21 +184,21 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             a.x, a.y = pad, pad + (maxh - a.h) / 2.0
             b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
             w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
-            node = LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, children=[a, b])
-            node.in_ports = [(y + a.y, s) for y, s in a.in_ports]
-            node.out_ports = [(y + b.y, s) for y, s in b.out_ports]
-            node.wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
-                          for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
-            node.wires += [_connect((0.0, y), (a.x, y)) for y, _ in node.in_ports]
-            node.wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in node.out_ports]
-            return node
+            in_ports = [(y + a.y, s) for y, s in a.in_ports]
+            out_ports = [(y + b.y, s) for y, s in b.out_ports]
+            wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
+                     for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
+            wires += [_connect((0.0, y), (a.x, y)) for y, _ in in_ports]
+            wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in out_ports]
+            return LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, "", in_ports, out_ports,
+                              [a, b], wires, False, 0)
         maxw = max(a.w, b.w)
         y = pad
         for child in (a, b):
             child.x, child.y = pad + (maxw - child.w) / 2.0, y
             y += child.h + cfg.vgap
-        node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, y - cfg.vgap + pad,
-                          children=[a, b])
+        node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, y - cfg.vgap + pad, "", [], [],
+                          [a, b], [], False, 0)
         for child in (a, b):
             ins = [(py + child.y, s) for py, s in child.in_ports]
             outs = [(py + child.y, s) for py, s in child.out_ports]
@@ -216,13 +212,13 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
 
     stub = cfg.boundary_stub
     inner.x, inner.y = cfg.margin + stub, cfg.margin
+    in_ports = [(y + inner.y, s) for y, s in inner.in_ports]
+    out_ports = [(y + inner.y, s) for y, s in inner.out_ports]
+    wires = [_connect((cfg.margin, y), (inner.x, y)) for y, _ in in_ports]
+    wires += [_connect((inner.x + inner.w, y), (inner.x + inner.w + stub, y))
+              for y, _ in out_ports]
     root = LayoutNode("diagram", 0.0, 0.0, inner.w + 2 * stub + 2 * cfg.margin,
-                      inner.h + 2 * cfg.margin, children=[inner])
-    root.in_ports = [(y + inner.y, s) for y, s in inner.in_ports]
-    root.out_ports = [(y + inner.y, s) for y, s in inner.out_ports]
-    root.wires = [_connect((cfg.margin, y), (inner.x, y)) for y, _ in root.in_ports]
-    root.wires += [_connect((inner.x + inner.w, y), (inner.x + inner.w + stub, y))
-                   for y, _ in root.out_ports]
+                      inner.h + 2 * cfg.margin, "", in_ports, out_ports, [inner], wires, False, 0)
 
     # resolve offsets once: each node's origin is its parent's plus its
     # offset; a group's depth counts it and the groups around it

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from random import Random
 from typing import NamedTuple
@@ -51,6 +51,7 @@ from .terms import (
     UNIT,
     comp_chain,
     node_fields,
+    record,
     typecheck,
 )
 
@@ -106,7 +107,7 @@ def mat_equiv(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return a.shape == b.shape and all(d <= tol for d in _block_deviations(a, b))
 
 
-@dataclass
+@record
 class MatrixInstance:
     """Complex-matrix semantics for a signature's generators."""
 
@@ -266,7 +267,7 @@ def _pairs(src: np.ndarray, tgt: np.ndarray, dom: int, cod: int) -> _Pairs:
     return _Pairs(src, tgt, dom, cod)
 
 
-@dataclass
+@record
 class RelInstance:
     """Finite-relation semantics: carriers {0..size-1} per object generator."""
 
@@ -444,8 +445,10 @@ def rel_instance(sig: Signature) -> RelInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConditionResult:
+    """One coherence condition checked on sampled objects: its worst deviation."""
+
     name: str
     passed: bool
     deviation: float

@@ -13,8 +13,6 @@ window never crosses a tensor boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .parser import RewriteRule, print_expr
 from .terms import (
     CatError,
@@ -35,6 +33,7 @@ from .terms import (
     iso_inverse,
     node_fields,
     rebuild_chain,
+    record,
     replace_chain_element,
     right_comp,
     tensor_leaves,
@@ -368,19 +367,25 @@ def right_associate(term: MorExpr) -> MorExpr:
     return _map_chains(term, lambda t, elements: right_comp(elements, None))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TraceStep:
+    """One tactic applied to one side, and the printed term it left."""
+
     tactic: str
     term: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Proved:
+    """Both sides reached one term; ``trace`` shows how."""
+
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotProved:
+    """The sides stayed apart (not a disproof); ``trace`` shows how far they got."""
+
     trace: tuple[TraceStep, ...]
 
 

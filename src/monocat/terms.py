@@ -12,8 +12,11 @@ pure but for a signature's record of known boundaries (see keep_type).
 
 from __future__ import annotations
 
+import inspect
 import weakref
-from dataclasses import dataclass, field
+from _thread import get_ident
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field
+from operator import attrgetter
 
 LEVELS = ("plain", "monoidal", "braided", "symmetric")
 
@@ -83,6 +86,166 @@ class UnknownLevel(CatError):
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def record(cls=None, /, *, frozen=False, eq=True, init=True):
+    """``@dataclass(frozen=..., eq=..., init=...)`` that compiles no code.
+
+    ``dataclass`` only collects the fields, so ``fields``, ``replace`` and
+    ``__match_args__`` work.  The methods it would generate are closures over
+    the field names, with the same results and errors; ``__repr__`` walks
+    nested records on an explicit stack.
+    """
+
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, eq=eq, init=init)
+    dataclass(cls, init=False, repr=False, eq=False)
+    fields, names = cls.__dataclass_fields__.values(), tuple(cls.__dataclass_fields__)
+    cls.__repr__, methods = _record_repr, []
+    if init:
+        methods.append(_init(cls, frozen))
+        cls.__signature__ = inspect.Signature([  # what help() shows for a generated __init__
+            inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                              default=_FACTORY if f.default_factory is not MISSING
+                              else inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields if f.init], return_annotation=None)
+    if eq:
+        cmp = [f.name for f in fields if f.compare]
+        get = attrgetter(*cmp) if cmp else lambda self: ()
+        one = len(cmp) == 1  # then get gives the value, not a tuple
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return (get(self),) == (get(other),) if one else get(self) == get(other)
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+        cls.__hash__ = None
+        methods += (__eq__, __hash__) if frozen else (__eq__,)
+    if frozen:
+        def __setattr__(self, name, value):
+            if type(self) is cls or name in names:
+                raise FrozenInstanceError(f"cannot assign to field {name!r}")
+            super(cls, self).__setattr__(name, value)
+
+        def __delattr__(self, name):
+            if type(self) is cls or name in names:
+                raise FrozenInstanceError(f"cannot delete field {name!r}")
+            super(cls, self).__delattr__(name)
+        methods += (__setattr__, __delattr__)
+    for fn in methods:
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
+    return cls
+
+
+_MISSING = object()  # an argument left out
+_FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()  # a signature's default
+
+
+def _init(cls, frozen: bool):
+    """``cls.__init__``: a closure of the class's arity for one or two
+    fields and no ``__post_init__``, else a loop over the fields; a call
+    that does not give every field positionally binds through :func:`_bind`."""
+
+    fields = cls.__dataclass_fields__.values()
+    names = [f.name for f in fields if f.init or f.default_factory is not MISSING]
+    n, post = sum(f.init for f in fields), hasattr(cls, "__post_init__")
+    fast = n if n == len(names) else -1  # -1: always bind
+    set_, M = object.__setattr__ if frozen else setattr, _MISSING
+    if fast == 1 and not post:
+        (a,) = names
+
+        def __init__(self, x=M, /, *more, **kw):
+            if x is M or more or kw:
+                (x,) = _bind(cls, (x, *more), kw)
+            set_(self, a, x)
+    elif fast == 2 and not post:
+        a, b = names
+
+        def __init__(self, x=M, y=M, /, *more, **kw):
+            if y is M or more or kw:
+                x, y = _bind(cls, (x, y, *more), kw)
+            set_(self, a, x)
+            set_(self, b, y)
+    else:
+        def __init__(self, *args, **kw):
+            if kw or len(args) != fast:
+                args = _bind(cls, args, kw)
+            for name, value in zip(names, args):
+                set_(self, name, value)
+            if post:
+                self.__post_init__()
+    return __init__
+
+
+def _bind(cls, args: tuple, kw: dict) -> tuple:
+    """What a dataclass ``__init__`` sets for ``cls(*args, **kw)``, in field
+    order, or the ``TypeError`` it raises for that argument list."""
+
+    args = args[:next((i for i, v in enumerate(args) if v is _MISSING), len(args))]
+    fields = [f for f in cls.__dataclass_fields__.values() if f.init]
+    where, names = f"{cls.__qualname__}.__init__()", [f.name for f in fields]
+    values = dict(zip(names, args))
+    for name in kw:
+        if name not in names:
+            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(f"{where} got multiple values for argument {name!r}")
+    values.update(kw)
+    required = [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING]
+    if len(args) > len(names):
+        least, most = len(required) + 1, len(names) + 1
+        takes = f"from {least} to {most}" if least < most else most
+        plural = "s" * (least < most or most > 1)
+        raise TypeError(f"{where} takes {takes} positional argument{plural} but {len(args) + 1} were given")
+    missing = [repr(name) for name in required if name not in values]
+    if missing:
+        listed = " and ".join(missing) if len(missing) < 3 else \
+            ", ".join(missing[:-1]) + ", and " + missing[-1]
+        raise TypeError(f"{where} missing {len(missing)} required positional "
+                        f"argument{'s' * (len(missing) > 1)}: {listed}")
+    return tuple(values[f.name] if f.name in values else f.default if f.default is not MISSING
+                 else f.default_factory() for f in cls.__dataclass_fields__.values()
+                 if f.init or f.default_factory is not MISSING)
+
+
+_repr_running: set = set()  # (id, thread) of each record being printed
+
+
+def _record_repr(self) -> str:
+    """``Class(field=value, ...)`` as a dataclass prints it.  Nested records
+    are printed from an explicit stack, so no depth recurses; a record met
+    again inside its own text prints as ``...``."""
+
+    thread, parts, todo = get_ident(), [], [self]
+    try:
+        while todo:
+            x = todo.pop()
+            if x.__class__ is str:
+                parts.append(x)
+            elif x.__class__ is tuple:  # the end of a record's text
+                _repr_running.discard(x)
+            elif (id(x), thread) in _repr_running:
+                parts.append("...")
+            else:
+                _repr_running.add((id(x), thread))
+                todo += ((id(x), thread), ")")
+                shown = [f.name for f in x.__dataclass_fields__.values() if f.repr]
+                for i in range(len(shown) - 1, -1, -1):
+                    v = getattr(x, shown[i])
+                    todo += (v if v.__class__.__repr__ is _record_repr else repr(v),
+                             f"{', ' if i else ''}{shown[i]}=")
+                todo.append(f"{x.__class__.__qualname__}(")
+    finally:  # the records still open when a repr raised
+        _repr_running.difference_update(t for t in todo if t.__class__ is tuple)
+    return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # Object expressions
 # ---------------------------------------------------------------------------
 
@@ -92,7 +255,8 @@ class ObjExpr:
     Conchon, "Type-Safe Modular Hash-Consing", 2006): a constructor call
     looks its class and already interned fields up in one table of weak
     references, so equal objects are one object, ``==`` is ``is`` and
-    ``hash`` never walks the tree.  Copies and pickles rebuild through it.
+    ``hash`` never walks the tree.  A copy is the object itself, so even a
+    deep copy walks nothing; pickles rebuild through the table.
     The table has no lock: objects are built by one thread at a time.
 
     What is derived from an object is kept on it once computed: the one
@@ -107,15 +271,13 @@ class ObjExpr:
 
     def __new__(cls, *args, **kwargs):
         names = cls.__dataclass_fields__
-        if kwargs:  # keywords go in field order after the positional fields
-            args += tuple(kwargs.pop(name) for name in list(names)[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, args, kwargs)
         key = (cls, args)
         ref = ObjExpr._interned.get(key)
         obj = ref and ref()
-        if obj is not None and not kwargs:
+        if obj is not None:
             return obj
-        if kwargs or len(args) != len(names):  # a live object's key has the right fields
-            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)})")
         obj = object.__new__(cls)
         obj.__dict__.update(zip(names, args))
         _set_wires(obj, None)
@@ -126,23 +288,28 @@ class ObjExpr:
     def __reduce__(self):
         return type(self), node_fields(self)
 
+    def __deepcopy__(self, memo=None):
+        return self
 
-_set_wires = ObjExpr._wires.__set__  # past the frozen dataclasses' __setattr__
+    __copy__ = __deepcopy__
 
 
-@dataclass(frozen=True, eq=False, init=False)
+_set_wires = ObjExpr._wires.__set__  # past the frozen records' __setattr__
+
+
+@record(frozen=True, eq=False, init=False)
 class Unit(ObjExpr):
     """The distinguished unit object ``I`` (not a declarable generator)."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class ObjGen(ObjExpr):
     """A declared object generator."""
 
     name: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class ObjTensor(ObjExpr):
     """Tensor of two objects; the tree shape is never reassociated."""
 
@@ -150,7 +317,7 @@ class ObjTensor(ObjExpr):
     right: ObjExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(frozen=True, eq=False, init=False)
 class ObjVar(ObjExpr):
     """Object metavariable (legal only inside rewrite-rule patterns)."""
 
@@ -201,21 +368,21 @@ def _node_hash(t: MorExpr, first: int, second: int) -> int:
     return hash((t.__class__, first, second))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorGen(MorExpr):
     """A declared morphism generator."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Id(MorExpr):
     """Identity on an object."""
 
     obj: ObjExpr
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Comp(MorExpr):
     """Diagrammatic composition: ``first`` then ``second``."""
 
@@ -223,7 +390,7 @@ class Comp(MorExpr):
     second: MorExpr
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Tensor(MorExpr):
     """Tensor (vertical stacking): ``top`` above ``bottom``."""
 
@@ -231,7 +398,7 @@ class Tensor(MorExpr):
     bottom: MorExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assoc(MorExpr):
     """Associator: (a tensor b) tensor c -> a tensor (b tensor c)."""
 
@@ -240,38 +407,44 @@ class Assoc(MorExpr):
     c: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssocInv(MorExpr):
+    """Inverse associator: a tensor (b tensor c) -> (a tensor b) tensor c."""
+
     a: ObjExpr
     b: ObjExpr
     c: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LUnit(MorExpr):
     """Left unitor: I tensor a -> a."""
 
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LUnitInv(MorExpr):
+    """Inverse left unitor: a -> I tensor a."""
+
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RUnit(MorExpr):
     """Right unitor: a tensor I -> a."""
 
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RUnitInv(MorExpr):
+    """Inverse right unitor: a -> a tensor I."""
+
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Braid(MorExpr):
     """Braiding: a tensor b -> b tensor a."""
 
@@ -279,20 +452,22 @@ class Braid(MorExpr):
     b: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BraidInv(MorExpr):
+    """Inverse braiding: b tensor a -> a tensor b."""
+
     a: ObjExpr
     b: ObjExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Inv(MorExpr):
     """Inverse of a generator declared ``iso``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorVar(MorExpr):
     """Morphism metavariable (legal only inside rewrite-rule patterns)."""
 
@@ -324,7 +499,7 @@ def node_fields(node) -> tuple:
     return tuple(getattr(node, f) for f in node.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorType:
     """Domain and codomain of a morphism term."""
 
@@ -337,7 +512,7 @@ class MorType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorDecl:
     """A declared morphism generator."""
 
@@ -347,7 +522,7 @@ class MorDecl:
     iso: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BackendBlock:
     """Raw backend payload lines; parsed by the semantics module only."""
 
@@ -355,7 +530,7 @@ class BackendBlock:
     entries: tuple[tuple[int, str], ...]  # (line number, text)
 
 
-@dataclass
+@record
 class Signature:
     """Declared objects and morphisms plus category level and notation.
 

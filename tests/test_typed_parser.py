@@ -322,6 +322,27 @@ def test_two_parses_of_a_deep_term_compare_and_hash(default_recursion_limit, op)
     assert deep_leaf != lhs and not deep_leaf == lhs and lhs != deep_leaf
 
 
+@pytest.mark.parametrize("op", [" * ", " ; "], ids=["wide", "chain"])
+def test_deep_term_and_object_repr(default_recursion_limit, op):
+    cls, first, second = ("Tensor", "top", "bottom") if op == " * " else \
+        ("Comp", "first", "second")
+    expected = "MorGen(name='u')"
+    for _ in range(1199):  # both operators parse left-associated
+        expected = f"{cls}({first}={expected}, {second}=MorGen(name='u'))"
+    assert repr(parse_expr(op.join(["u"] * 1200), DEPTH_SIG)) == expected
+    obj = parse_obj(" * ".join(["A"] * 1200), DEPTH_SIG)
+    expected = "ObjGen(name='A')"
+    for _ in range(1199):
+        expected = f"ObjTensor(left={expected}, right=ObjGen(name='A'))"
+    assert repr(obj) == expected
+
+
+def test_wide_object_copies_are_itself(default_recursion_limit):
+    obj = parse_obj(" * ".join(["A"] * 1200), DEPTH_SIG)
+    assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+    assert copy.deepcopy([obj, obj]) == [obj, obj]
+
+
 def test_term_equality_hash_repr_and_fields_unchanged():
     f, A = MorGen("u"), ObjGen("A")
     term = Comp(Tensor(f, Id(A)), Inv("u"))
