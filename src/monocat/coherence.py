@@ -52,7 +52,7 @@ from .terms import (
     _set_wires,
     fold,
     node_fields,
-    obj_label,
+    print_obj,
     record,
     typecheck,
 )
@@ -356,7 +356,7 @@ def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
 
 
 def _ty_text(ty) -> str:
-    return f"{obj_label(ty.dom)} -> {obj_label(ty.cod)}"
+    return f"{print_obj(ty.dom, True)} -> {print_obj(ty.cod, True)}"
 
 
 def dump_normal_form(nf: NormalForm) -> str:

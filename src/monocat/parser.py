@@ -23,6 +23,8 @@ operators are always bracketed explicitly.
 ``parse_expr`` typechecks during the parse: each node is typed as it is
 built, chains in loops, and the root's boundary is kept with the term, so
 a later ``typecheck(term, sig)`` reads it instead of walking the term.
+Within one parse, an annotation repeated word for word is parsed and typed
+once (``_ExprParser.memo``), and its occurrences are one shared atom.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ from .terms import (
     Tensor,
     Typer,
     UNIT,
-    Unit,
     UnknownLevel,
     _check_obj,
     comp_chain,
     fold,
     keep_type,
     node_fields,
+    print_obj,
     record,
     tensor_leaves,
     typecheck,
@@ -97,9 +99,9 @@ class SourceSpan:
 #: DARROW COLON EQUALS STRING EOF.
 Token = tuple[str, str, int, int, int, int]
 
-#: Keyword -> (structural atom class, number of object arguments).
+#: Keyword -> (``Id`` or structural atom class, number of object arguments).
 STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
-                       for cls, spec in STRUCTURAL.items()}
+                       for cls, spec in STRUCTURAL.items()} | {"id": (Id, 1)}
 
 # Each match skips blanks and comments, then takes one word: the first
 # alternative that fits, in order, or "" at the end of the text.  ``\w`` is
@@ -201,6 +203,12 @@ class _ExprParser:
     that node and of each undeclared object name's first occurrence, as
     one name is one object).  Source positions come from :func:`tokenize`,
     only for an error, so a lexical error is first.
+
+    ``memo`` lives for one parse.  It maps the words of a bracketed atom
+    (keyword to "]") to the atom and its boundary, and those of each object
+    argument to the object, so repeated atoms come back shared.  It never
+    stores what recorded an error or made an undeclared generator, so each
+    error and its span come from a first occurrence parsed word by word.
     """
 
     def __init__(self, text: str, aliases: dict[str, str] | None = None,
@@ -215,6 +223,7 @@ class _ExprParser:
         self.undeclared = 0  # generators made for names the signature lacks
         self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
+        self.memo: dict[tuple, object] = {}  # see the class docstring
 
     def _span(self, first: int, last: int) -> tuple[str, SourceSpan]:
         """The text of word ``first`` and the span of words ``first`` to ``last``."""
@@ -308,17 +317,26 @@ class _ExprParser:
     def parse_atom(self) -> tuple[MorExpr, tuple | None]:
         """A morphism atom other than a parenthesized expression."""
 
-        k = self.pos
-        w = self.words[k]
+        k, words = self.pos, self.words
+        w = words[k]
         self.pos = k + 1
-        undeclared = self.undeclared
-        if w == "id" or w in STRUCTURAL_KEYWORDS:
-            cls, arity = STRUCTURAL_KEYWORDS.get(w, (Id, 1))
+        undeclared, key = self.undeclared, None
+        if w in STRUCTURAL_KEYWORDS:
+            try:
+                key = tuple(words[k:words.index("]", k) + 1])
+            except ValueError:  # no "]": the parse below fails
+                pass
+            hit = self.memo.get(key)
+            if hit is not None:
+                self.pos = k + len(key)
+                return hit
+            cls, arity = STRUCTURAL_KEYWORDS[w]
             self.take("[", "'['")
-            args = [self.parse_obj()]
+            stop = k + len(key) - 1 if key else 0
+            args = [self.parse_obj(stop)]
             for _ in range(arity - 1):
                 self.take(",", "','")
-                args.append(self.parse_obj())
+                args.append(self.parse_obj(stop))
             self.take("]", "']'")
             term = cls(*args)
         elif w == "inv":
@@ -334,15 +352,40 @@ class _ExprParser:
         else:
             self.fail("metavariables are only allowed in rule files" if _is_metavar(w)
                       else "expected a morphism, found {!r}", k)
-        return term, self.typer and self._type(self.typer.atom, term, k,
-                                               undeclared == self.undeclared)
+        result = term, self.typer and self._type(self.typer.atom, term, k,
+                                                 undeclared == self.undeclared)
+        if key and self.error is None:  # an undeclared name is an error here
+            self.memo[key] = result
+        return result
 
-    def parse_obj(self) -> ObjExpr:
+    def parse_obj(self, stop: int = 0) -> ObjExpr:
+        """An object; inside a bracketed atom, whose "]" is word ``stop``,
+        its words are memoized."""
+
         k, words = self.pos, self.words
         # one word before "]" or "," is an object atom; "" is only ever the last word
         if words[k] not in ("(", "") and words[k + 1] in ("]", ","):
             return self.parse_objatom()
-        return self._chains(self.parse_objatom, ObjTensor)
+        if not stop:
+            return self._chains(self.parse_objatom, ObjTensor)
+        try:
+            end = words.index(",", k, stop)
+        except ValueError:
+            end = stop
+        key, memo, undeclared = tuple(words[k:end]), self.memo, self.undeclared
+        obj = memo.get(key)
+        if obj is not None:
+            self.pos = end
+            return obj
+        left = memo.get(key[:-2]) if words[end - 2] == "*" and words[end - 1] != "(" else None
+        if left is not None:  # "*" is left-associative: a known run, "*" and one atom
+            self.pos = end - 1
+            obj = ObjTensor(left, self.parse_objatom())
+        else:
+            obj = self._chains(self.parse_objatom, ObjTensor)
+        if self.pos == end and self.error is None and undeclared == self.undeclared:
+            memo[key] = obj
+        return obj
 
     def parse_objatom(self) -> ObjExpr:
         """An object atom other than a parenthesized object."""
@@ -397,24 +440,6 @@ def parse_obj(text: str, sig: Signature) -> ObjExpr:
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-
-def print_obj(obj: ObjExpr) -> str:
-    """Canonical object text; parses back to exactly ``obj``."""
-
-    parts: list[str] = []
-    todo: list = [obj]  # objects still to print, and text to emit as it is
-    while todo:
-        o = todo.pop()
-        cls = type(o)
-        if cls is str:
-            parts.append(o)
-        elif cls is ObjTensor:  # a compound right factor is bracketed
-            todo += (")", o.right, "(", " * ", o.left) if type(o.right) is ObjTensor \
-                else (o.right, " * ", o.left)
-        else:
-            parts.append("I" if cls is Unit else "?" + o.name if cls is ObjVar else o.name)
-    return "".join(parts)
 
 
 def print_expr(term: MorExpr) -> str:

@@ -20,24 +20,6 @@ from operator import attrgetter
 
 LEVELS = ("plain", "monoidal", "braided", "symmetric")
 
-#: Names with built-in meaning in the expression grammar; they can never
-#: be declared as object or morphism generators.
-RESERVED_NAMES = frozenset(
-    {
-        "I",
-        "id",
-        "inv",
-        "alpha",
-        "alpha_inv",
-        "lunit",
-        "lunit_inv",
-        "runit",
-        "runit_inv",
-        "braid",
-        "braid_inv",
-    }
-)
-
 
 class CatError(Exception):
     """Base class for every error raised by this package.
@@ -148,8 +130,9 @@ _FACTORY = type("_Factory", (), {"__repr__": lambda self: "<factory>"})()  # a s
 
 def _init(cls, frozen: bool):
     """``cls.__init__``: a closure of the class's arity for one or two
-    fields and no ``__post_init__``, else a loop over the fields; a call
-    that does not give every field positionally binds through :func:`_bind`."""
+    fields and no ``__post_init__``, else one update of the instance dict;
+    a call that does not give every field positionally binds through
+    :func:`_bind`."""
 
     fields = cls.__dataclass_fields__.values()
     names = [f.name for f in fields if f.init or f.default_factory is not MISSING]
@@ -175,8 +158,7 @@ def _init(cls, frozen: bool):
         def __init__(self, *args, **kw):
             if kw or len(args) != fast:
                 args = _bind(cls, args, kw)
-            for name, value in zip(names, args):
-                set_(self, name, value)
+            self.__dict__.update(zip(names, args))
             if post:
                 self.__post_init__()
     return __init__
@@ -492,6 +474,10 @@ STRUCTURAL = {
                lambda a, b: (ObjTensor(b, a), ObjTensor(a, b)), None),
 }
 
+#: Names with built-in meaning in the expression grammar; they can never
+#: be declared as object or morphism generators.
+RESERVED_NAMES = frozenset({"I", "id", "inv", *(spec[0] for spec in STRUCTURAL.values())})
+
 
 def node_fields(node) -> tuple:
     """The fields of a term or object node, in declaration order."""
@@ -607,20 +593,24 @@ def _check_obj(obj: ObjExpr, declared, allow_vars: bool) -> None:
             raise TypeError(f"not an object expression: {o!r}")
 
 
-def obj_label(obj: ObjExpr) -> str:
-    """Fully parenthesized object text, used in error messages."""
+def print_obj(obj: ObjExpr, full: bool = False) -> str:
+    """Canonical object text, which parses back to exactly ``obj``: only a
+    compound right factor is bracketed.  ``full`` brackets every tensor, as
+    error messages print objects."""
 
     parts: list[str] = []
-    todo: list = [obj]  # objects still to label, and text to emit as it is
+    todo: list = [obj]  # objects still to print, and text to emit as it is
     while todo:
         o = todo.pop()
-        if isinstance(o, str):
+        cls = o.__class__
+        if cls is str:
             parts.append(o)
-        elif isinstance(o, ObjTensor):
-            todo += (")", o.right, " * ", o.left, "(")
+        elif cls is ObjTensor:
+            todo += (")", o.right, " * ", o.left, "(") if full else \
+                (")", o.right, "(", " * ", o.left) if o.right.__class__ is ObjTensor else \
+                (o.right, " * ", o.left)
         else:
-            parts.append("I" if isinstance(o, Unit) else "?" + o.name if isinstance(o, ObjVar)
-                         else o.name)
+            parts.append("I" if cls is Unit else "?" + o.name if cls is ObjVar else o.name)
     return "".join(parts)
 
 
@@ -705,8 +695,8 @@ class Typer:
 
     def comp(self, t: Comp, fst, snd) -> tuple[ObjExpr, ObjExpr]:
         if fst[1] is not snd[0]:
-            raise CompositionMismatch(f"cannot compose: codomain {obj_label(fst[1])} "
-                                      f"does not match domain {obj_label(snd[0])}", term=t)
+            raise CompositionMismatch(f"cannot compose: codomain {print_obj(fst[1], True)} "
+                                      f"does not match domain {print_obj(snd[0], True)}", term=t)
         return fst[0], snd[1]
 
     def tensor(self, t: Tensor, top, bottom) -> tuple[ObjTensor, ObjTensor]:

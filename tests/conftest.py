@@ -1,12 +1,20 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from gen import std_sig, struct_sig  # noqa: E402
+
+# Under CI (which sets ``CI``) every ``@given`` test draws the same examples
+# on every run; each test's own ``max_examples`` still applies.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

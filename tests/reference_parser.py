@@ -42,7 +42,7 @@ from monocat.terms import (
     Signature,
     Tensor,
     UndeclaredName,
-    obj_label,
+    print_obj,
 )
 
 
@@ -209,8 +209,8 @@ def reference_typecheck(term: MorExpr, sig: Signature) -> MorType:
             fst, snd = ty(t.first), ty(t.second)
             if fst.cod != snd.dom:
                 raise CompositionMismatch(
-                    f"cannot compose: codomain {obj_label(fst.cod)} "
-                    f"does not match domain {obj_label(snd.dom)}", term=t)
+                    f"cannot compose: codomain {print_obj(fst.cod, True)} "
+                    f"does not match domain {print_obj(snd.dom, True)}", term=t)
             return MorType(fst.dom, snd.cod)
         if isinstance(t, Tensor):
             top, bot = ty(t.top), ty(t.bottom)

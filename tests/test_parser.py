@@ -17,8 +17,11 @@ from monocat.parser import (
     parse_signature,
     print_expr,
     print_obj,
+    tokenize,
 )
 from monocat.terms import (
+    Assoc,
+    AssocInv,
     Comp,
     DuplicateName,
     Id,
@@ -26,12 +29,13 @@ from monocat.terms import (
     MorVar,
     ObjGen,
     ObjTensor,
+    ObjVar,
     Tensor,
     UNIT,
     UndeclaredName,
     UnknownLevel,
 )
-from reference_parser import reference_strip_comment
+from reference_parser import ReferenceParser, reference_strip_comment
 
 A, B = ObjGen("A"), ObjGen("B")
 f, g, h = MorGen("f"), MorGen("g"), MorGen("h")
@@ -263,6 +267,22 @@ def test_rule_lhs_must_be_chain_of_atoms():
     with pytest.raises(ParseError):
         parse_rules("rule bad : ((f ; g) * id[C]) ; (h * id[C]) => (h * id[C]) ; (h * id[C])\n",
                     RULE_SIG)
+
+
+def test_repeated_metavariable_annotation_in_rule():
+    body = "alpha[?a, B, C] ; alpha_inv[?a, B, C] ; alpha[?a, B, C] => alpha[?a, B, C]"
+    rule = parse_rules(f"rule r : {body}\n", RULE_SIG).rules[0]
+    ref = ReferenceParser(tokenize(body), allow_metavars=True)
+    assert rule.lhs == ref.parse_expr() and ref.next()[0] == "DARROW"
+    assert rule.rhs == ref.parse_expr()
+    args = ObjVar("a"), ObjGen("B"), ObjGen("C")
+    assert rule.lhs == Comp(Comp(Assoc(*args), AssocInv(*args)), Assoc(*args))
+    assert rule.lhs.second is rule.lhs.first.first and rule.lhs.second.a is ObjVar("a")
+    with pytest.raises(IllTypedRule) as exc:
+        parse_rules("rule r : alpha[?a, B, C] ; alpha[?a, B, C] => alpha[?a, B, C]\n", RULE_SIG)
+    assert str(exc.value) == ("rule 'r': cannot compose: codomain (?a * (B * C)) "
+                              "does not match domain ((?a * B) * C)")
+    assert exc.value.span.column == 1
 
 
 @pytest.mark.parametrize("text,message,column", [

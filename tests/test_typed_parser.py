@@ -14,6 +14,7 @@ from gen import STD_SIG_TEXT, random_term, std_sig
 from monocat.coherence import Equal, monoidal_eq
 from monocat.parser import (
     ParseError,
+    _ExprParser,
     parse_expr,
     parse_obj,
     parse_rules,
@@ -32,6 +33,7 @@ from monocat.terms import (
     ObjGen,
     ObjTensor,
     Tensor,
+    Typer,
     UNIT,
     UndeclaredName,
     keep_type,
@@ -81,6 +83,21 @@ ERROR_CORPUS = [
     ("std", "id["), ("std", "id[A"), ("std", "alpha[A,]"), ("std", "braid[A,B"), ("std", "id[]"),
     ("std", "braid[A,]"), ("std", "alpha[A,B,C"), ("std", "id[(]"), ("std", "id[A,]"),
     ("std", "braid[I,?]"), ("std", "lunit[id]"), ("monoidal", "braid[B,Z]"),
+    # errors in or after an annotation repeated word for word, which is parsed once
+    ("std", "id[A * Z] * id[A * Z]"), ("std", "alpha[A, B] * alpha[A, B]"),
+    ("plain", "braid[Z, Z] * braid[Z, Z]"), ("std", "id[A * B] * id[A * B] ; id[A * B * A]"),
+    ("std", "id[A * B] ; id[A * B] ; id[A * B * Z]"), ("std", "id[A * B] ; id[A * B * (]"),
+    ("std", "id[A * B] ; id[A * B * )]"), ("std", "id[A * B] ; id[A * B * id]"),
+    ("std", "id[A * B] ; id[A * B * ?x]"), ("std", "id[A * B] ; id[A * B ; C]"),
+    ("std", "id[A * B] * id[A * B] id[A * B]"), ("std", "id[A*B] * id[A * B] ; id[(A * B)]"),
+    ("std", "id[(A * B)] * id[(A * B)] ; id[(A * B) * A]"), ("std", "id[Z] ; id[Z] ; id[A * Z]"),
+    ("std", "alpha[A, B * C, A] ; alpha[A, B * C, A] ; alpha[A, B * C * Z, A]"),
+    ("std", "alpha[A * B, C, A] ; alpha_inv[A * B, C, A] ; alpha[A * B * C, A, B]"),
+    ("std", "braid[A * B, C] ; braid[A * B, C] ; braid[C, A * B]"),
+    ("std", "nosuch ; id[A * B] ; id[A * B] ; id[A * B * Z]"),
+    ("std", "id[A * B] * nosuch ; id[A * B] * nosuch"), ("std", "id[A * B] ; id[A * B"),
+    ("monoidal", "alpha[A, B, A] * braid[A * B, A] ; alpha[A, B, A] * braid[A * B, A]"),
+    ("monoidal", "lunit[A * B] ; lunit[A * B] ; lunit[A * B * Z]"),
 ]
 
 _NAMES = ["A", "B", "C", "Z", "I", "f", "g", "h", "u", "p", "q", "k", "w", "s", "e", "zz", "id"]
@@ -113,6 +130,26 @@ def _random_corpus(count: int) -> list[tuple[str, str]]:
     return corpus
 
 
+def _repeated_corpus(count: int) -> list[tuple[str, str]]:
+    """Random texts that repeat one of their bracketed annotations, mutated."""
+
+    rng = Random(20261019)
+    corpus = []
+    while len(corpus) < count:
+        name = rng.choice(list(SIGS))
+        text = print_expr(random_term(rng, STD, max_leaves=rng.randint(1, 9)))
+        annotations = re.findall(r"\w+\[[^\]]*\]", text)
+        if not annotations:
+            continue
+        a = rng.choice(annotations)
+        text = rng.choice([f"{a} * {text} * {a}", f"({a} ; {a}) * ({text})",
+                           f"{text} ; {a} * {a}", f"{a} * {a} * ({text})"])
+        if name != "std":
+            text = re.sub(r"\b[BC]\b", "A", text)
+        corpus.append((name, _mutate(rng, text)))
+    return corpus
+
+
 @pytest.mark.parametrize("sig_name,text", ERROR_CORPUS)
 def test_errors_match_reference(sig_name, text):
     sig = SIGS[sig_name]
@@ -129,6 +166,56 @@ def test_random_mutations_match_reference():
     # the corpus reaches every kind of outcome
     assert {"ok", "ParseError", "UndeclaredName", "CompositionMismatch",
             "LevelViolation", "NotAnIso"} <= kinds
+
+
+def test_random_repeated_annotations_match_reference():
+    kinds = set()
+    for sig_name, text in _repeated_corpus(800):
+        sig = SIGS[sig_name]
+        got = _outcome(parse_expr, text, sig)
+        assert got == _outcome(reference_parse_expr, text, sig), (sig_name, text)
+        kinds.add(got[0])
+    assert {"ok", "ParseError", "UndeclaredName", "CompositionMismatch",
+            "LevelViolation"} <= kinds
+
+
+def test_repeated_annotation_is_one_atom():
+    term = parse_expr("id[A * B] * id[A * B]", STD)
+    assert term.top is term.bottom
+    assert term == Tensor(Id(ObjTensor(ObjGen("A"), ObjGen("B"))),
+                          Id(ObjTensor(ObjGen("A"), ObjGen("B"))))
+    assert print_expr(term) == "id[A * B] * id[A * B]"
+    wide = parse_expr("alpha[A * B, C, A] ; alpha_inv[A * B, C, A] ; alpha[A * B, C, A]", STD)
+    assert wide.first.first is wide.second and wide.first.first.a is wide.first.second.a
+
+
+def test_memo_stores_only_clean_first_occurrences():
+    # "A * Z" names an undeclared object; "id[A * Z]" records the error; after it nothing is kept
+    parser = _ExprParser("id[A * B] ; id[A * Z] ; id[A * C] ; id[A * B * C]", typer=Typer(STD))
+    parser.parse_expr()
+    assert set(parser.memo) == {("A", "*", "B"), ("id", "[", "A", "*", "B", "]")}
+    parser = _ExprParser("id[A * B C]", typer=Typer(STD))  # the object ends before "]"
+    with pytest.raises(ParseError):
+        parser.parse_expr()
+    assert not parser.memo
+    parser = _ExprParser("id[A * B] * id[C] ; id[A * B * C] ; id[A * B * C]", typer=Typer(STD))
+    term = parser.parse_expr()[0]
+    assert parser.error is None and term.first.second is term.second
+    assert set(parser.memo) == {("A", "*", "B"), ("A", "*", "B", "*", "C"),
+                                ("id", "[", "A", "*", "B", "]"), ("id", "[", "C", "]"),
+                                ("id", "[", "A", "*", "B", "*", "C", "]")}
+
+
+def test_memo_lives_for_one_parse():
+    declared = parse_signature("category symmetric\nobject A\nobject Q\n")
+    undeclared = parse_signature("category symmetric\nobject A\n")
+    parse_expr("id[Q] ; id[Q]", declared)
+    for text in ("id[Q]", "id[A * Q] ; id[A * Q]"):
+        with pytest.raises(UndeclaredName) as exc:
+            parse_expr(text, undeclared)
+        assert _outcome(parse_expr, text, undeclared) == \
+            _outcome(reference_parse_expr, text, undeclared)
+    assert (exc.value.span.column, exc.value.span.start, exc.value.span.end) == (8, 7, 8)
 
 
 def test_repeated_undeclared_name_reported_at_first_occurrence():
