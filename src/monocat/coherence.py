@@ -14,7 +14,7 @@ following from monoidal structure plus identity sliding, except between
 terms holding both a box with no input wires (a "scalar") and a box
 with no output wires (an "effect").
 
-Braiding boxes are keyed by their two flattened halves, so braidings
+A braiding's box is keyed by its two flattened halves, so braidings
 over differently bracketed but identically flattened objects are
 identified, while braidings that split the same wire list at different
 points stay distinct (they denote different permutations).  A braiding
@@ -36,9 +36,6 @@ from __future__ import annotations
 
 from .terms import (
     STRUCTURAL,
-    Braid,
-    BraidInv,
-    Id,
     Inv,
     MorExpr,
     MorGen,
@@ -161,9 +158,6 @@ def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
     """The flat input and output wires of the atom ``t``."""
 
     cls = type(t)
-    if cls is Id:
-        wires = flatten_object(t.obj)
-        return wires, wires
     if cls is MorGen or cls is Inv:
         decl = sig.morphism(t.name)
         dom, cod = (decl.dom, decl.cod) if cls is MorGen else (decl.cod, decl.dom)
@@ -192,8 +186,8 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
         cls = type(t)
         if cls is MorGen or cls is Inv:
             label = t.name if cls is MorGen else f"inv:{t.name}"
-        elif cls is Braid or cls is BraidInv:
-            fa, fb = flatten_object(t.a), flatten_object(t.b)
+        elif STRUCTURAL[cls][5] is not None:  # a crossing
+            fa, fb = map(flatten_object, node_fields(t))
             # a unit-like half permutes nothing in any lawful backend: no box
             label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
         else:

@@ -38,7 +38,6 @@ from .terms import (
     BackendBlock,
     CatError,
     Comp,
-    Id,
     Inv,
     LEVELS,
     MorDecl,
@@ -99,9 +98,9 @@ class SourceSpan:
 #: DARROW COLON EQUALS STRING EOF.
 Token = tuple[str, str, int, int, int, int]
 
-#: Keyword -> (``Id`` or structural atom class, number of object arguments).
+#: Keyword -> (atom class of a ``STRUCTURAL`` row, number of object arguments).
 STRUCTURAL_KEYWORDS = {spec[0]: (cls, len(cls.__dataclass_fields__))
-                       for cls, spec in STRUCTURAL.items()} | {"id": (Id, 1)}
+                       for cls, spec in STRUCTURAL.items()}
 
 # Each match skips blanks and comments, then takes one word: the first
 # alternative that fits, in order, or "" at the end of the text.  ``\w`` is
@@ -459,8 +458,6 @@ def print_expr(term: MorExpr) -> str:
             text = t.name
         elif cls is MorVar:
             text = "?" + t.name
-        elif cls is Id:
-            text = f"id[{print_obj(t.obj)}]"
         elif cls is Inv:
             text = f"inv({t.name})"
         elif cls in STRUCTURAL:

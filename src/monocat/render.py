@@ -25,8 +25,6 @@ from .coherence import atom_wires, flatten_object
 from .parser import print_obj
 from .terms import (
     STRUCTURAL,
-    Braid,
-    BraidInv,
     CatError,
     Comp,
     Id,
@@ -165,11 +163,12 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             ports = _spread(h, ins)
             return LayoutNode("idwire", 0.0, 0.0, w, h, "" if ins else "I", ports, _spread(h, ins),
                               [], [[(0.0, y), (w, y)] for y, _ in ports], False, 0)
-        if cls is Braid or cls is BraidInv:
+        halves = STRUCTURAL[cls][5]
+        if halves is not None:
             h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width * 1.2
             in_ports, out_ports = _spread(h, ins), _spread(h, outs)
             # straight diagonals: input i leaves at output i + len(second half), cyclically
-            shift = len(flatten_object(t.b if cls is Braid else t.a))
+            shift = len(flatten_object(halves(*node_fields(t))[1]))
             wires = [[(0.0, in_ports[i][0]), (w, out_ports[(i + shift) % len(ins)][0])]
                      for i in range(len(ins))]
             return LayoutNode("braidcross", 0.0, 0.0, w, h, "", in_ports, out_ports, [], wires,

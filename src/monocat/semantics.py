@@ -34,7 +34,6 @@ from .terms import (
     Assoc,
     AssocInv,
     Braid,
-    BraidInv,
     CatError,
     Comp,
     Id,
@@ -46,6 +45,7 @@ from .terms import (
     ObjGen,
     ObjTensor,
     RUnit,
+    STRUCTURAL,
     Signature,
     Tensor,
     UNIT,
@@ -206,9 +206,9 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
                 todo += (("bottom", t, n), ("act", t.top, n))
             elif isinstance(t, (MorGen, Inv)):
                 v, out = box(gen(t), v, n)
-            elif isinstance(t, (Braid, BraidInv)):
-                blocks = (dim(t.a), dim(t.b)) if isinstance(t, Braid) else (dim(t.b), dim(t.a))
-                v, out = swap(v, n, *blocks), blocks[0] * blocks[1]
+            elif (halves := STRUCTURAL[t.__class__][5]) is not None:
+                a, b = map(dim, halves(*node_fields(t)))
+                v, out = swap(v, n, a, b), a * b
             else:
                 out = size(t)  # identities, associators and unitors move no wire
         return v, out

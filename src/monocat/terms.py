@@ -456,33 +456,38 @@ class MorVar(MorExpr):
     name: str
 
 
-#: Each structural atom class: its keyword, the level it needs, its inverse,
-#: its (dom, cod) from its object fields, and the glyph a diagram labels it
-#: with (``None``: drawn as a crossing).
+#: Each atom class whose fields are objects: its keyword, the level it needs,
+#: its inverse, its (dom, cod) from its object fields, the glyph a diagram
+#: labels it with (``None``: drawn as wires or a crossing), and for a crossing
+#: the two halves it swaps, in input order (``None``: it swaps nothing).
 STRUCTURAL = {
+    Id: ("id", "plain", Id, lambda a: (a, a), None, None),
     Assoc: ("alpha", "monoidal", AssocInv,
-            lambda a, b, c: (ObjTensor(ObjTensor(a, b), c), ObjTensor(a, ObjTensor(b, c))), "α"),
+            lambda a, b, c: (ObjTensor(ObjTensor(a, b), c), ObjTensor(a, ObjTensor(b, c))), "α",
+            None),
     AssocInv: ("alpha_inv", "monoidal", Assoc,
                lambda a, b, c: (ObjTensor(a, ObjTensor(b, c)), ObjTensor(ObjTensor(a, b), c)),
-               "α⁻¹"),
-    LUnit: ("lunit", "monoidal", LUnitInv, lambda a: (ObjTensor(UNIT, a), a), "λ"),
-    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda a: (a, ObjTensor(UNIT, a)), "λ⁻¹"),
-    RUnit: ("runit", "monoidal", RUnitInv, lambda a: (ObjTensor(a, UNIT), a), "ρ"),
-    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda a: (a, ObjTensor(a, UNIT)), "ρ⁻¹"),
-    Braid: ("braid", "braided", BraidInv, lambda a, b: (ObjTensor(a, b), ObjTensor(b, a)), None),
+               "α⁻¹", None),
+    LUnit: ("lunit", "monoidal", LUnitInv, lambda a: (ObjTensor(UNIT, a), a), "λ", None),
+    LUnitInv: ("lunit_inv", "monoidal", LUnit, lambda a: (a, ObjTensor(UNIT, a)), "λ⁻¹", None),
+    RUnit: ("runit", "monoidal", RUnitInv, lambda a: (ObjTensor(a, UNIT), a), "ρ", None),
+    RUnitInv: ("runit_inv", "monoidal", RUnit, lambda a: (a, ObjTensor(a, UNIT)), "ρ⁻¹", None),
+    Braid: ("braid", "braided", BraidInv, lambda a, b: (ObjTensor(a, b), ObjTensor(b, a)), None,
+            lambda a, b: (a, b)),
     BraidInv: ("braid_inv", "braided", Braid,
-               lambda a, b: (ObjTensor(b, a), ObjTensor(a, b)), None),
+               lambda a, b: (ObjTensor(b, a), ObjTensor(a, b)), None, lambda a, b: (b, a)),
 }
 
 #: Names with built-in meaning in the expression grammar; they can never
 #: be declared as object or morphism generators.
-RESERVED_NAMES = frozenset({"I", "id", "inv", *(spec[0] for spec in STRUCTURAL.values())})
+RESERVED_NAMES = frozenset({"I", "inv", *(spec[0] for spec in STRUCTURAL.values())})
 
 
 def node_fields(node) -> tuple:
-    """The fields of a term or object node, in declaration order."""
+    """The fields of a term or object node, in declaration order: records
+    fill their instance dict in field order and take no other attribute."""
 
-    return tuple(getattr(node, f) for f in node.__dataclass_fields__)
+    return tuple(node.__dict__.values())
 
 
 @record(frozen=True)
@@ -566,9 +571,6 @@ class Signature:
             return self._by_name[name]
         except KeyError:
             raise UndeclaredName(f"undeclared morphism {name!r}") from None
-
-    def is_object(self, name: str) -> bool:
-        return name in self._gens
 
     def has_level(self, wanted: str) -> bool:
         return LEVELS.index(self.level) >= LEVELS.index(wanted)
@@ -682,16 +684,16 @@ class Typer:
             ty = self.metavars[t.name]
             return ty.dom, ty.cod
         spec = STRUCTURAL.get(cls)
-        if spec is None and cls is not Id:
+        if spec is None:
             raise TypeError(f"not a morphism expression: {t!r}")
-        if spec is not None and not self.sig.has_level(spec[1]):
+        if not self.sig.has_level(spec[1]):
             raise LevelViolation(f"{cls.__name__} needs a {spec[1]} signature; "
                                  f"this one is {self.sig.level}", term=t)
-        args = (t.obj,) if spec is None else node_fields(t)
+        args = node_fields(t)
         if not checked:
             for obj in args:
                 _check_obj(obj, self.sig._gens, allow_vars=self.metavars is not None)
-        return (t.obj, t.obj) if spec is None else spec[3](*args)
+        return spec[3](*args)
 
     def comp(self, t: Comp, fst, snd) -> tuple[ObjExpr, ObjExpr]:
         if fst[1] is not snd[0]:
@@ -771,13 +773,11 @@ def iso_inverse(atom: MorExpr, sig: Signature) -> tuple[MorExpr, ...]:
 
     cls = type(atom)
     if cls in STRUCTURAL:
-        args = node_fields(atom)
-        base = (STRUCTURAL[cls][2](*args),)
-        if cls in (Braid, BraidInv) and sig.level == "symmetric":
+        spec, args = STRUCTURAL[cls], node_fields(atom)
+        base = (spec[2](*args),)
+        if spec[5] is not None and sig.level == "symmetric":
             base += (cls(*args[::-1]),)
         return base
-    if cls is Id:
-        return (atom,)
     if isinstance(atom, MorGen):
         if sig.morphism(atom.name).iso:
             return (Inv(atom.name),)

@@ -178,7 +178,7 @@ def reference_typecheck(term: MorExpr, sig: Signature) -> MorType:
         if isinstance(obj, ObjTensor):
             obj_ok(obj.left)
             obj_ok(obj.right)
-        elif isinstance(obj, ObjGen) and not sig.is_object(obj.name):
+        elif isinstance(obj, ObjGen) and obj.name not in sig.objects:
             raise UndeclaredName(f"undeclared object {obj.name!r}", term=obj)
         elif isinstance(obj, ObjVar):
             raise UndeclaredName(f"object metavariable ?{obj.name} outside a rule pattern",

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,19 @@ def test_record_matches_its_dataclass_twin(cls, samples):
                                    ((), dict(zip(names, args)))]:
             assert _outcome(lambda: repr(cls(*call_args, **call_kw))) == \
                 _outcome(lambda: repr(twin_cls(*call_args, **call_kw)))
+
+
+def test_node_fields_are_the_fields_in_order(samples):
+    # node_fields reads the instance dict: every node, however made, fills it
+    # in field order and holds nothing else there
+    nodes = [cls for cls in TWINS if issubclass(cls, (terms.MorExpr, terms.ObjExpr))]
+    assert set(nodes) == {*terms.MorExpr.__subclasses__(), *terms.ObjExpr.__subclasses__()}
+    for cls in nodes:
+        for v in samples[cls][:10]:
+            for x in (v, pickle.loads(pickle.dumps(v)), copy.deepcopy(v), copy.copy(v),
+                      dataclasses.replace(v)):
+                assert terms.node_fields(x) == tuple(getattr(x, f.name)
+                                                     for f in dataclasses.fields(x))
 
 
 def test_frozen_record_errors_name_the_field():

@@ -11,9 +11,9 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gen import random_term
+from gen import random_object, random_term
 from monocat.coherence import flatten_object
-from monocat.parser import parse_expr, parse_obj, parse_signature
+from monocat.parser import parse_expr, parse_obj, parse_signature, print_expr
 from monocat.terms import (
     Assoc,
     AssocInv,
@@ -24,12 +24,15 @@ from monocat.terms import (
     DuplicateName,
     Id,
     Inv,
+    LEVELS,
     LevelViolation,
     LUnit,
     LUnitInv,
     MorDecl,
+    MorExpr,
     MorGen,
     MorType,
+    MorVar,
     NotAnIso,
     NotInvertible,
     ObjExpr,
@@ -38,8 +41,10 @@ from monocat.terms import (
     ObjVar,
     RUnit,
     RUnitInv,
+    STRUCTURAL,
     Signature,
     Tensor,
+    Typer,
     UNIT,
     UndeclaredName,
     Unit,
@@ -162,6 +167,31 @@ def test_iso_inverse_involution(sig):
     # the extra symmetric pairing is itself symmetric
     assert Braid(B, A) in iso_inverse(Braid(A, B), sig)
     assert Braid(A, B) in iso_inverse(Braid(B, A), sig)
+
+
+@pytest.mark.parametrize("cls", list(STRUCTURAL), ids=lambda cls: cls.__name__)
+def test_structural_row_is_the_atom(cls, sig):
+    keyword, level, inverse, boundary, _, halves = STRUCTURAL[cls]
+    assert set(MorExpr.__subclasses__()) - {Comp, Tensor, MorGen, Inv, MorVar} == set(STRUCTURAL)
+    rng, arity = Random(11), len(dataclasses.fields(cls))
+    for trial in range(30):
+        args = [UNIT if trial == 0 else random_object(rng, sig.objects) for _ in range(arity)]
+        atom, (dom, cod) = cls(*args), boundary(*args)
+        assert print_expr(atom).startswith(keyword + "[")
+        assert parse_expr(print_expr(atom), sig) == atom
+        assert Typer(sig).atom(atom) == (dom, cod)
+        assert typecheck(inverse(*args), sig) == MorType(cod, dom)
+        for at in LEVELS:
+            at_sig = Signature(level=at, objects=sig.objects)
+            if LEVELS.index(at) < LEVELS.index(level):
+                with pytest.raises(LevelViolation):
+                    typecheck(atom, at_sig)
+            else:
+                assert typecheck(atom, at_sig) == MorType(dom, cod)
+        if halves is not None:
+            first, second = map(flatten_object, halves(*args))
+            assert first + second == flatten_object(dom)
+            assert second + first == flatten_object(cod)
 
 
 def test_typecheck_deterministic_on_random_terms(sig):
