@@ -27,14 +27,6 @@ def _load_signature(path: str) -> Signature:
         return parse_signature(fh.read())
 
 
-def _render_config(args) -> render.RenderConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    cfg = render.RenderConfig.from_file(path) if path else render.RenderConfig()
-    if getattr(args, "color", False):
-        cfg = replace(cfg, color=True)
-    return cfg
-
-
 def _check_pair(method: str, sig: Signature, text1: str, text2: str,
                 backend: Callable[[], semantics.MatrixInstance | semantics.RelInstance]
                 ) -> tuple[bool, str]:
@@ -99,53 +91,55 @@ def _cmd_check(args) -> int:
     return 0 if equal else 1
 
 
-def _cmd_normalize(args) -> int:
-    sig = _load_signature(args.sig)
-    term = parse_expr(args.expr, sig)
-    nf = coherence.canonicalize(coherence.sheet_of_term(term, sig))
-    print(dump_normal_form(nf))
-    return 0
+# ---------------------------------------------------------------------------
+# Operations of both the subcommands and the REPL, each on a term and its signature
+# ---------------------------------------------------------------------------
 
 
-def _cmd_foliate(args) -> int:
-    sig = _load_signature(args.sig)
-    term = parse_expr(args.expr, sig)
-    result = weak_foliate(term, sig) if args.weak else foliate(term, sig)
-    print(print_expr(result))
-    return 0
+def _normal_form(term: MorExpr, sig: Signature) -> str:
+    return dump_normal_form(coherence.canonicalize(coherence.sheet_of_term(term, sig)))
 
 
-def _cmd_rewrite(args) -> int:
-    sig = _load_signature(args.sig)
-    term = parse_expr(args.expr, sig)
-    with open(args.rules, encoding="utf-8") as fh:
+_TACTICS = {
+    "foliate": foliate,
+    "weak_foliate": weak_foliate,
+    "cancel_isos": cancel_isos,
+    "cat_simpl": cat_simpl,
+}
+
+
+def _rewrite(term: MorExpr, sig: Signature, rules_path: str, rule_name: str | None) -> MorExpr:
+    with open(rules_path, encoding="utf-8") as fh:
         rules = parse_rules(fh.read(), sig)
-    if args.rule:
-        result = tactics.assoc_rw(term, rules.rule(args.rule), sig)
-    else:
-        # no rule named: apply the first rule in file order that matches
-        result = None
-        for rule in rules.rules:
-            try:
-                result = tactics.assoc_rw(term, rule, sig)
-                break
-            except tactics.NoMatch:
-                continue
-        if result is None:
-            raise tactics.NoMatch("no rule in the file matches")
-    print(print_expr(result))
-    return 0
+    if rule_name is not None:
+        return tactics.assoc_rw(term, rules.rule(rule_name), sig)
+    # no rule named: apply the first rule in file order that matches
+    for rule in rules.rules:
+        try:
+            return tactics.assoc_rw(term, rule, sig)
+        except tactics.NoMatch:
+            continue
+    raise tactics.NoMatch("no rule in the file matches")
 
 
-def _cmd_render(args) -> int:
-    sig = _load_signature(args.sig)
-    term = parse_expr(args.expr, sig)
-    cfg = _render_config(args)
+def _render(term: MorExpr, sig: Signature, out: str, fmt: str = "svg",
+            config: str | None = None, color: bool = False) -> str:
+    path = config or os.environ.get(CONFIG_ENV_VAR)
+    cfg = render.RenderConfig.from_file(path) if path else render.RenderConfig()
+    if color:
+        cfg = replace(cfg, color=True)
     node = render.layout(term, sig, cfg)
-    text = render.emit_svg(node, cfg) if args.format == "svg" else render.emit_tikz(node, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    text = render.emit_svg(node, cfg) if fmt == "svg" else render.emit_tikz(node, cfg)
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(f"wrote {args.out}")
+    return f"wrote {out}"
+
+
+def _cmd_on_term(args) -> int:
+    """A subcommand on one expression: prints what ``args.op`` makes of it."""
+
+    sig = _load_signature(args.sig)
+    print(args.op(parse_expr(args.expr, sig), sig, args))
     return 0
 
 
@@ -165,23 +159,37 @@ class ReplState:
     done: bool = False
 
 
-_REPL_TACTICS = {
-    "foliate": foliate,
-    "weak_foliate": weak_foliate,
-    "cancel_isos": cancel_isos,
-    "cat_simpl": cat_simpl,
-}
-
-REPL_HELP = """commands:
+REPL_HELP = f"""commands:
   load <expr>        set the current term
   show               print the current term and its type
-  apply <tactic>     foliate | weak_foliate | cancel_isos | cat_simpl
+  apply <tactic>     {' | '.join(_TACTICS)}
   partner <p> <q>    group adjacent p ; q by reassociation
   rw <file> <rule>   rewrite with a named rule from a rule file
   normalize          print the canonical normal form
   render <path>      write an SVG of the current term
   undo               restore the term before the last tactic
   quit               leave the REPL"""
+
+
+def _show(term: MorExpr, sig: Signature) -> str:
+    ty = typecheck(term, sig)
+    return f"{print_expr(term)} : {print_obj(ty.dom)} -> {print_obj(ty.cod)}"
+
+
+def _apply(term: MorExpr, sig: Signature, name: str) -> MorExpr:
+    if name not in _TACTICS:
+        raise CatError(f"unknown tactic {name!r}; see help")
+    return _TACTICS[name](term, sig)
+
+
+#: The REPL commands that need a current term, as functions of the term, the signature
+#: and their operands: a view returns a line to print, a step the term that replaces it
+_REPL_VIEWS = {"show": lambda t, s, rest: _show(t, s),
+               "normalize": lambda t, s, rest: _normal_form(t, s), "render": _render}
+_REPL_STEPS = {"apply": _apply, "rw": lambda t, s, ops: _rewrite(t, s, *ops),
+               "partner": lambda t, s, ops: partner(t, *(parse_expr(x, s) for x in ops), s)}
+#: Steps whose operands are two shell-quoted words, with their usage line
+_REPL_USAGE = {"partner": "usage: partner <p> <q>", "rw": "usage: rw <rulefile> <rule>"}
 
 
 def repl_step(state: ReplState, line: str) -> ReplState:
@@ -202,60 +210,26 @@ def repl_step(state: ReplState, line: str) -> ReplState:
     parts = line.split(None, 1)
     cmd, rest = parts[0], (parts[1] if len(parts) > 1 else "")
     try:
-        if cmd == "load":
+        if cmd in _REPL_VIEWS or cmd in _REPL_STEPS:
+            term = state.term
+            if term is None:
+                raise CatError("no current term; use: load <expr>")
+            if cmd in _REPL_VIEWS:
+                say(_REPL_VIEWS[cmd](term, state.sig, rest))
+                return state
+            if cmd in _REPL_USAGE:
+                import shlex
+
+                rest = shlex.split(rest)
+                if len(rest) != 2:
+                    raise CatError(_REPL_USAGE[cmd])
+            state.term = _REPL_STEPS[cmd](term, state.sig, rest)
+            state.undo_stack.append(term)
+            say(print_expr(state.term))
+        elif cmd == "load":
             state.term = parse_expr(rest, state.sig)
             state.undo_stack.clear()
             say(print_expr(state.term))
-        elif cmd == "show":
-            _need_term(state)
-            ty = typecheck(state.term, state.sig)
-            say(f"{print_expr(state.term)} : {print_obj(ty.dom)} -> {print_obj(ty.cod)}")
-        elif cmd == "apply":
-            _need_term(state)
-            name = rest.strip()
-            if name not in _REPL_TACTICS:
-                raise CatError(f"unknown tactic {name!r}; see help")
-            new = _REPL_TACTICS[name](state.term, state.sig)
-            state.undo_stack.append(state.term)
-            state.term = new
-            say(print_expr(new))
-        elif cmd == "partner":
-            _need_term(state)
-            import shlex
-
-            args = shlex.split(rest)
-            if len(args) != 2:
-                raise CatError("usage: partner <p> <q>")
-            p = parse_expr(args[0], state.sig)
-            q = parse_expr(args[1], state.sig)
-            new = partner(state.term, p, q, state.sig)
-            state.undo_stack.append(state.term)
-            state.term = new
-            say(print_expr(new))
-        elif cmd == "rw":
-            _need_term(state)
-            import shlex
-
-            args = shlex.split(rest)
-            if len(args) != 2:
-                raise CatError("usage: rw <rulefile> <rule>")
-            with open(args[0], encoding="utf-8") as fh:
-                rules = parse_rules(fh.read(), state.sig)
-            new = tactics.assoc_rw(state.term, rules.rule(args[1]), state.sig)
-            state.undo_stack.append(state.term)
-            state.term = new
-            say(print_expr(new))
-        elif cmd == "normalize":
-            _need_term(state)
-            nf = coherence.canonicalize(coherence.sheet_of_term(state.term, state.sig))
-            say(dump_normal_form(nf))
-        elif cmd == "render":
-            _need_term(state)
-            cfg = render.RenderConfig()
-            node = render.layout(state.term, state.sig, cfg)
-            with open(rest.strip(), "w", encoding="utf-8") as fh:
-                fh.write(render.emit_svg(node, cfg))
-            say(f"wrote {rest.strip()}")
         elif cmd == "undo":
             if not state.undo_stack:
                 raise CatError("nothing to undo")
@@ -267,16 +241,9 @@ def repl_step(state: ReplState, line: str) -> ReplState:
             state.done = True
         else:
             raise CatError(f"unknown command {cmd!r}; try help")
-    except CatError as err:
-        say(f"error: {err}" + (f" ({err.span})" if err.span else ""))
-    except OSError as err:
-        say(f"error: {err}")
+    except (CatError, OSError) as err:  # only a CatError has a span
+        say(f"error: {err}" + (f" ({err.span})" if getattr(err, "span", None) else ""))
     return state
-
-
-def _need_term(state: ReplState) -> None:
-    if state.term is None:
-        raise CatError("no current term; use: load <expr>")
 
 
 def _cmd_repl(args) -> int:
@@ -320,20 +287,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="print the canonical normal form")
     add_sig(p)
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_normalize)
+    p.set_defaults(fn=_cmd_on_term, op=lambda t, s, a: _normal_form(t, s))
 
     p = sub.add_parser("foliate", help="rewrite as a composition of stacks")
     add_sig(p)
     p.add_argument("--weak", action="store_true")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_foliate)
+    p.set_defaults(fn=_cmd_on_term,
+                   op=lambda t, s, a: print_expr((weak_foliate if a.weak else foliate)(t, s)))
 
     p = sub.add_parser("rewrite", help="rewrite modulo associativity with a rule file")
     add_sig(p)
     p.add_argument("--rules", required=True)
     p.add_argument("--rule", default=None, help="rule name (default: first that matches)")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_rewrite)
+    p.set_defaults(fn=_cmd_on_term,
+                   op=lambda t, s, a: print_expr(_rewrite(t, s, a.rules, a.rule or None)))
 
     p = sub.add_parser("render", help="write a string diagram")
     add_sig(p)
@@ -342,7 +311,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--color", action="store_true")
     p.add_argument("--config", default=None, help=f"render config (or ${CONFIG_ENV_VAR})")
     p.add_argument("expr")
-    p.set_defaults(fn=_cmd_render)
+    p.set_defaults(fn=_cmd_on_term,
+                   op=lambda t, s, a: _render(t, s, a.out, a.format, a.config, a.color))
 
     p = sub.add_parser("repl", help="interactive tactic session")
     add_sig(p)
@@ -362,12 +332,9 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except CatError as err:
-        where = f" ({err.span})" if err.span else ""
+    except (CatError, OSError) as err:  # only a CatError has a span
+        where = f" ({err.span})" if getattr(err, "span", None) else ""
         print(f"error: {err}{where}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a crash is an error (2), never "unequal" (1)
         print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
@@ -376,3 +343,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

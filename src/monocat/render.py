@@ -26,7 +26,6 @@ from .parser import print_obj
 from .terms import (
     STRUCTURAL,
     CatError,
-    Comp,
     Id,
     Inv,
     MorExpr,
@@ -61,10 +60,8 @@ class RenderConfig:
     atom_boxes: bool = True      # draw the quadrilateral around atoms
 
     def __post_init__(self):
-        for name in ("unit", "box_min_width", "box_padding", "hgap", "vgap",
-                     "font_size", "stroke_width", "group_stroke_width",
-                     "boundary_stub", "margin"):
-            if getattr(self, name) <= 0:
+        for name, spec in self.__dataclass_fields__.items():  # sizes have float defaults
+            if type(spec.default) is float and getattr(self, name) <= 0:
                 raise RenderConfigError(f"render config {name} must be positive")
 
     @classmethod
@@ -73,7 +70,11 @@ class RenderConfig:
 
         values: dict[str, object] = {}
         with open(path, encoding="utf-8") as fh:
-            for raw in fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                raise RenderConfigError(f"render config {path} is not UTF-8 text") from None
+            for raw in text.split("\n"):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
@@ -82,10 +83,13 @@ class RenderConfig:
                 key, value = (s.strip() for s in line.split("=", 1))
                 if key not in cls.__dataclass_fields__:
                     raise RenderConfigError(f"unknown config key {key!r}")
-                if key in ("color", "atom_boxes"):
+                if type(cls.__dataclass_fields__[key].default) is bool:
                     values[key] = value.lower() in ("true", "1", "yes", "on")
                 else:
-                    values[key] = float(value)
+                    try:
+                        values[key] = float(value)
+                    except ValueError:
+                        raise RenderConfigError(f"render config {key} must be a number") from None
         return cls(**values)
 
 
@@ -176,21 +180,23 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
         label = f"{STRUCTURAL[cls][4]}[{','.join(map(print_obj, node_fields(t)))}]"
         return _box(cfg, "structbox", label, ins, outs, emphasized=True)
 
-    def group(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
-        pad = cfg.box_padding
-        if isinstance(t, Comp):
-            maxh = max(a.h, b.h)
-            a.x, a.y = pad, pad + (maxh - a.h) / 2.0
-            b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
-            w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
-            in_ports = [(y + a.y, s) for y, s in a.in_ports]
-            out_ports = [(y + b.y, s) for y, s in b.out_ports]
-            wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
-                     for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
-            wires += [_connect((0.0, y), (a.x, y)) for y, _ in in_ports]
-            wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in out_ports]
-            return LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, "", in_ports, out_ports,
-                              [a, b], wires, False, 0)
+    pad = cfg.box_padding
+
+    def comp(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
+        maxh = max(a.h, b.h)
+        a.x, a.y = pad, pad + (maxh - a.h) / 2.0
+        b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
+        w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
+        in_ports = [(y + a.y, s) for y, s in a.in_ports]
+        out_ports = [(y + b.y, s) for y, s in b.out_ports]
+        wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
+                 for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
+        wires += [_connect((0.0, y), (a.x, y)) for y, _ in in_ports]
+        wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in out_ports]
+        return LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, "", in_ports, out_ports,
+                          [a, b], wires, False, 0)
+
+    def tensor(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
         maxw = max(a.w, b.w)
         y = pad
         for child in (a, b):
@@ -207,7 +213,7 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             node.wires += [_connect((child.x + child.w, py), (node.w, py)) for py, _ in outs]
         return node
 
-    inner = fold(term, atom, group, group)
+    inner = fold(term, atom, comp, tensor)
 
     stub = cfg.boundary_stub
     inner.x, inner.y = cfg.margin + stub, cfg.margin
@@ -339,8 +345,6 @@ def emit_svg(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
                      f'stroke-width="{_fmt(cfg.group_stroke_width)}" stroke-dasharray="4,3"')
         elif rect.style == "isobox":
             extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width * 2)}"'
-        elif rect.style == "structbox":
-            extra = f'fill="#f2f2f2" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
         else:  # genbox, marker
             extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
         out.append(f'<rect class="{rect.style}" x="{_fmt(rect.x)}" y="{_fmt(rect.y)}" '
@@ -391,7 +395,6 @@ def emit_tikz(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
         style = {
             "group": "densely dashed, gray",
             "isobox": "very thick, fill=white",
-            "structbox": "fill=black!5",
             "marker": "fill=white",
             "genbox": "fill=white",
         }[rect.style]

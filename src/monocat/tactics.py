@@ -91,7 +91,7 @@ def _foliate(term: MorExpr, sig: Signature, weak: bool) -> MorExpr:
     def atom(t: MorExpr) -> tuple[int, ObjExpr]:
         if type(t) is Id:
             return len(stacks), t.obj
-        t_dom, cod = atom_type.atom(t)
+        t_dom, cod = atom_type.atom(t, True)  # typecheck above checked every object
         stacks.append(t)
         bounds.append(cod)
         return len(stacks) - 1, t_dom

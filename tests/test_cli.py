@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, output format, REPL stepping."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
@@ -359,10 +360,11 @@ def test_repl_error_leaves_state(repl, capsys):
 def test_repl_partner_and_normalize(repl, capsys):
     repl_step(repl, "load u ; (u ; (u ; u))")
     repl_step(repl, "partner u u")
-    assert repl.term == parse_expr("(u ; u) ; u ; u", repl.sig) or repl.term is not None
+    assert capsys.readouterr().out == "u ; (u ; (u ; u))\nu ; u ; (u ; u)\n"
+    assert repl.term == parse_expr("u ; u ; (u ; u)", repl.sig)
     repl_step(repl, "normalize")
-    out = capsys.readouterr().out
-    assert "layers=" in out
+    assert capsys.readouterr().out == \
+        f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * 4)}]; out=[A]\n"
 
 
 def test_repl_rw(repl, tmp_path, capsys):
@@ -380,3 +382,98 @@ def test_repl_quit_and_transcript(repl, capsys):
     assert repl.done
     assert any(line.startswith("> load") for line in repl.transcript)
     capsys.readouterr()
+
+
+def test_repl_session_from_stdin(sig_path, tmp_path, capsys, monkeypatch):
+    transcript = tmp_path / "session.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO("load u ; k ; inv(k)\napply cancel_isos\n\nshow\n"))
+    assert run(["repl", "--sig", sig_path, "--transcript", str(transcript)]) == 0
+    # end of input ends the session like quit; the prompt is written before each read
+    assert capsys.readouterr().out == ("monocat repl; 'help' lists commands\n"
+                                       "> u ; k ; inv(k)\n> u\n> > u : A -> A\n> ")
+    assert transcript.read_text(encoding="utf-8") == (
+        "> load u ; k ; inv(k)\nu ; k ; inv(k)\n> apply cancel_isos\nu\n> show\nu : A -> A\n")
+    # quit stops reading: the line after it is never run
+    monkeypatch.setattr("sys.stdin", io.StringIO("load f\nquit\nload nosuch\n"))
+    assert run(["repl", "--sig", sig_path, "--transcript", str(transcript)]) == 0
+    assert transcript.read_text(encoding="utf-8") == "> load f\nf\n> quit\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("expr, rule", [("(f ; g) * h", "fg"), ("u ; k ; inv(k) ; u", "cancel"),
+                                        ("(k * u) ; braid[B,A]", "swap")])
+def test_repl_commands_match_subcommands(sig_path, repl, tmp_path, capsys, monkeypatch, expr,
+                                         rule):
+    # each REPL command runs its subcommand's code: same text printed, same bytes written
+    monkeypatch.delenv("MONOCAT_CONFIG", raising=False)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("rule cancel : k ; inv(k) => id[A]\nrule fg : f ; g => f ; g\n"
+                     "rule swap : (k * u) ; braid[B,A] => braid[A,A] ; (u * k)\n",
+                     encoding="utf-8")
+
+    def repl_says(command: str) -> str:
+        repl_step(repl, f"load {expr}")
+        capsys.readouterr()
+        repl_step(repl, command)
+        return capsys.readouterr().out
+
+    def cli_says(*argv: str) -> str:
+        assert run([argv[0], "--sig", sig_path, *argv[1:], expr]) == 0
+        return capsys.readouterr().out
+
+    assert repl_says("normalize") == cli_says("normalize")
+    assert repl_says("apply foliate") == cli_says("foliate")
+    assert repl_says("apply weak_foliate") == cli_says("foliate", "--weak")
+    assert repl_says(f"rw {rules} {rule}") == \
+        cli_says("rewrite", "--rules", str(rules), "--rule", rule)
+    p, q = tmp_path / "repl.svg", tmp_path / "cli.svg"
+    assert repl_says(f"render {p}") == f"wrote {p}\n"
+    assert cli_says("render", "-o", str(q)) == f"wrote {q}\n"
+    assert p.read_bytes() == q.read_bytes()
+
+
+def test_repl_render_reads_config_env(sig_path, repl, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "render.cfg"
+    cfg.write_text("unit = 40\n", encoding="utf-8")
+    monkeypatch.setenv("MONOCAT_CONFIG", str(cfg))
+    p, q = tmp_path / "repl.svg", tmp_path / "cli.svg"
+    repl_step(repl, "load f")
+    repl_step(repl, f"render {p}")
+    assert run(["render", "--sig", sig_path, "-o", str(q), "f"]) == 0
+    assert 'height="60.00"' in q.read_text(encoding="utf-8")  # unit 40 + margins
+    assert p.read_bytes() == q.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"unit = big\n", "render config unit must be a number"),
+    (b"# \xff\nunit = 40\n", "is not UTF-8 text"),
+])
+def test_bad_render_config_is_an_error(sig_path, tmp_path, capsys, monkeypatch, text, message):
+    # a config the variable names cannot end a REPL session, and the subcommand reports it
+    cfg, out, transcript = tmp_path / "render.cfg", tmp_path / "f.svg", tmp_path / "session.txt"
+    cfg.write_bytes(text)
+    monkeypatch.setenv("MONOCAT_CONFIG", str(cfg))
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"load f\nrender {out}\nshow\n"))
+    assert run(["repl", "--sig", sig_path, "--transcript", str(transcript)]) == 0
+    said = transcript.read_text(encoding="utf-8").splitlines()
+    assert said[:3] == ["> load f", "f", f"> render {out}"]
+    assert said[3].startswith("error: ") and message in said[3]
+    assert said[4:] == ["> show", "f : N -> B"]
+    assert not out.exists()
+    capsys.readouterr()
+    assert run(["render", "--sig", sig_path, "-o", str(out), "f"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_module_entry_point_exits_2():
+    # ``python -m monocat.cli`` runs the CLI: an unreadable signature is an error (2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "monocat.cli", "normalize", "--sig",
+                           "/nonexistent/sig", "f"], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
