@@ -220,7 +220,10 @@ def repl_step(state: ReplState, line: str) -> ReplState:
             if cmd in _REPL_USAGE:
                 import shlex
 
-                rest = shlex.split(rest)
+                try:
+                    rest = shlex.split(rest)
+                except ValueError as err:  # an unclosed quote
+                    raise CatError(str(err)) from None
                 if len(rest) != 2:
                     raise CatError(_REPL_USAGE[cmd])
             state.term = _REPL_STEPS[cmd](term, state.sig, rest)
@@ -302,7 +305,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default=None, help="rule name (default: first that matches)")
     p.add_argument("expr")
     p.set_defaults(fn=_cmd_on_term,
-                   op=lambda t, s, a: print_expr(_rewrite(t, s, a.rules, a.rule or None)))
+                   op=lambda t, s, a: print_expr(_rewrite(t, s, a.rules, a.rule)))
 
     p = sub.add_parser("render", help="write a string diagram")
     add_sig(p)

@@ -133,8 +133,9 @@ def _lexer(alias_words: tuple[str, ...]) -> re.Pattern:
     return re.compile(f"{_SKIP}({''.join(re.escape(tok) + '|' for tok in symbols)}{_WORD})")
 
 
-def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
-    """Lex ``text``; alias tokens are rewritten to their builtins.
+def tokenize(text: str, aliases: dict[str, str] | None = None, line: int = 1) -> list[Token]:
+    """Lex ``text``, whose first line is line ``line`` of its source; alias
+    tokens are rewritten to their builtins.
 
     Columns count characters from the last newline outside a string, so a
     string spanning lines does not start a new line; the EOF token after
@@ -144,7 +145,7 @@ def tokenize(text: str, aliases: dict[str, str] | None = None) -> list[Token]:
     aliases = aliases or {}
     builtins = _builtins(aliases)
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    line_start = 0
     for m in _lexer(tuple(aliases)).finditer(text):
         skipped, (i, j) = m.start(), m.span(1)
         newline = text.rfind("\n", skipped, i)
@@ -201,7 +202,8 @@ class _ExprParser:
     span of the node it names (``spans`` holds the first and last word of
     that node and of each undeclared object name's first occurrence, as
     one name is one object).  Source positions come from :func:`tokenize`,
-    only for an error, so a lexical error is first.
+    only for an error, so a lexical error is first; ``line`` is the source
+    line the text starts on.
 
     ``memo`` lives for one parse.  It maps the words of a bracketed atom
     (keyword to "]") to the atom and its boundary, and those of each object
@@ -211,8 +213,8 @@ class _ExprParser:
     """
 
     def __init__(self, text: str, aliases: dict[str, str] | None = None,
-                 allow_metavars: bool = False, typer: Typer | None = None):
-        self.text = text
+                 allow_metavars: bool = False, typer: Typer | None = None, line: int = 1):
+        self.text, self.line = text, line
         self.aliases = aliases or {}
         self.words = _words(text, self.aliases)
         self.pos = 0
@@ -227,14 +229,14 @@ class _ExprParser:
     def _span(self, first: int, last: int) -> tuple[str, SourceSpan]:
         """The text of word ``first`` and the span of words ``first`` to ``last``."""
 
-        tokens = tokenize(self.text, self.aliases)
+        tokens = tokenize(self.text, self.aliases, self.line)
         return tokens[first][1], SourceSpan(*tokens[first][2:5], tokens[last][5])
 
-    def fail(self, message: str, k: int) -> NoReturn:
-        """Raise a ParseError at word ``k``; ``{!r}`` in ``message`` is its token text."""
+    def fail(self, message: str, k: int, error: type[CatError] = ParseError) -> NoReturn:
+        """Raise ``error`` at word ``k``; ``{!r}`` in ``message`` is its token text."""
 
         word, span = self._span(k, k)
-        raise ParseError(message.format(word), span=span)
+        raise error(message.format(word), span=span)
 
     def take(self, want, what: str) -> str:
         """The next word, which must equal ``want`` or, if callable, satisfy it."""
@@ -244,6 +246,16 @@ class _ExprParser:
             self.fail(f"expected {what}, found {'{!r}' if w else 'end of input'}", self.pos)
         self.pos += 1
         return w
+
+    def declaration(self, name_ok, what: str) -> tuple[str, ObjExpr, ObjExpr]:
+        """``NAME : OBJ -> OBJ``, whose name word satisfies ``name_ok``:
+        the name, domain and codomain."""
+
+        name = self.take(name_ok, what)
+        self.take(":", "':'")
+        dom = self.parse_obj()
+        self.take("->", "'->'")
+        return name, dom, self.parse_obj()
 
     def raise_error(self) -> None:
         """Raise the recorded type error, if any, with its source span."""
@@ -533,8 +545,9 @@ def parse_signature(text: str) -> Signature:
         backend matrix               # opens an opaque backend block
         dim A = 2                    # block content, owned by semantics
 
-    Backend block content is collected verbatim and interpreted by the
-    semantics module.
+    Each declaration is read by one :class:`_ExprParser` over its line, so
+    a declared name is one an expression can write and an error names its
+    file line.  Backend block content is kept verbatim for ``semantics``.
     """
 
     level = "plain"
@@ -547,50 +560,31 @@ def parse_signature(text: str) -> Signature:
 
     for line_no, line in _logical_lines(text):
         word = line.split(None, 1)[0]
-        span = SourceSpan(line_no, 1, 0, len(line))
-        if word in _TOP_KEYWORDS:
-            current_block = None
-        if word == "category":
-            level = line.split(None, 1)[1].strip() if " " in line else ""
-            level_seen = True
-            if level not in LEVELS:
-                raise UnknownLevel(f"unknown category level {level!r}", span=span)
-        elif word == "object":
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected: object NAME", span=span)
-            objects.append(parts[1])
-        elif word in ("mor", "iso"):
-            rest = line[len(word):].strip()
-            if ":" not in rest:
-                raise ParseError(f"expected: {word} NAME : OBJ -> OBJ", span=span)
-            name, typ = rest.split(":", 1)
-            name = name.strip()
-            if "->" not in typ:
-                raise ParseError("morphism type needs '->'", span=span)
-            dom_s, cod_s = typ.split("->", 1)
-            dom = _parse_obj_raw(dom_s.strip())
-            cod = _parse_obj_raw(cod_s.strip())
-            morphisms.append(MorDecl(name, dom, cod, iso=(word == "iso")))
-        elif word == "alias":
-            toks = tokenize(line[len(word):].strip())
-            if [t[0] for t in toks] != ["STRING", "EQUALS", "NAME", "EOF"]:
-                raise ParseError('expected: alias "TOKEN" = compose|tensor|id', span=span)
-            target = toks[2][1]
-            if target not in ("compose", "tensor", "id"):
-                raise ParseError(f"alias target must be compose, tensor or id, not {target!r}",
-                                 span=span)
-            aliases[toks[0][1]] = target
-        elif word == "backend":
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected: backend matrix|rel", span=span)
-            blocks.append((parts[1], []))
-            current_block = blocks[-1][1]
-        elif current_block is not None and word in _BLOCK_KEYWORDS:
+        if word not in _TOP_KEYWORDS:
+            if current_block is None or word not in _BLOCK_KEYWORDS:
+                raise ParseError(f"unrecognized declaration {word!r}",
+                                 span=SourceSpan(line_no, 1, 0, len(line)))
             current_block.append((line_no, line))
+            continue
+        p, current_block = _ExprParser(line, line=line_no), None
+        p.pos = 1  # past the keyword
+        if word == "category":
+            level, level_seen, p.pos = p.words[1], True, 2
+            if level not in LEVELS:
+                p.fail("unknown category level {!r}", 1, UnknownLevel)
+        elif word == "object":
+            objects.append(p.take(_is_name, "an object name"))
+        elif word == "alias":
+            token = p.take(lambda w: len(w) > 1 and w[0] == '"', "a quoted token")[1:-1]
+            p.take("=", "'='")
+            aliases[token] = p.take(_BUILTIN.__contains__, "compose, tensor or id")
+        elif word == "backend":
+            blocks.append((p.take(_is_name, "a backend kind"), []))
+            current_block = blocks[-1][1]
         else:
-            raise ParseError(f"unrecognized declaration {word!r}", span=span)
+            name, dom, cod = p.declaration(_is_name, "a morphism name")
+            morphisms.append(MorDecl(name, dom, cod, iso=(word == "iso")))
+        p.take("", "end of declaration")
 
     if not level_seen:
         raise ParseError("signature file must declare a category level")
@@ -602,13 +596,6 @@ def parse_signature(text: str) -> Signature:
         backend_blocks=tuple(BackendBlock(kind, tuple(entries)) for kind, entries in blocks),
     )
     return sig
-
-
-def _parse_obj_raw(text: str) -> ObjExpr:
-    parser = _ExprParser(text)
-    obj = parser.parse_obj()
-    parser.take("", "end of object")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +664,10 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
         word = line.split(None, 1)[0]
         span = SourceSpan(line_no, 1, 0, len(line))
         if word == "var":
-            parser = _ExprParser(line[len(word):].strip(), allow_metavars=True)
-            mv = parser.take(_is_metavar, "a metavariable")[1:]
-            parser.take(":", "':'")
-            dom = parser.parse_obj()
-            parser.take("->", "'->'")
-            cod = parser.parse_obj()
+            parser = _ExprParser(line[len(word):].strip(), allow_metavars=True, line=line_no)
+            mv, dom, cod = parser.declaration(_is_metavar, "a metavariable")
             parser.take("", "end of declaration")
+            mv = mv[1:]
             if mv in declared:
                 raise ParseError(f"metavariable ?{mv} declared twice", span=span)
             declared[mv] = MorType(dom, cod)
@@ -694,7 +678,7 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
                 raise ParseError("expected: rule NAME : LHS => RHS", span=span)
             name, body = rest.split(":", 1)
             name = name.strip()
-            parser = _ExprParser(body, sig.aliases, allow_metavars=True)
+            parser = _ExprParser(body, sig.aliases, allow_metavars=True, line=line_no)
             lhs = parser.parse_expr()[0]
             parser.take("=>", "'=>'")
             rhs = parser.parse_expr()[0]

@@ -44,7 +44,7 @@ class RenderConfigError(CatError):
 
 @record
 class RenderConfig:
-    """Geometry and styling knobs; every dimension must be positive."""
+    """Geometry and styling knobs; every dimension must be positive and finite."""
 
     unit: float = 28.0           # vertical pitch per wire
     box_min_width: float = 54.0
@@ -61,8 +61,8 @@ class RenderConfig:
 
     def __post_init__(self):
         for name, spec in self.__dataclass_fields__.items():  # sizes have float defaults
-            if type(spec.default) is float and getattr(self, name) <= 0:
-                raise RenderConfigError(f"render config {name} must be positive")
+            if type(spec.default) is float and not 0 < getattr(self, name) < float("inf"):
+                raise RenderConfigError(f"render config {name} must be positive and finite")
 
     @classmethod
     def from_file(cls, path: str) -> "RenderConfig":

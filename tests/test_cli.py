@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -400,15 +401,28 @@ def test_repl_session_from_stdin(sig_path, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_repl_unclosed_quote_is_an_error(sig_path, tmp_path, capsys, monkeypatch):
+    # a word with no closing quote is reported, and the session goes on
+    transcript = tmp_path / "session.txt"
+    monkeypatch.setattr("sys.stdin", io.StringIO('load u ; u\npartner "u u\nrw "F R\nshow\n'))
+    assert run(["repl", "--sig", sig_path, "--transcript", str(transcript)]) == 0
+    assert transcript.read_text(encoding="utf-8").splitlines() == [
+        "> load u ; u", "u ; u", '> partner "u u', "error: No closing quotation",
+        '> rw "F R', "error: No closing quotation", "> show", "u ; u : A -> A"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("expr, rule", [("(f ; g) * h", "fg"), ("u ; k ; inv(k) ; u", "cancel"),
-                                        ("(k * u) ; braid[B,A]", "swap")])
+                                        ("(k * u) ; braid[B,A]", "swap"),
+                                        ("u ; k ; inv(k) ; u", "")])
 def test_repl_commands_match_subcommands(sig_path, repl, tmp_path, capsys, monkeypatch, expr,
                                          rule):
     # each REPL command runs its subcommand's code: same text printed, same bytes written
     monkeypatch.delenv("MONOCAT_CONFIG", raising=False)
     rules = tmp_path / "rules.txt"
     rules.write_text("rule cancel : k ; inv(k) => id[A]\nrule fg : f ; g => f ; g\n"
-                     "rule swap : (k * u) ; braid[B,A] => braid[A,A] ; (u * k)\n",
+                     "rule swap : (k * u) ; braid[B,A] => braid[A,A] ; (u * k)\n"
+                     "rule : u ; k => u ; k\n",  # a rule named "", after one that matches
                      encoding="utf-8")
 
     def repl_says(command: str) -> str:
@@ -424,7 +438,7 @@ def test_repl_commands_match_subcommands(sig_path, repl, tmp_path, capsys, monke
     assert repl_says("normalize") == cli_says("normalize")
     assert repl_says("apply foliate") == cli_says("foliate")
     assert repl_says("apply weak_foliate") == cli_says("foliate", "--weak")
-    assert repl_says(f"rw {rules} {rule}") == \
+    assert repl_says(f"rw {rules} {shlex.quote(rule)}") == \
         cli_says("rewrite", "--rules", str(rules), "--rule", rule)
     p, q = tmp_path / "repl.svg", tmp_path / "cli.svg"
     assert repl_says(f"render {p}") == f"wrote {p}\n"
@@ -448,6 +462,8 @@ def test_repl_render_reads_config_env(sig_path, repl, tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("text, message", [
     (b"unit = big\n", "render config unit must be a number"),
     (b"# \xff\nunit = 40\n", "is not UTF-8 text"),
+    (b"unit = nan\n", "render config unit must be positive and finite"),
+    (b"hgap = inf\n", "render config hgap must be positive and finite"),
 ])
 def test_bad_render_config_is_an_error(sig_path, tmp_path, capsys, monkeypatch, text, message):
     # a config the variable names cannot end a REPL session, and the subcommand reports it

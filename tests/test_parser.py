@@ -1,11 +1,14 @@
 """Parsing, printing and the exact round-trip contract."""
 
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import random_term
+from monocat import semantics
 from monocat.parser import (
     FreeMetavarInRhs,
     IllTypedRule,
@@ -302,6 +305,39 @@ def test_rule_file_lexical_and_syntax_errors(text, message, column):
     with pytest.raises(ParseError) as exc:
         parse_rules(text, RULE_SIG)
     assert str(exc.value) == message and exc.value.span.column == column
+
+
+@pytest.mark.parametrize("kind,text,error,message,column", [
+    ("sig", "mor f : A -> (A *", ParseError, "expected an object, found ''", 18),
+    ("sig", "iso f : A * $ -> A", ParseError, "unexpected character '$'", 13),
+    ("sig", "mor f : A -> A -> A", ParseError, "expected end of declaration, found '->'", 16),
+    ("sig", 'alias "x = compose', ParseError, "unterminated string", 7),
+    ("sig", "mor my-map : A -> A", ParseError, "unexpected character '-'", 7),
+    ("sig", "category weird", UnknownLevel, "unknown category level 'weird'", 10),
+    ("rules", "var ?x : A -> $", ParseError, "unexpected character '$'", 11),
+    ("rules", "rule r : f ; ² => g", ParseError, "unexpected character '²'", 6),
+])
+def test_declaration_errors_name_the_file_line(kind, text, error, message, column):
+    # the bad declaration is line 4 of a signature file or line 3 of a rule file
+    with pytest.raises(error) as exc:
+        if kind == "sig":
+            parse_signature(f"category symmetric\nobject A\n# three\n{text}\n")
+        else:
+            parse_rules(f"var ?y : A -> B\n\n{text}\n", RULE_SIG)
+    assert str(exc.value) == message
+    assert (exc.value.span.line, exc.value.span.column) == (4 if kind == "sig" else 3, column)
+
+
+def test_readme_signature_and_rule_examples_parse():
+    # the signature block builds both backends; the rule block and inline rules parse against it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = {s.split("\n", 1)[0]: s for s in readme.split("\n## ")}
+    sig = parse_signature(sections["Signature files"].split("```")[1])
+    semantics.matrix_instance(sig)
+    semantics.rel_instance(sig)
+    rules = sections["Rule files"]
+    text = rules.split("```")[1] + "".join(f"{r}\n" for r in re.findall(r"`(rule [^`]*)`", rules))
+    assert [r.name for r in parse_rules(text, sig).rules] == ["r", "idid"]
 
 
 @settings(max_examples=2000, deadline=None)

@@ -274,8 +274,9 @@ def test_config_file_and_validation(tmp_path):
     path.write_text("unit = 40\ncolor = true\n# comment\nvgap = 20\n", encoding="utf-8")
     cfg = RenderConfig.from_file(str(path))
     assert cfg.unit == 40 and cfg.color and cfg.vgap == 20
-    with pytest.raises(RenderConfigError):
-        RenderConfig(unit=-1)
+    for size in (-1, 0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(RenderConfigError, match="unit must be positive and finite"):
+            RenderConfig(unit=size)
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 3\n", encoding="utf-8")
     with pytest.raises(RenderConfigError):

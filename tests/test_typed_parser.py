@@ -28,10 +28,12 @@ from monocat.terms import (
     CompositionMismatch,
     Id,
     Inv,
+    MorDecl,
     MorGen,
     MorType,
     ObjGen,
     ObjTensor,
+    Signature,
     Tensor,
     Typer,
     UNIT,
@@ -459,9 +461,10 @@ def test_long_constructed_chain_types(default_recursion_limit):
 ALIASED = parse_signature(STD_SIG_TEXT + 'alias "then" = compose\nalias "par" = tensor\n'
                           'alias "ident" = id\nalias "⊸" = compose\nalias "-" = tensor\n'
                           'alias "2x" = id\nalias "::" = compose\nalias ":::" = tensor\n')
-# declared names that are not lexical names: they can never be used
-ODD_NAMES = parse_signature("category symmetric\nobject A\nobject $\nmor $x : A -> A\n"
-                            'mor ²f : A -> A\nmor "q" : A -> A\nmor ?m : A -> A\n')
+# declared names that are not lexical names: they can never be used.  A signature
+# file rejects them, so the constructors, which do not check lexical form, build it
+ODD_NAMES = Signature("symmetric", ("A", "$"), tuple(
+    MorDecl(name, ObjGen("A"), ObjGen("A")) for name in ("$x", "²f", '"q"', "?m")))
 LEXICAL_SIGS = {**SIGS, "alias": ALIASED, "odd": ODD_NAMES}
 
 LEXICAL_CORPUS = [
