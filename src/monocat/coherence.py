@@ -3,10 +3,11 @@
 A term is flattened into a :class:`Sheet`: a list of layers over a list
 of wires, with associators and unitors erased (their flattened domain
 and codomain coincide) and generators, inverses and braidings kept as
-opaque boxes.  :func:`canonicalize` slides every box as far left as the
-wires allow and drops wire-only layers; two terms with the same
-boundary are equal up to monoidal structure whenever their normal forms
-are structurally identical.
+opaque boxes, in two flat passes over the term (:func:`sheet_of_term`).
+:func:`canonicalize` slides every box as far left as the wires allow
+and drops wire-only layers; two terms with the same boundary are equal
+up to monoidal structure whenever their normal forms are structurally
+identical.
 
 ``Equal`` results are sound for every lawful backend.  ``NotDecided``
 results carry no information: the procedure is complete for equalities
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from .terms import (
     STRUCTURAL,
+    Comp,
     Inv,
     MorExpr,
     MorGen,
@@ -47,7 +49,6 @@ from .terms import (
     TypeMismatch,
     Unit,
     _set_wires,
-    fold,
     node_fields,
     print_obj,
     record,
@@ -144,10 +145,7 @@ def slot_out(slot: Slot) -> WireList:
 
 
 def layer_output(layer: Layer) -> WireList:
-    out: tuple[str, ...] = ()
-    for slot in layer:
-        out += slot_out(slot)
-    return out
+    return tuple([w for slot in layer for w in slot_out(slot)])
 
 
 def sheet_output(sheet: Sheet) -> WireList:
@@ -167,53 +165,70 @@ def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
 
 
 def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
-    """Flatten a well-typed term into a sheet.
+    """Flatten a well-typed term into a sheet, in two passes over its nodes.
 
-    Identities and structural isomorphisms contribute no layers;
-    generators, declared-iso inverses and braidings become single-box
-    layers; composition concatenates layers and tensoring pads the
-    shorter sheet with wire layers at its end, then joins layers
-    sidewise (top slots first).  Each wire list's pad layer is built once
-    per call and shared by every pad over it.
+    Generators, declared-iso inverses and braidings hold one one-box layer,
+    identities and structural isomorphisms none.  The first pass, children
+    first, counts each node's layers: the sum for ``;``, the larger for
+    ``*``.  The second, parents first, hands each node its first layer and
+    extent: ``*`` gives both factors its own, ``;`` its first factor that
+    one's count and its second the rest.  Each atom appends its box, then
+    its output wires to each layer left, top factor first, so a sheet takes
+    time linear in its slots.  Each distinct atom object is looked up once.
     """
 
     ty = typecheck(term, sig)
-    layers: list[Layer] = []  # every subterm's layers, in order, from its first index on
-    pads: dict[WireList, Layer] = {}  # wire list -> its wire-only layer
-
-    def atom(t: MorExpr) -> tuple[int, WireList]:
-        ins, outs = atom_wires(t, sig)
-        cls = type(t)
-        if cls is MorGen or cls is Inv:
-            label = t.name if cls is MorGen else f"inv:{t.name}"
-        elif STRUCTURAL[cls][5] is not None:  # a crossing
-            fa, fb = map(flatten_object, node_fields(t))
-            # a unit-like half permutes nothing in any lawful backend: no box
-            label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
-        else:
-            label = None
-        start = len(layers)
-        if label:
-            layers.append((BoxSlot(label, ins, outs),))
-        return start, ins
-
-    def tensor(t: Tensor, top, bottom) -> tuple[int, WireList]:
-        (i, top_in), (j, bottom_in) = top, bottom
-        t_layers, b_layers = layers[i:j], layers[j:]
-        del layers[i:]
-        if len(t_layers) != len(b_layers):  # pad the shorter side with its output wires
-            short, short_in = ((t_layers, top_in) if len(t_layers) < len(b_layers)
-                               else (b_layers, bottom_in))
-            wires = layer_output(short[-1]) if short else short_in
-            if wires not in pads:
-                pads[wires] = tuple(WireSlot(w) for w in wires)
-            short += [pads[wires]] * abs(len(t_layers) - len(b_layers))
-        layers.extend(map(tuple.__add__, t_layers, b_layers))
-        return i, top_in + bottom_in
-
-    ins = fold(term, atom, lambda t, first, second: first, tensor)[1]
-    assert ins == flatten_object(ty.dom)
-    return Sheet(ins, tuple(layers))
+    nodes, kids = [term], []  # node positions, each before its factors; first factor's position
+    for t in nodes:
+        kids.append(len(nodes) if t.__class__ is Comp or t.__class__ is Tensor else 0)
+        if kids[-1]:
+            nodes += t.__dict__.values()
+    counts, leaves = [0] * len(nodes), [None] * len(nodes)  # layer count; an atom's (ins, box, pad)
+    atoms, boxes, pads = {}, {}, {}  # id(atom) -> its leaf; label -> box; wire list -> wire slots
+    for i in range(len(nodes) - 1, -1, -1):
+        t, k = nodes[i], kids[i]
+        if k:
+            a, b = counts[k], counts[k + 1]
+            counts[i] = a + b if t.__class__ is Comp else max(a, b)
+            continue
+        leaf = atoms.get(id(t))
+        if leaf is None:
+            (ins, outs), cls, label = atom_wires(t, sig), t.__class__, None
+            if cls is MorGen or cls is Inv:
+                label = t.name if cls is MorGen else f"inv:{t.name}"
+            elif STRUCTURAL[cls][5] is not None:  # a crossing
+                fa, fb = map(flatten_object, node_fields(t))
+                # a unit-like half permutes nothing in any lawful backend: no box
+                label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
+            if label and label not in boxes:
+                boxes[label] = BoxSlot(label, ins, outs)
+            if outs not in pads:
+                pads[outs] = tuple(map(WireSlot, outs))
+            leaf = atoms[id(t)] = ins, boxes.get(label), pads[outs]
+        leaves[i], counts[i] = leaf, 0 if leaf[1] is None else 1
+    layers: list[list[Slot]] = [[] for _ in range(counts[0])]
+    front: list[str] = []  # inputs of the atoms reached through no ';''s second factor
+    todo = [(0, 0, counts[0], True)]  # (position, first layer, extent, on the input front)
+    while todo:
+        i, first, extent, on_front = todo.pop()
+        while kids[i]:  # down the first factors, leaving each second for later
+            k = kids[i]
+            if nodes[i].__class__ is Comp:
+                todo.append((k + 1, first + counts[k], extent - counts[k], False))
+                extent = counts[k]
+            else:
+                todo.append((k + 1, first, extent, on_front))
+            i = k
+        ins, box, pad = leaves[i]
+        if on_front:
+            front += ins
+        if box is not None:
+            layers[first].append(box)
+            first, extent = first + 1, extent - 1
+        for k in range(first, first + extent):
+            layers[k] += pad
+    assert tuple(front) == flatten_object(ty.dom)
+    return Sheet(tuple(front), tuple(map(tuple, layers)))
 
 
 def canonicalize(sheet: Sheet) -> NormalForm:

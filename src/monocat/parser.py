@@ -38,6 +38,7 @@ from .terms import (
     BackendBlock,
     CatError,
     Comp,
+    DuplicateName,
     Inv,
     LEVELS,
     MorDecl,
@@ -55,6 +56,7 @@ from .terms import (
     Tensor,
     Typer,
     UNIT,
+    UndeclaredName,
     UnknownLevel,
     _check_obj,
     comp_chain,
@@ -513,22 +515,23 @@ def _strip_comment(line: str) -> str:
     return _COMMENT_FREE.match(line).group().rstrip()
 
 
-def _logical_lines(text: str):
-    """Yield (line_no, text) with bracket-continuation joining."""
+def _logical_lines(text: str, joins=None):
+    """Yield (line_no, text) of each non-blank line.  A line with an unclosed
+    bracket takes the lines after it if ``joins`` is None or holds its first word."""
 
     raw = text.split("\n")
     i = 0
     while i < len(raw):
-        line = _strip_comment(raw[i])
-        start = i + 1
-        depth = sum(line.count(b) for b in "[({") - sum(line.count(b) for b in "])}")
+        line, start = _strip_comment(raw[i]).strip(), i + 1
+        joined = joins is None or (line.split() or [""])[0] in joins
+        depth = sum(map(line.count, "[({")) - sum(map(line.count, "])}")) if joined else 0
         while depth > 0 and i + 1 < len(raw):
             i += 1
-            nxt = _strip_comment(raw[i])
-            line += " " + nxt.strip()
-            depth += sum(nxt.count(b) for b in "[({") - sum(nxt.count(b) for b in "])}")
+            nxt = _strip_comment(raw[i]).strip()
+            line += " " + nxt
+            depth += sum(map(nxt.count, "[({")) - sum(map(nxt.count, "])}"))
         i += 1
-        if line.strip():
+        if line:
             yield start, line.strip()
 
 
@@ -550,15 +553,16 @@ def parse_signature(text: str) -> Signature:
     file line.  Backend block content is kept verbatim for ``semantics``.
     """
 
-    level = "plain"
-    level_seen = False
+    level, level_seen = "plain", False
     objects: list[str] = []
     morphisms: list[MorDecl] = []
     aliases: dict[str, str] = {}
     blocks: list[tuple[str, list[tuple[int, str]]]] = []
     current_block: list[tuple[int, str]] | None = None
+    names: set[str] = set()  # declared object and morphism names
+    uses: dict[str, tuple[_ExprParser, int]] = {}  # object name -> first mor/iso line, word
 
-    for line_no, line in _logical_lines(text):
+    for line_no, line in _logical_lines(text, _BLOCK_KEYWORDS):  # only block literals continue
         word = line.split(None, 1)[0]
         if word not in _TOP_KEYWORDS:
             if current_block is None or word not in _BLOCK_KEYWORDS:
@@ -584,18 +588,24 @@ def parse_signature(text: str) -> Signature:
         else:
             name, dom, cod = p.declaration(_is_name, "a morphism name")
             morphisms.append(MorDecl(name, dom, cod, iso=(word == "iso")))
+            for k in range(3, p.pos):
+                uses.setdefault(p.words[k], (p, k))
         p.take("", "end of declaration")
+        if word in ("object", "mor", "iso"):  # the checks Signature makes, naming this line
+            if p.words[1] in RESERVED_NAMES or p.words[1] in names:
+                p.fail("{!r} is a reserved built-in name" if p.words[1] in RESERVED_NAMES
+                       else "{!r} declared more than once", 1, DuplicateName)
+            names.add(p.words[1])
 
     if not level_seen:
         raise ParseError("signature file must declare a category level")
-    sig = Signature(
-        level=level,
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        aliases=aliases,
-        backend_blocks=tuple(BackendBlock(kind, tuple(entries)) for kind, entries in blocks),
-    )
-    return sig
+    try:
+        return Signature(level, tuple(objects), tuple(morphisms), aliases,
+                         tuple(BackendBlock(kind, tuple(entries)) for kind, entries in blocks))
+    except UndeclaredName as err:  # an undeclared object: name the first line using it
+        p, k = uses[err.term.name]
+        err.span = p._span(k, k)[1]
+        raise
 
 
 # ---------------------------------------------------------------------------

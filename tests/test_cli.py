@@ -148,6 +148,13 @@ def test_check_wide_declared_boundary(tmp_path, capsys, default_recursion_limit)
     assert "equal (monoidal)" in capsys.readouterr().out
 
 
+def test_signature_error_names_the_file_line(tmp_path, capsys):
+    path = tmp_path / "sig.txt"
+    path.write_text("category symmetric\nobject A\n\nmor f : A -> Z\n", encoding="utf-8")
+    assert run(["check", "--sig", str(path), "--method", "monoidal", "f", "f"]) == 2
+    assert capsys.readouterr().err == "error: undeclared object 'Z' (line 4, column 14)\n"
+
+
 @pytest.mark.parametrize("method", ["matrix", "rel"])
 def test_check_wide_tensor_by_backend(tmp_path, capsys, default_recursion_limit, method):
     # 1200 factors of dimension 1: both evaluators walk tensors without recursing

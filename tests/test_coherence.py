@@ -73,6 +73,24 @@ def test_sheet_tensor_with_identity(sig):
     assert sheet.layers == ((BoxSlot("f", ("A",), ("B",)), WireSlot("C")),)
 
 
+def test_layer_output_concatenates_slot_outputs():
+    layer = (WireSlot("A"), BoxSlot("e", ("A",), ()), BoxSlot("f", ("A",), ("B",)),
+             WireSlot("C"), BoxSlot("q", ("C",), ("B", "A")), BoxSlot("s", (), ()), WireSlot("B"))
+    expected: tuple = ()
+    for slot in layer:
+        expected += (slot.obj,) if isinstance(slot, WireSlot) else slot.outs
+    assert layer_output(layer) == expected == ("A", "B", "C", "B", "A", "B")
+    assert layer_output(()) == ()
+
+
+def test_very_wide_tensor_normal_form(default_recursion_limit):
+    sig = parse_signature("category symmetric\nobject A\nmor u : A -> A\n")
+    n = 20_000
+    nf = canonicalize(sheet_of_term(parse_expr(" * ".join(["u"] * n), sig), sig))
+    assert nf.input == nf.output == ("A",) * n
+    assert len(nf.layers) == 1 and len(nf.layers[0]) == n
+
+
 def test_canonicalize_slides_box_left(sig):
     # h slides left past the identity wire: equals the sheet of f * h
     t = parse_expr("(f * id[C]) ; (id[B] * h)", sig)

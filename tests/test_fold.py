@@ -8,7 +8,16 @@ from random import Random
 import numpy as np
 import pytest
 
-from gen import random_term, std_sig, struct_sig
+from gen import (
+    STD_SIG_TEXT,
+    interchange_pair,
+    interchange_rewrite,
+    random_term,
+    random_term_with_dom,
+    std_sig,
+    struct_sig,
+)
+from monocat import coherence
 from monocat.coherence import Equal, monoidal_eq, sheet_of_term
 from monocat.parser import RewriteRule, parse_expr, parse_rules, parse_signature, print_expr
 from monocat.semantics import MatrixInstance, RelInstance, eval_matrix, eval_rel
@@ -29,12 +38,16 @@ from monocat.tactics import (
     weak_foliate,
 )
 from monocat.terms import (
+    Braid,
+    BraidInv,
     CatError,
     Comp,
     Id,
+    Inv,
     MorGen,
     MorType,
     MorVar,
+    ObjGen,
     ObjTensor,
     ObjVar,
     Tensor,
@@ -42,6 +55,7 @@ from monocat.terms import (
     fold,
     node_fields,
     right_comp,
+    structural_atoms,
     tensor_leaves,
     typecheck,
 )
@@ -102,6 +116,104 @@ def test_print_expr_matches_reference(random_terms):
 def test_sheet_matches_reference(random_terms):
     for term, s in random_terms:
         assert sheet_of_term(term, s) == reference_sheet(term, s)
+
+
+def _shared_terms(sig):
+    """Terms in which one atom, ``Tensor`` or ``Comp`` object sits at several
+    positions: built by hand, and parsed from texts whose repeated bracketed
+    atoms the parser shares."""
+
+    A, B = ObjGen("A"), ObjGen("B")  # objects are interned: these are the signature's
+    u, k, s, e, ida = MorGen("u"), MorGen("k"), MorGen("s"), MorGen("e"), Id(A)
+    uu = Tensor(u, u)
+    twice = Comp(uu, uu)  # one Tensor at two positions
+    tall = Comp(u, Comp(u, u))
+    br = Braid(A, B)
+    terms = [
+        twice,
+        Tensor(twice, ida),
+        Tensor(Tensor(tall, ida), Tensor(ida, twice)),  # one Comp and one Id at several positions
+        Comp(Tensor(s, ida), Tensor(e, ida)),
+        Tensor(Comp(k, Inv("k")), Comp(k, Inv("k"))),
+        Comp(Tensor(br, br), Tensor(BraidInv(A, B), BraidInv(A, B))),
+        Tensor(Comp(twice, twice), Tensor(tall, Comp(ida, u))),
+    ]
+    texts = [
+        "(id[A * B] * braid[A, B]) ; (braid[A, B] * id[B * A]) ; (id[B * A] * id[B * A])",
+        "(id[A] * u * id[A]) ; (id[A] * u * id[A]) ; alpha[A, A, A] ; alpha_inv[A, A, A]"
+        " ; alpha[A, A, A]",
+        "(s * id[A] * s) ; (id[A] * e * id[A]) ; (runit[A] * id[A]) ; (u * u) ; (id[A] * e)"
+        " ; runit[A] ; runit_inv[A] ; (u * id[I])",
+        "runit_inv[A] ; (u * id[I]) ; (id[A] * s) ; (u * u) ; (id[A] * e) ; runit[A]",
+    ]
+    return terms + [parse_expr(text, sig) for text in texts]
+
+
+def test_sheet_matches_reference_on_shared_subterms(sig):
+    for term in _shared_terms(sig):
+        atoms = structural_atoms(term)
+        assert len({id(a) for a in atoms}) < len(atoms), print_expr(term)
+        assert sheet_of_term(term, sig) == reference_sheet(term, sig), print_expr(term)
+
+
+def test_sheet_reads_each_distinct_atom_once(sig, monkeypatch):
+    calls = []
+    read = coherence.atom_wires
+    monkeypatch.setattr(coherence, "atom_wires", lambda t, s: calls.append(id(t)) or read(t, s))
+    for term in _shared_terms(sig):
+        calls.clear()
+        sheet_of_term(term, sig)
+        assert sorted(calls) == sorted({id(a) for a in structural_atoms(term)}), print_expr(term)
+
+
+NO_EFFECT_SIG = parse_signature(STD_SIG_TEXT.replace("mor e : A -> I\n", ""))
+NO_SCALAR_SIG = parse_signature(STD_SIG_TEXT.replace("mor s : I -> A\n", ""))
+
+
+@pytest.mark.parametrize("sig_name", ["std", "no-effect", "no-scalar"])
+def test_sheet_matches_reference_on_interchange_pairs(sig_name):
+    s = {"std": std_sig(), "no-effect": NO_EFFECT_SIG, "no-scalar": NO_SCALAR_SIG}[sig_name]
+    for seed in range(200):
+        for term in interchange_pair(seed, s):
+            assert sheet_of_term(term, s) == reference_sheet(term, s), (seed, print_expr(term))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 21, 40])
+def test_sheet_matches_reference_on_interchanged_grids(sig, rows):
+    # a row of boxes, one per wire, and the same row after 1-4 interchange
+    # rewrites; boxes with wires on both sides, scalars, effects, and a mix
+    rng = Random(rows)
+    for boxes in (["u"], ["(f ; g ; h)"], ["s"], ["e"], ["(s ; e)"], ["u", "s", "e", "(k ; inv(k))"]):
+        grid = parse_expr(" * ".join(rng.choice(boxes) for _ in range(rows)), sig)
+        other = grid
+        for _ in range(rng.randint(1, 4)):
+            other = interchange_rewrite(rng, other, sig)
+        for term in (grid, other):
+            assert sheet_of_term(term, sig) == reference_sheet(term, sig), print_expr(term)
+
+
+def _grown_term(rng, s, leaves):
+    """A random term of about ``leaves`` atoms: random terms composed after it
+    or tensored on either side, until it has that many."""
+
+    term = random_term(rng, s, max_leaves=6)
+    while len(structural_atoms(term)) < leaves:
+        if rng.random() < 0.5:
+            cod = typecheck(term, s).cod
+            term = Comp(term, random_term_with_dom(rng, s, cod, rng.randint(1, 8)))
+        else:
+            piece = random_term(rng, s, max_leaves=rng.randint(1, 8))
+            term = Tensor(piece, term) if rng.random() < 0.5 else Tensor(term, piece)
+    return term
+
+
+def test_sheet_matches_reference_on_larger_random_terms():
+    for i, make in enumerate((std_sig, struct_sig)):
+        s = make()
+        for seed in range(100):
+            rng = Random(7000 + 1000 * i + seed)
+            term = _grown_term(rng, s, rng.randint(10, 60))
+            assert sheet_of_term(term, s) == reference_sheet(term, s), print_expr(term)
 
 
 def test_tactic_walkers_match_reference(random_terms):
@@ -312,6 +424,34 @@ def test_wide_terms_print_and_flatten(default_recursion_limit, text):
     sheet = sheet_of_term(term, DEPTH_SIG)
     assert sheet.input == ("A",) * 1200
     assert [len(layer) for layer in sheet.layers] == ([1200] if isinstance(term, Tensor) else [])
+
+
+def _right_tensor(atoms):
+    term = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        term = Tensor(atom, term)
+    return term
+
+
+@pytest.mark.parametrize("shape", ["tensor-left", "tensor-right", "chain-left", "chain-right",
+                                   "identity-right"])
+def test_deep_terms_flatten(default_recursion_limit, shape):
+    n, u = 1200, MorGen("u")
+    term = {
+        "tensor-left": lambda: parse_expr(" * ".join(["u"] * n), DEPTH_SIG),
+        "tensor-right": lambda: _right_tensor([u] * n),
+        "chain-left": lambda: parse_expr(" ; ".join(["u"] * n), DEPTH_SIG),
+        "chain-right": lambda: right_comp([u] * n, None),
+        "identity-right": lambda: parse_expr(f"id[{'A * (' * (n - 1)}A{')' * (n - 1)}]", DEPTH_SIG),
+    }[shape]()
+    sheet = sheet_of_term(term, DEPTH_SIG)
+    box = coherence.BoxSlot("u", ("A",), ("A",))
+    if shape.startswith("tensor"):
+        assert sheet == coherence.Sheet(("A",) * n, ((box,) * n,))
+    elif shape.startswith("chain"):
+        assert sheet == coherence.Sheet(("A",), ((box,),) * n)
+    else:
+        assert sheet == coherence.Sheet(("A",) * n, ())
 
 
 WIDE_TEXT = " * ".join(["u"] * 1200)

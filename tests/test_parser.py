@@ -314,6 +314,8 @@ def test_rule_file_lexical_and_syntax_errors(text, message, column):
     ("sig", 'alias "x = compose', ParseError, "unterminated string", 7),
     ("sig", "mor my-map : A -> A", ParseError, "unexpected character '-'", 7),
     ("sig", "category weird", UnknownLevel, "unknown category level 'weird'", 10),
+    # an unclosed bracket no longer takes in the next declaration
+    ("sig", "mor f : A -> (A *\nobject B", ParseError, "expected an object, found ''", 18),
     ("rules", "var ?x : A -> $", ParseError, "unexpected character '$'", 11),
     ("rules", "rule r : f ; ² => g", ParseError, "unexpected character '²'", 6),
 ])
@@ -326,6 +328,37 @@ def test_declaration_errors_name_the_file_line(kind, text, error, message, colum
             parse_rules(f"var ?y : A -> B\n\n{text}\n", RULE_SIG)
     assert str(exc.value) == message
     assert (exc.value.span.line, exc.value.span.column) == (4 if kind == "sig" else 3, column)
+
+
+@pytest.mark.parametrize("lines,message,line,column", [
+    (["mor f : A -> Z"], "undeclared object 'Z'", 3, 14),
+    # the first line naming an undeclared object, at the object's first word there
+    (["mor f : A -> A", "iso k : A * (A * Q) -> Q", "mor g : Q -> A"], "undeclared object 'Q'", 4, 18),
+    (["object A"], "'A' declared more than once", 3, 8),
+    (["mor f : A -> A", "mor f : A -> A"], "'f' declared more than once", 4, 5),
+    (["mor A : A -> A"], "'A' declared more than once", 3, 5),
+    (["mor f : A -> A", "object f"], "'f' declared more than once", 4, 8),
+    (["object id"], "'id' is a reserved built-in name", 3, 8),
+    (["iso braid : A -> A"], "'braid' is a reserved built-in name", 3, 5),
+])
+def test_signature_checks_name_the_declaration_at_fault(lines, message, line, column):
+    with pytest.raises((UndeclaredName, DuplicateName)) as exc:
+        parse_signature("category symmetric\nobject A\n" + "\n".join(lines) + "\n")
+    assert str(exc.value) == message
+    assert (exc.value.span.line, exc.value.span.column) == (line, column)
+
+
+def test_signature_objects_may_be_declared_after_use():
+    sig = parse_signature("category symmetric\nmor f : Z -> A\nobject Z\nobject A\n")
+    assert sig.objects == ("Z", "A")
+
+
+def test_backend_literals_still_continue_over_lines():
+    # only a backend block's lines join the lines after an unclosed bracket
+    sig = parse_signature("category symmetric\nobject A\nmor f : A -> A\nbackend matrix\n"
+                          "dim A = 2\nmat f = [[1, 0],  # first row\n   [0, 1]]\ndim B = (\n")
+    assert sig.backend_blocks[0].entries == (
+        (5, "dim A = 2"), (6, "mat f = [[1, 0], [0, 1]]"), (8, "dim B = ("))
 
 
 def test_readme_signature_and_rule_examples_parse():
