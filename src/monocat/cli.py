@@ -15,7 +15,8 @@ from functools import cache
 
 from . import coherence, render, semantics, tactics
 from .coherence import dump_normal_form, monoidal_eq
-from .parser import parse_expr, parse_rules, parse_signature, print_expr, print_obj
+from .parser import (_logical_lines, parse_expr, parse_rules, parse_signature, print_expr,
+                     print_obj)
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
 from .terms import CatError, MorExpr, Signature, record, typecheck
 
@@ -70,20 +71,22 @@ def _cmd_check(args) -> int:
                     if args.method == "matrix" else semantics.rel_instance(sig))
     if args.batch:
         with open(args.batch, encoding="utf-8") as fh:
-            pairs = []
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "==" not in line:
+            text = fh.read()
+        code = 0  # the worst outcome so far: 1 a pair unequal, 2 a pair erred
+        for line_no, line in _logical_lines(text, ()):
+            left, eq, right = (side.strip() for side in line.partition("=="))
+            try:
+                if not eq:
                     raise CatError(f"batch line needs 'EXPR == EXPR': {line!r}")
-                left, right = line.split("==", 1)
-                pairs.append((left.strip(), right.strip()))
-        verdicts = [_check_pair(args.method, sig, left, right, backend)[0]
-                    for left, right in pairs]
-        for (left, right), equal in zip(pairs, verdicts):
-            print(f"[{'ok' if equal else 'FAIL'}] {left} == {right}")
-        return 0 if all(verdicts) else 1
+                equal = _check_pair(args.method, sig, left, right, backend)[0]
+            except Exception as err:  # reported in its place; the batch goes on
+                print(f"[error] {args.batch}:{line_no}: {_error_text(err)}")
+                code = 2
+            else:
+                print(f"[{'ok' if equal else 'FAIL'}] {left} == {right}")
+                if not equal:
+                    code = max(code, 1)
+        return code
     if len(args.exprs) != 2:
         raise CatError("check needs exactly two expressions (or --batch FILE)")
     equal, report = _check_pair(args.method, sig, args.exprs[0], args.exprs[1], backend)
@@ -335,13 +338,18 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (CatError, OSError) as err:  # only a CatError has a span
-        where = f" ({err.span})" if getattr(err, "span", None) else ""
-        print(f"error: {err}{where}", file=sys.stderr)
-        return 2
     except Exception as err:  # a crash is an error (2), never "unequal" (1)
-        print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
+        where = f" ({err.span})" if getattr(err, "span", None) else ""  # only a CatError has one
+        print(f"error: {_error_text(err)}{where}", file=sys.stderr)
         return 2
+
+
+def _error_text(err: Exception) -> str:
+    """An error as one line: the message of an input error, else its type too."""
+
+    if isinstance(err, (CatError, OSError)):
+        return str(err)
+    return f"{type(err).__name__}: {' '.join(str(err).split())}"
 
 
 def main() -> None:

@@ -174,7 +174,7 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     extent: ``*`` gives both factors its own, ``;`` its first factor that
     one's count and its second the rest.  Each atom appends its box, then
     its output wires to each layer left, top factor first, so a sheet takes
-    time linear in its slots.  Each distinct atom object is looked up once.
+    time linear in its slots.  Each atom and each output list is looked up once.
     """
 
     ty = typecheck(term, sig)
@@ -184,14 +184,14 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
         if kids[-1]:
             nodes += t.__dict__.values()
     counts, leaves = [0] * len(nodes), [None] * len(nodes)  # layer count; an atom's (ins, box, pad)
-    atoms, boxes, pads = {}, {}, {}  # id(atom) -> its leaf; label -> box; wire list -> wire slots
+    atoms, pads = {}, {}  # atom -> its leaf; wire list -> wire slots
     for i in range(len(nodes) - 1, -1, -1):
         t, k = nodes[i], kids[i]
         if k:
             a, b = counts[k], counts[k + 1]
             counts[i] = a + b if t.__class__ is Comp else max(a, b)
             continue
-        leaf = atoms.get(id(t))
+        leaf = atoms.get(t)
         if leaf is None:
             (ins, outs), cls, label = atom_wires(t, sig), t.__class__, None
             if cls is MorGen or cls is Inv:
@@ -200,11 +200,9 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
                 fa, fb = map(flatten_object, node_fields(t))
                 # a unit-like half permutes nothing in any lawful backend: no box
                 label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
-            if label and label not in boxes:
-                boxes[label] = BoxSlot(label, ins, outs)
             if outs not in pads:
                 pads[outs] = tuple(map(WireSlot, outs))
-            leaf = atoms[id(t)] = ins, boxes.get(label), pads[outs]
+            leaf = atoms[t] = ins, BoxSlot(label, ins, outs) if label else None, pads[outs]
         leaves[i], counts[i] = leaf, 0 if leaf[1] is None else 1
     layers: list[list[Slot]] = [[] for _ in range(counts[0])]
     front: list[str] = []  # inputs of the atoms reached through no ';''s second factor

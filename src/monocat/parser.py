@@ -24,7 +24,7 @@ operators are always bracketed explicitly.
 built, chains in loops, and the root's boundary is kept with the term, so
 a later ``typecheck(term, sig)`` reads it instead of walking the term.
 Within one parse, an annotation repeated word for word is parsed and typed
-once (``_ExprParser.memo``), and its occurrences are one shared atom.
+once (``_ExprParser.memo``); equal atoms and objects are one object anyway.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class _ExprParser:
 
     ``memo`` lives for one parse.  It maps the words of a bracketed atom
     (keyword to "]") to the atom and its boundary, and those of each object
-    argument to the object, so repeated atoms come back shared.  It never
+    argument to the object, so repeated annotations are read once.  It never
     stores what recorded an error or made an undeclared generator, so each
     error and its span come from a first occurrence parsed word by word.
     """

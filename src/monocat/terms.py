@@ -228,47 +228,63 @@ def _record_repr(self) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Object expressions
+# Interned nodes and object expressions
 # ---------------------------------------------------------------------------
 
 
-class ObjExpr:
-    """Base class of object expressions, which are hash-consed (Filliâtre &
+class Node:
+    """Base class of objects and atoms, which are hash-consed (Filliâtre &
     Conchon, "Type-Safe Modular Hash-Consing", 2006): a constructor call
     looks its class and already interned fields up in one table of weak
-    references, so equal objects are one object, ``==`` is ``is`` and
-    ``hash`` never walks the tree.  A copy is the object itself, so even a
-    deep copy walks nothing; pickles rebuild through the table.
-    The table has no lock: objects are built by one thread at a time.
+    references, so equal nodes are one object, ``==`` is ``is`` and
+    ``hash`` never walks the tree.  A node, like a ``Comp`` or ``Tensor``,
+    is its own copy, and pickles as the post-order list of its descendants
+    that :func:`_rebuild` builds again on a stack, so no depth recurses.
+    The table has no lock: nodes are built by one thread at a time.
 
-    What is derived from an object is kept on it once computed: the one
-    slot ``_wires`` holds the flat wire list (``None`` until
-    ``coherence.flatten_object`` first asks).  It lives on this base
-    class, outside the dataclass fields, so ``vars()``, ``repr``, ``==``,
-    copies and pickles never see it.
+    What is derived from a node is kept on it once computed: the one slot
+    ``_wires`` holds an object's flat wire list (``None`` until
+    ``coherence.flatten_object`` first asks, and on atoms).  It lives
+    outside the dataclass fields, so ``vars()``, ``repr``, copies and
+    pickles never see it.
     """
 
     __slots__ = ("_wires",)
-    _interned: dict = {}  # (class, fields) -> weak reference to the one live object
+    _interned: dict = {}  # (class, fields) -> weak reference to the one live node
+    __eq__, __hash__ = object.__eq__, object.__hash__  # ahead of MorExpr's in an atom's bases
 
     def __new__(cls, *args, **kwargs):
         names = cls.__dataclass_fields__
         if kwargs or len(args) != len(names):
             args = _bind(cls, args, kwargs)
         key = (cls, args)
-        ref = ObjExpr._interned.get(key)
-        obj = ref and ref()
-        if obj is not None:
-            return obj
-        obj = object.__new__(cls)
-        obj.__dict__.update(zip(names, args))
-        _set_wires(obj, None)
-        ObjExpr._interned[key] = weakref.ref(obj, lambda ref: (
-            ObjExpr._interned.get(key) is ref and ObjExpr._interned.pop(key)))
-        return obj
+        ref = Node._interned.get(key)
+        node = ref and ref()
+        if node is not None:
+            return node
+        node = object.__new__(cls)
+        node.__dict__.update(zip(names, args))
+        _set_wires(node, None)
+        Node._interned[key] = weakref.ref(node, lambda ref: (
+            Node._interned.get(key) is ref and Node._interned.pop(key)))
+        return node
 
     def __reduce__(self):
-        return type(self), node_fields(self)
+        items, built = [], {}  # names, classes and back references, in post-order; id -> index
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            if x.__class__ is str:
+                items.append(x)
+            elif x.__class__ is tuple:  # (node,): its fields are listed
+                built[id(x[0])] = len(built)
+                items.append(x[0].__class__)
+            elif id(x) in built:
+                items.append(built[id(x)])
+            else:
+                todo.append((x,))
+                todo += reversed(x.__dict__.values())
+        return _rebuild, (tuple(items),)
 
     def __deepcopy__(self, memo=None):
         return self
@@ -276,7 +292,29 @@ class ObjExpr:
     __copy__ = __deepcopy__
 
 
-_set_wires = ObjExpr._wires.__set__  # past the frozen records' __setattr__
+_set_wires = Node._wires.__set__  # past the frozen records' __setattr__
+
+
+def _rebuild(items: tuple) -> Node | MorExpr:
+    """The node that :meth:`Node.__reduce__` listed as ``items``.  A class
+    takes its fields off the end of the values before it; an index stands
+    for the node built that many nodes in, as a shared descendant."""
+
+    values, built = [], []
+    for x in items:
+        if x.__class__ is str:
+            values.append(x)
+        elif x.__class__ is int:
+            values.append(built[x])
+        else:
+            k = len(values) - len(x.__dataclass_fields__)
+            built.append(x(*values[k:]))
+            values[k:] = built[-1:]
+    return values[0]
+
+
+class ObjExpr(Node):
+    """Base class of object expressions."""
 
 
 @record(frozen=True, eq=False, init=False)
@@ -317,13 +355,14 @@ UNIT = Unit()
 class MorExpr:
     """Base class of morphism expressions.
 
-    Atoms compare and hash by their fields, as dataclasses do; their
-    fields are names and interned objects, so that never recurses.
-    ``Comp`` and ``Tensor`` take ``==`` and ``hash`` from here: the same
-    structural ones, walked on an explicit stack, so no depth recurses.
+    Atoms are interned (:class:`Node` comes first among their bases), so
+    they are equal when they are one object.  ``Comp`` and ``Tensor`` take
+    ``==`` and ``hash`` from here: structural ones, walked on an explicit
+    stack, so no depth recurses.
     """
 
     __slots__ = ()
+    __reduce__, __deepcopy__, __copy__ = Node.__reduce__, Node.__deepcopy__, Node.__copy__
 
     def __eq__(self, other):
         if self.__class__ is not other.__class__:
@@ -334,12 +373,9 @@ class MorExpr:
             cls = a.__class__
             if a is b:
                 continue
-            if cls is not b.__class__:
+            if cls is not b.__class__ or cls is not Comp and cls is not Tensor:
                 return False
-            if cls is Comp or cls is Tensor:
-                todo += zip(a.__dict__.values(), b.__dict__.values())
-            elif a != b:
-                return False
+            todo += zip(a.__dict__.values(), b.__dict__.values())
         return True
 
     def __hash__(self):
@@ -350,15 +386,15 @@ def _node_hash(t: MorExpr, first: int, second: int) -> int:
     return hash((t.__class__, first, second))
 
 
-@record(frozen=True)
-class MorGen(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class MorGen(Node, MorExpr):
     """A declared morphism generator."""
 
     name: str
 
 
-@record(frozen=True)
-class Id(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class Id(Node, MorExpr):
     """Identity on an object."""
 
     obj: ObjExpr
@@ -380,8 +416,8 @@ class Tensor(MorExpr):
     bottom: MorExpr
 
 
-@record(frozen=True)
-class Assoc(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class Assoc(Node, MorExpr):
     """Associator: (a tensor b) tensor c -> a tensor (b tensor c)."""
 
     a: ObjExpr
@@ -389,8 +425,8 @@ class Assoc(MorExpr):
     c: ObjExpr
 
 
-@record(frozen=True)
-class AssocInv(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class AssocInv(Node, MorExpr):
     """Inverse associator: a tensor (b tensor c) -> (a tensor b) tensor c."""
 
     a: ObjExpr
@@ -398,59 +434,59 @@ class AssocInv(MorExpr):
     c: ObjExpr
 
 
-@record(frozen=True)
-class LUnit(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class LUnit(Node, MorExpr):
     """Left unitor: I tensor a -> a."""
 
     a: ObjExpr
 
 
-@record(frozen=True)
-class LUnitInv(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class LUnitInv(Node, MorExpr):
     """Inverse left unitor: a -> I tensor a."""
 
     a: ObjExpr
 
 
-@record(frozen=True)
-class RUnit(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class RUnit(Node, MorExpr):
     """Right unitor: a tensor I -> a."""
 
     a: ObjExpr
 
 
-@record(frozen=True)
-class RUnitInv(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class RUnitInv(Node, MorExpr):
     """Inverse right unitor: a -> a tensor I."""
 
     a: ObjExpr
 
 
-@record(frozen=True)
-class Braid(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class Braid(Node, MorExpr):
     """Braiding: a tensor b -> b tensor a."""
 
     a: ObjExpr
     b: ObjExpr
 
 
-@record(frozen=True)
-class BraidInv(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class BraidInv(Node, MorExpr):
     """Inverse braiding: b tensor a -> a tensor b."""
 
     a: ObjExpr
     b: ObjExpr
 
 
-@record(frozen=True)
-class Inv(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class Inv(Node, MorExpr):
     """Inverse of a generator declared ``iso``."""
 
     name: str
 
 
-@record(frozen=True)
-class MorVar(MorExpr):
+@record(frozen=True, eq=False, init=False)
+class MorVar(Node, MorExpr):
     """Morphism metavariable (legal only inside rewrite-rule patterns)."""
 
     name: str

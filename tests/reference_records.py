@@ -2,11 +2,12 @@
 
 Each twin is its record class declared as a plain dataclass: same name,
 fields, defaults and flags (``frozen``, ``eq``, ``init``), and the record's
-own ``__post_init__``.  Object classes are records with ``init=False``,
-since ``ObjExpr.__new__`` interns them; it binds their fields as a
-generated ``__init__`` would, so their twins have one.  A twin's methods
-are generated by :mod:`dataclasses`, and ``tests/test_records.py``
-compares the methods ``terms.record`` gives each record class with them.
+own ``__post_init__``.  Object and atom classes are records with
+``init=False`` and ``eq=False``: ``Node.__new__`` interns them, binding
+their fields as a generated ``__init__`` would (so their twins have one),
+and their ``==`` is ``is``.  A twin's methods are generated by
+:mod:`dataclasses`, and ``tests/test_records.py`` compares the methods
+``terms.record`` gives each record class with them.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ class ObjVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorGen:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Id:
     obj: ObjExpr
 
@@ -62,58 +63,58 @@ class Tensor:
     bottom: MorExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assoc:
     a: ObjExpr
     b: ObjExpr
     c: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssocInv:
     a: ObjExpr
     b: ObjExpr
     c: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LUnit:
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LUnitInv:
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RUnit:
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RUnitInv:
     a: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Braid:
     a: ObjExpr
     b: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidInv:
     a: ObjExpr
     b: ObjExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Inv:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorVar:
     name: str
 

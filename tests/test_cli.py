@@ -307,12 +307,22 @@ def test_batch_check_backends(sig_path, tmp_path, capsys, method):
 
 
 def test_batch_check_error_and_empty(sig_path, tmp_path, capsys):
+    # each failing pair is reported in its place, at its line of the file, and the batch goes on
     batch = tmp_path / "pairs.txt"
-    batch.write_text("u == u\nu ; nosuch == u\nu ; k == u\n", encoding="utf-8")
+    batch.write_text("u == u\n\n# a comment\nu ; nosuch == u\nk ; u == u\nu\nu == u # ok\n",
+                     encoding="utf-8")
     assert run(["check", "--sig", sig_path, "--method", "matrix", "--batch", str(batch)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "nosuch" in captured.err
+    assert captured.out == (
+        "[ok] u == u\n"
+        f"[error] {batch}:4: undeclared morphism 'nosuch'\n"
+        f"[error] {batch}:5: cannot compose: codomain B does not match domain A\n"
+        f"[error] {batch}:6: batch line needs 'EXPR == EXPR': 'u'\n"
+        "[ok] u == u\n")
+    assert captured.err == ""
+    batch.write_text("u == u\nu ; u == u\n", encoding="utf-8")  # unequal, not erred: 1
+    assert run(["check", "--sig", sig_path, "--method", "matrix", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().out == "[ok] u == u\n[FAIL] u ; u == u\n"
     # an empty batch needs no backend block
     bare = tmp_path / "bare.txt"
     bare.write_text("category symmetric\nobject A\nmor u : A -> A\n", encoding="utf-8")

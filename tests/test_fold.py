@@ -3,6 +3,8 @@ tactics' chain-rewrite engine, the evaluators' chain loops): the same
 outputs as the recursive walkers they replaced, and no recursion on deep or
 wide terms."""
 
+import copy
+import pickle
 from random import Random
 
 import numpy as np
@@ -444,6 +446,8 @@ def test_deep_terms_flatten(default_recursion_limit, shape):
         "chain-right": lambda: right_comp([u] * n, None),
         "identity-right": lambda: parse_expr(f"id[{'A * (' * (n - 1)}A{')' * (n - 1)}]", DEPTH_SIG),
     }[shape]()
+    for same in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+        assert same == term
     sheet = sheet_of_term(term, DEPTH_SIG)
     box = coherence.BoxSlot("u", ("A",), ("A",))
     if shape.startswith("tensor"):

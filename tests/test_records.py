@@ -99,12 +99,18 @@ def samples():
     yield _records(roots)
 
 
-def _twin(value, deep: bool = False):
+#: Interned classes against twins that compare fields: equal fields must make one node
+FIELD_TWINS = {cls: dataclasses.make_dataclass(cls.__name__, list(cls.__dataclass_fields__),
+                                               frozen=True)
+               for cls in TWINS if issubclass(cls, terms.Node)}
+
+
+def _twin(value, deep: bool = False, twins: dict = TWINS):
     """``value`` as an instance of its twin, built without ``__init__``; with
     ``deep``, nested records (through tuples, lists and dicts) become twins too."""
 
     convert = _deep if deep else (lambda v: v)
-    twin = object.__new__(TWINS[type(value)])
+    twin = object.__new__(twins[type(value)])
     twin.__dict__.update({f.name: convert(getattr(value, f.name))
                           for f in dataclasses.fields(value)})
     return twin
@@ -150,7 +156,8 @@ def test_record_matches_its_dataclass_twin(cls, samples):
     params = twin_cls.__dataclass_params__
     assert _field_spec(cls) == _field_spec(twin_cls)
     assert cls.__match_args__ == twin_cls.__match_args__
-    if not issubclass(cls, terms.ObjExpr):  # objects are made by ObjExpr.__new__
+    interned = issubclass(cls, terms.Node)  # made by Node.__new__, and == is is
+    if not interned:
         assert str(inspect.signature(cls)) == str(inspect.signature(twin_cls))
     assert (cls.__hash__ is None) == (twin_cls.__hash__ is None)
     names = [f.name for f in dataclasses.fields(cls) if f.init]
@@ -159,11 +166,13 @@ def test_record_matches_its_dataclass_twin(cls, samples):
         assert repr(v) == repr(_deep(v))
         assert _outcome(lambda: repr(dataclasses.asdict(v))) == \
             _outcome(lambda: repr(dataclasses.asdict(_deep(v))))
-        if params.eq:  # the record's own __eq__ and __hash__, not a base class's
-            assert cls.__hash__ is None or hash(v) == hash(t)
-            assert (v == 0, v != 0, v.__eq__(t)) == (t == 0, t != 0, NotImplemented)
+        if params.eq or interned:  # == as a field-comparing twin's; hash its, or the identity's
+            twins = FIELD_TWINS if interned else TWINS
+            e = _twin(v, twins=twins)
+            assert cls.__hash__ is None or hash(v) == (object.__hash__(v) if interned else hash(e))
+            assert (v == 0, v != 0, v.__eq__(e)) == (e == 0, e != 0, NotImplemented)
             for w in values:
-                assert _outcome(lambda: v == w) == _outcome(lambda: t == _twin(w))
+                assert _outcome(lambda: v == w) == _outcome(lambda: e == _twin(w, twins=twins))
         for w in values:
             for name in names:
                 changes = {name: getattr(w, name)}

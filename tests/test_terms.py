@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gen import random_object, random_term
 from monocat.coherence import flatten_object
-from monocat.parser import parse_expr, parse_obj, parse_signature, print_expr
+from monocat.parser import parse_expr, parse_obj, parse_rules, parse_signature, print_expr
 from monocat.terms import (
     Assoc,
     AssocInv,
@@ -33,9 +33,9 @@ from monocat.terms import (
     MorGen,
     MorType,
     MorVar,
+    Node,
     NotAnIso,
     NotInvertible,
-    ObjExpr,
     ObjGen,
     ObjTensor,
     ObjVar,
@@ -51,6 +51,7 @@ from monocat.terms import (
     UnknownLevel,
     comp_chain,
     iso_inverse,
+    node_fields,
     replace_chain_element,
     right_comp,
     structural_atoms,
@@ -220,25 +221,60 @@ def test_parse_expr_integration(sig):
 
 
 # ---------------------------------------------------------------------------
-# Hash-consed objects: one object per value, however it is built
+# Hash-consed objects and atoms: one object per value, however it is built
 # ---------------------------------------------------------------------------
 
-OBJ_SIG = parse_signature("category symmetric\nobject A\nobject Bb\nobject C\n")
+OBJ_SIG = parse_signature("category symmetric\nobject A\nobject Bb\nobject C\n"
+                          "mor g : A -> A\niso k : A -> Bb\n")
 
 #: An object as a tree: a name, None for the unit, or a (left, right) pair.
 obj_trees = st.recursive(st.sampled_from(["A", "Bb", "C", None]),
                          lambda kids: st.tuples(kids, kids), max_leaves=12)
 
+#: Atom keywords: a generator, an inverse and a metavariable take a name, the
+#: ``STRUCTURAL`` rows object trees.
+ATOM_CLASSES = {"gen": MorGen, "inv": Inv, "var": MorVar,
+                **{spec[0]: cls for cls, spec in STRUCTURAL.items()}}
+
+#: An atom as a list: its keyword, then its name or object trees.
+atom_trees = st.one_of(
+    st.sampled_from([["gen", "g"], ["gen", "k"], ["inv", "k"], ["var", "x"]]),
+    st.sampled_from(list(STRUCTURAL)).flatmap(lambda cls: st.lists(
+        obj_trees, min_size=len(cls.__dataclass_fields__), max_size=len(cls.__dataclass_fields__),
+    ).map(lambda args: [STRUCTURAL[cls][0], *args])))
+
 
 def _text(tree) -> str:
+    if isinstance(tree, list):
+        word, *args = tree
+        named = {"gen": "{}", "inv": "inv({})", "var": "?{}"}.get(word)
+        return named.format(*args) if named else f"{word}[{', '.join(map(_text, args))}]"
     if isinstance(tree, tuple):
         return f"({_text(tree[0])} * {_text(tree[1])})"
     return "I" if tree is None else tree
 
 
-def _built(tree, keywords: bool):
-    """Constructed bottom-up, the right factor first; names are fresh strings."""
+def _parsed(tree):
+    """Parsed from text: an object, a metavariable as a rule's pattern, or an atom."""
 
+    if not isinstance(tree, list):
+        return parse_obj(_text(tree), OBJ_SIG)
+    if tree[0] == "var":
+        return parse_rules(f"var {_text(tree)} : A -> A\nrule r : {_text(tree)} => id[A]\n",
+                           OBJ_SIG).rules[0].lhs
+    return parse_expr(_text(tree), OBJ_SIG)
+
+
+def _built(tree, keywords: bool):
+    """Constructed bottom-up, the right factor first, keywords last to first;
+    names are fresh strings."""
+
+    if isinstance(tree, list):
+        cls = ATOM_CLASSES[tree[0]]
+        args = [_built(arg, keywords) if cls in STRUCTURAL else "".join(list(arg))
+                for arg in tree[1:]]
+        return cls(**dict(reversed(list(zip(cls.__dataclass_fields__, args))))) if keywords \
+            else cls(*args)
     if isinstance(tree, tuple):
         right, left = _built(tree[1], keywords), _built(tree[0], keywords)
         return ObjTensor(right=right, left=left) if keywords else ObjTensor(left, right)
@@ -249,24 +285,32 @@ def _built(tree, keywords: bool):
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj_trees)
+@given(st.one_of(obj_trees, atom_trees))
 def test_one_object_however_built(tree):
-    obj = parse_obj(_text(tree), OBJ_SIG)
-    same = [_built(tree, False), _built(tree, True), dataclasses.replace(obj), copy.copy(obj),
-            copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
-    if isinstance(obj, ObjTensor):
-        same.append(dataclasses.replace(ObjTensor(obj.right, obj.left), left=obj.left,
-                                        right=obj.right))
+    node = _parsed(tree)
+    same = [_built(tree, False), _built(tree, True), dataclasses.replace(node), copy.copy(node),
+            copy.deepcopy(node), pickle.loads(pickle.dumps(node))]
+    fields = dict(zip(node.__dataclass_fields__, node_fields(node)))
+    if len(fields) > 1:  # every field replaced in a node built from them reversed
+        same.append(dataclasses.replace(type(node)(*reversed(fields.values())), **fields))
     for other in same:
-        assert other is obj and other == obj and hash(other) == hash(obj)
+        assert other is node and other == node and hash(other) == hash(node)
+
+
+def test_parses_share_atoms():
+    assert len({id(a) for a in structural_atoms(parse_expr("g ; g ; g", OBJ_SIG))}) == 1
+    for text in ("inv(k)", "id[A]", "braid[A,Bb]"):
+        assert parse_expr(text, OBJ_SIG) is parse_expr(text, OBJ_SIG)
 
 
 def test_interned_table_holds_only_live_objects():
-    table = ObjExpr._interned
+    table = Node._interned
+    gc.collect()  # nodes already unreachable, such as atoms of errors raised before
     before = len(table)
     obj = ObjTensor(ObjGen("dead_a"), ObjTensor(ObjVar("dead_b"), UNIT))
-    assert len(table) == before + 4
-    del obj
+    term = Comp(MorGen("dead_f"), Braid(obj, ObjGen("dead_a")))
+    assert len(table) == before + 6
+    del obj, term
     gc.collect()
     assert len(table) == before
     assert all(ref() is not None for ref in table.values())
@@ -323,7 +367,8 @@ def test_kept_wires_stay_out_of_sight():
 
 
 def test_interned_table_drops_objects_with_kept_wires():
-    table = ObjExpr._interned
+    table = Node._interned
+    gc.collect()
     before = len(table)
     obj = ObjTensor(ObjGen("gone_a"), ObjTensor(ObjGen("gone_b"), UNIT))
     assert flatten_object(obj.right) == ("gone_b",) and flatten_object(obj) == ("gone_a", "gone_b")
