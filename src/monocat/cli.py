@@ -31,10 +31,12 @@ def _load_signature(path: str) -> Signature:
 def _check_pair(method: str, sig: Signature, text1: str, text2: str,
                 backend: Callable[[], semantics.MatrixInstance | semantics.RelInstance]
                 ) -> tuple[bool, str]:
-    """Returns (equal, human-readable report)."""
+    """Returns (equal, human-readable report); terms of different boundaries
+    are an error under every method."""
 
     t1 = parse_expr(text1, sig)
     t2 = parse_expr(text2, sig)
+    coherence.shared_boundary(t1, t2, sig)
     if method == "monoidal":
         verdict = monoidal_eq(t1, t2, sig)
         if isinstance(verdict, coherence.Equal):

@@ -345,16 +345,20 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
     return tuple(kept)
 
 
+def shared_boundary(t1: MorExpr, t2: MorExpr, sig: Signature) -> None:
+    """Raise :class:`TypeMismatch` unless both terms have one boundary type
+    (objects are interned, so this compares by identity)."""
+
+    ty1, ty2 = typecheck(t1, sig), typecheck(t2, sig)
+    if ty1.dom is not ty2.dom or ty1.cod is not ty2.cod:
+        raise TypeMismatch("terms do not share a boundary type: "
+                           f"{_ty_text(ty1)} vs {_ty_text(ty2)}")
+
+
 def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
     """Decide equality of two same-boundary terms up to monoidal structure."""
 
-    ty1 = typecheck(t1, sig)
-    ty2 = typecheck(t2, sig)
-    if ty1 != ty2:
-        raise TypeMismatch(
-            "terms do not share a boundary type: "
-            f"{_ty_text(ty1)} vs {_ty_text(ty2)}"
-        )
+    shared_boundary(t1, t2, sig)
     nf1 = canonicalize(sheet_of_term(t1, sig))
     nf2 = canonicalize(sheet_of_term(t2, sig))
     if nf1 == nf2:

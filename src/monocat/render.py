@@ -7,9 +7,13 @@ circumscribing group box, tensoring stacks them vertically in one, and
 every group box is drawn, so the parenthesization of the source term is
 always visible in the picture.  Children are placed by offsets relative
 to their parent, which are resolved to absolute coordinates once, so
-layout takes time linear in the size of the tree.  All arithmetic is
-deterministic and floats are emitted with fixed precision: the same
-term, signature and config produce byte-identical output.
+layout takes time linear in the size of the tree.  Each distinct atom is
+laid out once per call; its later occurrences are fresh nodes over the
+same size, ports and wires.  All arithmetic is deterministic and floats
+are emitted with fixed precision: the same term, signature and config
+produce byte-identical output.  Each SVG or TikZ element is formatted
+once, by one ``%`` over a template whose constant parts are formatted
+once per call.
 
 Wires run as straight horizontal segments with a single vertical jog
 between children whose port heights differ.  Boundary sides with no
@@ -19,7 +23,6 @@ wires (unit objects) are labeled ``I``.
 from __future__ import annotations
 
 from dataclasses import field as dc_field
-from typing import NamedTuple
 
 from .coherence import atom_wires, flatten_object
 from .parser import print_obj
@@ -40,6 +43,10 @@ from .terms import (
 
 class RenderConfigError(CatError):
     """Bad render configuration value."""
+
+
+_FLAGS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
 @record
@@ -66,7 +73,8 @@ class RenderConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RenderConfig":
-        """Read ``key = value`` lines (booleans: true/false)."""
+        """Read ``key = value`` lines (booleans: true/false, 1/0, yes/no or
+        on/off, in any case)."""
 
         values: dict[str, object] = {}
         with open(path, encoding="utf-8") as fh:
@@ -84,7 +92,10 @@ class RenderConfig:
                 if key not in cls.__dataclass_fields__:
                     raise RenderConfigError(f"unknown config key {key!r}")
                 if type(cls.__dataclass_fields__[key].default) is bool:
-                    values[key] = value.lower() in ("true", "1", "yes", "on")
+                    values[key] = _FLAGS.get(value.lower())
+                    if values[key] is None:
+                        raise RenderConfigError(f"render config {key} must be true or false "
+                                                "(or 1/0, yes/no, on/off)")
                 else:
                     try:
                         values[key] = float(value)
@@ -127,27 +138,36 @@ def _box(cfg: RenderConfig, kind: str, label: str,
                       emphasized, 0)
 
 
-def _connect(a: tuple[float, float], b: tuple[float, float]) -> list[tuple[float, float]]:
-    (x1, y1), (x2, y2) = a, b
-    if y1 == y2:
-        return [(x1, y1), (x2, y2)]
-    midx = (x1 + x2) / 2.0
-    return [(x1, y1), (midx, y1), (midx, y2), (x2, y2)]
-
-
 def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> LayoutNode:
     """Compute the layout tree of a well-typed term.
 
     The root is a ``diagram`` node holding the term's node plus dangling
     boundary wires and their object labels.  Nodes are built bottom-up,
     each in its own frame with its children's ``x``/``y`` their offsets
-    inside it; one top-down pass then makes every coordinate absolute.
+    inside it; one top-down pass then makes every coordinate absolute,
+    giving each node lists of its own.  Each distinct atom is laid out
+    once: a later occurrence is a fresh node over the first one's size,
+    ports and wires.
     """
 
     cfg = cfg or RenderConfig()
     typecheck(term, sig)
+    seen: dict[MorExpr, LayoutNode] = {}  # atom -> its first node
+
+    def again(n: LayoutNode, x: float = 0.0, y: float = 0.0) -> LayoutNode:
+        node = object.__new__(LayoutNode)  # one dict copy costs less than the constructor
+        node.__dict__.update(n.__dict__)  # n's fields, then a place and children of its own
+        node.x, node.y, node.children = x, y, [again(c, c.x, c.y) for c in n.children]
+        return node
 
     def atom(t: MorExpr) -> LayoutNode:
+        first = seen.get(t)
+        if first is not None:
+            return again(first)
+        node = seen[t] = new_atom(t)
+        return node
+
+    def new_atom(t: MorExpr) -> LayoutNode:
         ins, outs = atom_wires(t, sig)
         cls = type(t)
         if cls is MorGen:
@@ -161,11 +181,11 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             gen.x = marker.w
             return LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h, "", gen.in_ports,
                               gen.out_ports, [marker, gen],
-                              [_connect((0.0, y), (gen.x, y)) for y, _ in gen.in_ports], False, 0)
+                              [[(0.0, y), (gen.x, y)] for y, _ in gen.in_ports], False, 0)
         if cls is Id:
             h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width
             ports = _spread(h, ins)
-            return LayoutNode("idwire", 0.0, 0.0, w, h, "" if ins else "I", ports, _spread(h, ins),
+            return LayoutNode("idwire", 0.0, 0.0, w, h, "" if ins else "I", ports, ports,
                               [], [[(0.0, y), (w, y)] for y, _ in ports], False, 0)
         halves = STRUCTURAL[cls][5]
         if halves is not None:
@@ -189,10 +209,15 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
         w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
         in_ports = [(y + a.y, s) for y, s in a.in_ports]
         out_ports = [(y + b.y, s) for y, s in b.out_ports]
-        wires = [_connect((a.x + a.w, ya + a.y), (b.x, yb + b.y))
-                 for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports)]
-        wires += [_connect((0.0, y), (a.x, y)) for y, _ in in_ports]
-        wires += [_connect((b.x + b.w, y), (w, y)) for y, _ in out_ports]
+        x1, x2 = a.x + a.w, b.x
+        mid = (x1 + x2) / 2.0  # a wire between ports at different heights jogs here
+        wires = []
+        for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports):
+            y1, y2 = ya + a.y, yb + b.y
+            wires.append([(x1, y1), (x2, y2)] if y1 == y2 else
+                         [(x1, y1), (mid, y1), (mid, y2), (x2, y2)])
+        wires += [[(0.0, y), (a.x, y)] for y, _ in in_ports]
+        wires += [[(x2 + b.w, y), (w, y)] for y, _ in out_ports]
         return LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, "", in_ports, out_ports,
                           [a, b], wires, False, 0)
 
@@ -209,8 +234,9 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             outs = [(py + child.y, s) for py, s in child.out_ports]
             node.in_ports += ins
             node.out_ports += outs
-            node.wires += [_connect((0.0, py), (child.x, py)) for py, _ in ins]
-            node.wires += [_connect((child.x + child.w, py), (node.w, py)) for py, _ in outs]
+            right = child.x + child.w
+            node.wires += [[(0.0, py), (child.x, py)] for py, _ in ins]
+            node.wires += [[(right, py), (node.w, py)] for py, _ in outs]
         return node
 
     inner = fold(term, atom, comp, tensor)
@@ -219,9 +245,9 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
     inner.x, inner.y = cfg.margin + stub, cfg.margin
     in_ports = [(y + inner.y, s) for y, s in inner.in_ports]
     out_ports = [(y + inner.y, s) for y, s in inner.out_ports]
-    wires = [_connect((cfg.margin, y), (inner.x, y)) for y, _ in in_ports]
-    wires += [_connect((inner.x + inner.w, y), (inner.x + inner.w + stub, y))
-              for y, _ in out_ports]
+    right = inner.x + inner.w
+    wires = [[(cfg.margin, y), (inner.x, y)] for y, _ in in_ports]
+    wires += [[(right, y), (right + stub, y)] for y, _ in out_ports]
     root = LayoutNode("diagram", 0.0, 0.0, inner.w + 2 * stub + 2 * cfg.margin,
                       inner.h + 2 * cfg.margin, "", in_ports, out_ports, [inner], wires, False, 0)
 
@@ -234,10 +260,12 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
         y = node.y = py + node.y
         node.in_ports = [(v + y, s) for v, s in node.in_ports]
         node.out_ports = [(v + y, s) for v, s in node.out_ports]
-        node.wires = [[(u + x, v + y) for u, v in line] for line in node.wires]
+        lines = node.wires  # shared with a repeated atom's copies until here
+        node.wires = [[(u + x, v + y) for u, v in line] for line in lines] if lines else []
         if node.kind in ("compgroup", "tensorgroup"):
             node.depth = depth
-        frames += [(child, x, y, depth + 1) for child in node.children]
+        for child in node.children:
+            frames.append((child, x, y, depth + 1))
     return root
 
 
@@ -246,118 +274,90 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
 # ---------------------------------------------------------------------------
 
 
-class _Rect(NamedTuple):
-    x: float
-    y: float
-    w: float
-    h: float
-    style: str
-    depth: int = 0
-
-
-class _Text(NamedTuple):
-    x: float
-    y: float
-    s: str
-    anchor: str  # start middle end
-    small: bool = False
-
-
 def _primitives(root: LayoutNode, cfg: RenderConfig):
-    rects: list[_Rect] = []
-    lines: list[list[tuple[float, float]]] = []  # wire polylines
-    texts: list[_Text] = []
+    """The wire polylines, rects ``(x, y, w, h, style, depth)`` and texts
+    ``(x, y, label, anchor, small)`` of a layout, each node's after its
+    subtree's; ``anchor`` is start, middle or end."""
 
-    # iterative post-order: children first, each node after its subtree
-    todo = [(root, False)]
-    while todo:
-        node, ready = todo.pop()
-        if not ready:
-            todo.append((node, True))
-            todo += [(child, False) for child in reversed(node.children)]
-            continue
+    nodes, todo = [], [root]
+    while todo:  # parents first, last child first: the post-order reversed
+        node = todo.pop()
+        nodes.append(node)
+        todo += node.children
+    lines: list[list[tuple[float, float]]] = []
+    rects: list[tuple] = []
+    texts: list[tuple] = []
+    for node in reversed(nodes):
+        kind, x, y, w, h = node.kind, node.x, node.y, node.w, node.h
         lines += node.wires
-        if node.kind in ("genbox", "isobox", "structbox", "marker"):
-            if cfg.atom_boxes or node.kind == "marker":
-                style = "isobox" if node.emphasized and node.kind != "marker" else node.kind
-                rects.append(_Rect(node.x, node.y, node.w, node.h, style))
-            texts.append(_Text(node.x + node.w / 2.0, node.y + node.h / 2.0,
-                               node.label, "middle"))
-            for y, s in node.in_ports:
-                texts.append(_Text(node.x - 3.0, y - 3.0, s, "end", small=True))
-            for y, s in node.out_ports:
-                texts.append(_Text(node.x + node.w + 3.0, y - 3.0, s, "start", small=True))
-            if not node.in_ports and node.kind != "marker":
-                texts.append(_Text(node.x - 3.0, node.y + node.h / 2.0, "I", "end", small=True))
-            if not node.out_ports and node.kind != "marker":
-                texts.append(_Text(node.x + node.w + 3.0, node.y + node.h / 2.0, "I",
-                                   "start", small=True))
-        elif node.kind == "idwire":
-            for y, s in node.in_ports:
-                texts.append(_Text(node.x - 3.0, y - 3.0, s, "end", small=True))
-            for y, s in node.out_ports:
-                texts.append(_Text(node.x + node.w + 3.0, y - 3.0, s, "start", small=True))
-            if node.label:
-                texts.append(_Text(node.x + node.w / 2.0, node.y + node.h / 2.0,
-                                   node.label, "middle", small=True))
-        elif node.kind in ("compgroup", "tensorgroup"):
-            rects.append(_Rect(node.x, node.y, node.w, node.h, "group", depth=node.depth))
-        elif node.kind == "diagram":
-            for (y, s), wire in zip(node.in_ports, node.wires[:len(node.in_ports)]):
-                texts.append(_Text(wire[0][0] - 3.0, y - 3.0, s, "end", small=True))
-            for (y, s), wire in zip(node.out_ports, node.wires[len(node.in_ports):]):
-                texts.append(_Text(wire[-1][0] + 3.0, y - 3.0, s, "start", small=True))
-            if not node.in_ports:
-                texts.append(_Text(node.x + 3.0, node.y + node.h / 2.0, "I", "start",
-                                   small=True))
+        if kind in ("compgroup", "tensorgroup"):
+            rects.append((x, y, w, h, "group", node.depth))
+        elif kind == "diagram":
+            ins = node.in_ports
+            texts += [(wire[0][0] - 3.0, py - 3.0, s, "end", True)
+                      for (py, s), wire in zip(ins, node.wires[:len(ins)])]
+            texts += [(wire[-1][0] + 3.0, py - 3.0, s, "start", True)
+                      for (py, s), wire in zip(node.out_ports, node.wires[len(ins):])]
+            if not ins:
+                texts.append((x + 3.0, y + h / 2.0, "I", "start", True))
             if not node.out_ports:
-                texts.append(_Text(node.x + node.w - 3.0, node.y + node.h / 2.0, "I", "end",
-                                   small=True))
-    return rects, lines, texts
+                texts.append((x + w - 3.0, y + h / 2.0, "I", "end", True))
+        elif kind in ("genbox", "isobox", "structbox", "marker", "idwire"):
+            wired = kind == "idwire"
+            if not wired:
+                if cfg.atom_boxes or kind == "marker":
+                    style = "isobox" if node.emphasized and kind != "marker" else kind
+                    rects.append((x, y, w, h, style, 0))
+                texts.append((x + w / 2.0, y + h / 2.0, node.label, "middle", False))
+            texts += [(x - 3.0, py - 3.0, s, "end", True) for py, s in node.in_ports]
+            texts += [(x + w + 3.0, py - 3.0, s, "start", True) for py, s in node.out_ports]
+            if wired:
+                if node.label:
+                    texts.append((x + w / 2.0, y + h / 2.0, node.label, "middle", True))
+            elif kind != "marker":
+                if not node.in_ports:
+                    texts.append((x - 3.0, y + h / 2.0, "I", "end", True))
+                if not node.out_ports:
+                    texts.append((x + w + 3.0, y + h / 2.0, "I", "start", True))
+    return lines, rects, texts
 
 
 _PALETTE = ("#7e57c2", "#1e88e5", "#43a047", "#fb8c00", "#d81b60")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def emit_svg(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
     """Serialize a layout to a standalone SVG 1.1 document."""
 
     cfg = cfg or RenderConfig()
-    rects, lines, texts = _primitives(root, cfg)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(root.w)}" height="{_fmt(root.h)}" '
-        f'viewBox="0 0 {_fmt(root.w)} {_fmt(root.h)}">',
-    ]
-    for line in lines:
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in line)
-        out.append(f'<polyline class="wire" points="{pts}" fill="none" '
-                   f'stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"/>')
-    for rect in rects:
-        if rect.style == "group":
-            stroke = _PALETTE[rect.depth % len(_PALETTE)] if cfg.color else "#999999"
-            extra = (f'fill="none" stroke="{stroke}" '
-                     f'stroke-width="{_fmt(cfg.group_stroke_width)}" stroke-dasharray="4,3"')
-        elif rect.style == "isobox":
-            extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width * 2)}"'
-        else:  # genbox, marker
-            extra = f'fill="#ffffff" stroke="#000" stroke-width="{_fmt(cfg.stroke_width)}"'
-        out.append(f'<rect class="{rect.style}" x="{_fmt(rect.x)}" y="{_fmt(rect.y)}" '
-                   f'width="{_fmt(rect.w)}" height="{_fmt(rect.h)}" {extra}/>')
-    for text in texts:
-        size = cfg.font_size * (0.75 if text.small else 1.0)
-        baseline = ' dominant-baseline="middle"' if text.anchor == "middle" else ""
-        out.append(f'<text class="label" x="{_fmt(text.x)}" y="{_fmt(text.y)}" '
-                   f'font-family="monospace" font-size="{_fmt(size)}" '
-                   f'text-anchor="{"middle" if text.anchor == "middle" else text.anchor}"'
-                   f'{baseline}>{_xml_escape(text.s)}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    lines, rects, texts = _primitives(root, cfg)
+    stroke = "%.2f" % cfg.stroke_width
+    wire = {n: f'<polyline class="wire" points="{" ".join(["%.2f,%.2f"] * n)}" fill="none" '
+               f'stroke="#000" stroke-width="{stroke}"/>' for n in set(map(len, lines))}
+
+    def rect(style: str, extra: str) -> str:
+        return f'<rect class="{style}" x="%.2f" y="%.2f" width="%.2f" height="%.2f" {extra}/>'
+
+    groups = [rect("group", f'fill="none" stroke="{color}" stroke-width='
+                            f'"{"%.2f" % cfg.group_stroke_width}" stroke-dasharray="4,3"')
+              for color in (_PALETTE if cfg.color else ("#999999",))]
+    boxes = {style: rect(style, f'fill="#ffffff" stroke="#000" stroke-width="{width}"')
+             for style, width in (("isobox", "%.2f" % (cfg.stroke_width * 2)),
+                                  ("genbox", stroke), ("marker", stroke))}
+    labels = {(anchor, small): f'<text class="label" x="%.2f" y="%.2f" font-family="monospace" '
+                               f'font-size="{"%.2f" % (cfg.font_size * (0.75 if small else 1.0))}" '
+                               f'text-anchor="{anchor}"{baseline}>%s</text>'
+              for anchor, baseline in (("start", ""), ("end", ""),
+                                       ("middle", ' dominant-baseline="middle"'))
+              for small in (False, True)}
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="%.2f" height="%.2f" '
+           'viewBox="0 0 %.2f %.2f">' % (root.w, root.h, root.w, root.h)]
+    out += [wire[len(line)] % sum(line, ()) for line in lines]
+    out += [(groups[depth % len(groups)] if style == "group" else boxes[style]) % (x, y, w, h)
+            for x, y, w, h, style, depth in rects]
+    out += [labels[anchor, small] % (x, y, _xml_escape(s)) for x, y, s, anchor, small in texts]
+    out += ("</svg>", "")  # the empty last line ends the text, and the text is built once
+    return "\n".join(out)
 
 
 def _xml_escape(s: str) -> str:
@@ -368,9 +368,19 @@ _TEX_MAP = {"α": r"$\alpha$", "λ": r"$\lambda$", "ρ": r"$\rho$", "⁻¹": r"$
 
 
 def _tex_escape(s: str) -> str:
+    if s.isascii() and "_" not in s and "$" not in s:  # nothing to map, no "$$" to drop
+        return s
     for k, v in _TEX_MAP.items():
         s = s.replace(k, v)
     return s.replace("$$", "")
+
+
+_TIKZ_STYLES = {
+    "group": "densely dashed, gray",
+    "isobox": "very thick, fill=white",
+    "marker": "fill=white",
+    "genbox": "fill=white",
+}
 
 
 def emit_tikz(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
@@ -381,28 +391,19 @@ def emit_tikz(root: LayoutNode, cfg: RenderConfig | None = None) -> str:
     """
 
     cfg = cfg or RenderConfig()
-    rects, lines, texts = _primitives(root, cfg)
+    lines, rects, texts = _primitives(root, cfg)
     scale = 1.0 / cfg.unit
-
-    def pt(x: float, y: float) -> str:
-        return f"({x * scale:.3f},{-y * scale:.3f})"
-
+    path = {n: rf"\draw {' -- '.join(['(%.3f,%.3f)'] * n)};" for n in set(map(len, lines))}
+    boxes = {style: rf"\draw[{words}] (%.3f,%.3f) rectangle (%.3f,%.3f);"
+             for style, words in _TIKZ_STYLES.items()}
+    labels = {anchor: rf"\node[anchor={word}] at (%.3f,%.3f) {{%s}};"
+              for anchor, word in (("start", "west"), ("end", "east"), ("middle", "center"))}
     out = [r"\begin{tikzpicture}[every node/.style={font=\small}]"]
-    for line in lines:
-        path = " -- ".join(pt(x, y) for x, y in line)
-        out.append(rf"\draw {path};")
-    for rect in rects:
-        style = {
-            "group": "densely dashed, gray",
-            "isobox": "very thick, fill=white",
-            "marker": "fill=white",
-            "genbox": "fill=white",
-        }[rect.style]
-        out.append(rf"\draw[{style}] {pt(rect.x, rect.y)} rectangle "
-                   rf"{pt(rect.x + rect.w, rect.y + rect.h)};")
-    for text in texts:
-        anchor = {"start": "west", "end": "east", "middle": "center"}[text.anchor]
-        out.append(rf"\node[anchor={anchor}] at {pt(text.x, text.y)} "
-                   rf"{{{_tex_escape(text.s)}}};")
-    out.append(r"\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+    out += [path[len(line)] % tuple([v for x, y in line for v in (x * scale, -y * scale)])
+            for line in lines]
+    out += [boxes[style] % (x * scale, -y * scale, (x + w) * scale, -(y + h) * scale)
+            for x, y, w, h, style, _ in rects]
+    out += [labels[anchor] % (x * scale, -y * scale, _tex_escape(s))
+            for x, y, s, anchor, _ in texts]
+    out += (r"\end{tikzpicture}", "")
+    return "\n".join(out)

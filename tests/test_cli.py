@@ -91,6 +91,23 @@ def test_check_matrix_and_rel(sig_path):
                 "u ; u", "u"]) == 1
 
 
+@pytest.mark.parametrize("method", ["monoidal", "cat_easy", "matrix", "rel"])
+def test_check_different_boundaries_is_an_error(sig_path, tmp_path, capsys, method):
+    # u ; k : A -> B and u : A -> A have the same sizes in both backends, so a
+    # backend alone would call them equal
+    code = run(["check", "--sig", sig_path, "--method", method, "u ; k", "u"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: terms do not share a boundary type: A -> B vs A -> A\n"
+    batch = tmp_path / "pairs.txt"
+    batch.write_text("u == u\nu ; k == u\nk == u ; k\n", encoding="utf-8")
+    assert run(["check", "--sig", sig_path, "--method", method, "--batch", str(batch)]) == 2
+    assert capsys.readouterr().out == (
+        "[ok] u == u\n"
+        f"[error] {batch}:2: terms do not share a boundary type: A -> B vs A -> A\n"
+        "[FAIL] k == u ; k\n")
+
+
 def test_check_usage_and_input_errors(sig_path, capsys):
     assert run(["check", "--sig", sig_path, "--method", "monoidal", "f"]) == 2
     assert run(["check", "--sig", sig_path, "--method", "monoidal",

@@ -9,11 +9,12 @@ import pytest
 from gen import random_term, std_sig, struct_sig
 from monocat.coherence import flatten_object
 from monocat.parser import parse_expr, parse_signature
+import monocat.render as render
 from monocat.render import RenderConfig, RenderConfigError, emit_svg, emit_tikz, layout
 from monocat.terms import Comp, MorGen, typecheck
-from reference_render import reference_layout
+from reference_render import reference_emit_svg, reference_emit_tikz, reference_layout
 
-RENDER_SIG = parse_signature("""
+RENDER_SIG_TEXT = """
 category symmetric
 object A
 object B
@@ -23,7 +24,8 @@ mor f : A -> B
 mor g : B -> C
 mor h : C -> D
 iso k : A -> B
-""")
+"""
+RENDER_SIG = parse_signature(RENDER_SIG_TEXT)
 
 GOLDEN_TERMS = {
     "compose_assoc_left": "(f ; g) ; h",
@@ -213,6 +215,36 @@ def test_matches_reference_bytes_under_default_config(random_terms):
         assert emit_tikz(got, cfg) == emit_tikz(ref, cfg)
 
 
+@pytest.mark.parametrize("cfg", [RenderConfig(), ODD_CFG, RenderConfig(color=True),
+                                 RenderConfig(atom_boxes=False)],
+                         ids=["default", "odd", "color", "no-atom-boxes"])
+def test_emitters_match_reference_emitters(random_terms, cfg):
+    # one template per element prints the bytes of one format call per number
+    for term, sig in random_terms:
+        root = layout(term, sig, cfg)
+        assert emit_svg(root, cfg) == reference_emit_svg(root, cfg)
+        assert emit_tikz(root, cfg) == reference_emit_tikz(root, cfg)
+
+
+def test_repeated_atoms_get_nodes_of_their_own(monkeypatch):
+    sig = parse_signature("category monoidal\nobject A\nmor f : A -> A\nmor g : A -> A\n"
+                          "iso k : A -> A\n")
+    sized, box = [], render._box
+    monkeypatch.setattr(render, "_box", lambda cfg, kind, label, *rest, **kw:
+                        sized.append(label) or box(cfg, kind, label, *rest, **kw))
+    for text, kind, count, labels in (("f ; f ; f", "genbox", 3, ["f"]),
+                                      ("inv(k) ; inv(k)", "invbox", 2, ["k"]),
+                                      ("(f * f) ; (g * g)", "genbox", 4, ["f", "g"])):
+        sized.clear()
+        nodes = list(_nodes(layout(parse_expr(text, sig), sig)))
+        assert sized == labels  # each distinct atom is sized once per call
+        assert len({id(n) for n in nodes}) == len(nodes)
+        same = [n for n in nodes if n.kind == kind]
+        assert len({(n.x, n.y) for n in same}) == len(same) == count  # each in its own place
+        lists = [v for n in nodes for v in (n.in_ports, n.out_ports, n.wires, *n.wires)]
+        assert len({id(v) for v in lists}) == len(lists)  # no port or wire list is shared
+
+
 def test_matches_reference_tree_under_odd_config(random_terms):
     # offsets are summed root-down instead of leaf-up, so under an arbitrary
     # config coordinates may differ in the last bits, never in the tree
@@ -281,6 +313,18 @@ def test_config_file_and_validation(tmp_path):
     bad.write_text("nonsense = 3\n", encoding="utf-8")
     with pytest.raises(RenderConfigError):
         RenderConfig.from_file(str(bad))
+    for text, flags in (("color = YES\natom_boxes = 0\n", (True, False)),
+                        ("color = on\natom_boxes = Off\n", (True, False)),
+                        ("color = 1\natom_boxes = no\n", (True, False)),
+                        ("color = false\natom_boxes = True\n", (False, True))):
+        path.write_text(text, encoding="utf-8")
+        cfg = RenderConfig.from_file(str(path))
+        assert (cfg.color, cfg.atom_boxes) == flags
+    for text, key in (("atom_boxes = flase\n", "atom_boxes"), ("color = ture\n", "color"),
+                      ("color =\n", "color"), ("color = 2\n", "color")):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(RenderConfigError, match=f"render config {key} must be true or false"):
+            RenderConfig.from_file(str(bad))
 
 
 def test_color_flag_changes_group_strokes():
