@@ -47,6 +47,7 @@ from .terms import (
     Signature,
     Tensor,
     TypeMismatch,
+    Typer,
     Unit,
     _set_wires,
     node_fields,
@@ -155,12 +156,7 @@ def sheet_output(sheet: Sheet) -> WireList:
 def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
     """The flat input and output wires of the atom ``t``."""
 
-    cls = type(t)
-    if cls is MorGen or cls is Inv:
-        decl = sig.morphism(t.name)
-        dom, cod = (decl.dom, decl.cod) if cls is MorGen else (decl.cod, decl.dom)
-    else:
-        dom, cod = STRUCTURAL[cls][3](*node_fields(t))
+    dom, cod = Typer(sig).atom(t, True)
     return flatten_object(dom), flatten_object(cod)
 
 

@@ -5,11 +5,11 @@ emitters serialize the same primitives, so their coordinates agree up
 to unit scaling.  Composition places children side by side inside a
 circumscribing group box, tensoring stacks them vertically in one, and
 every group box is drawn, so the parenthesization of the source term is
-always visible in the picture.  Children are placed by offsets relative
-to their parent, which are resolved to absolute coordinates once, so
-layout takes time linear in the size of the tree.  Each distinct atom is
-laid out once per call; its later occurrences are fresh nodes over the
-same size, ports and wires.  All arithmetic is deterministic and floats
+always visible in the picture.  Layout takes two passes, each linear in
+the size of the tree: shapes go up (each subterm's size, port heights and
+children's offsets in its own frame, each distinct atom shaped once per
+call), then nodes come down, each built once in absolute coordinates
+with its ports and wires.  All arithmetic is deterministic and floats
 are emitted with fixed precision: the same term, signature and config
 produce byte-identical output.  Each SVG or TikZ element is formatted
 once, by one ``%`` over a template whose constant parts are formatted
@@ -22,6 +22,7 @@ wires (unit objects) are labeled ``I``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import field as dc_field
 
 from .coherence import atom_wires, flatten_object
@@ -109,7 +110,7 @@ Port = tuple[float, str]  # (y coordinate, wire label)
 
 @record
 class LayoutNode:
-    """A positioned diagram element; coordinates are absolute after layout."""
+    """A positioned diagram element; its coordinates, ports and wires are absolute."""
 
     kind: str  # genbox isobox invbox idwire structbox braidcross compgroup tensorgroup diagram marker
     x: float
@@ -138,55 +139,51 @@ def _box(cfg: RenderConfig, kind: str, label: str,
                       emphasized, 0)
 
 
+# A subterm's layout in its own frame, never changed once made: ports are heights in it, wires
+# an atom's own polylines, children ``(shape, dx, dy)`` triples placing each child shape in it
+_Shape = namedtuple("_Shape", "kind w h label in_ports out_ports emphasized wires children")
+
+
 def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> LayoutNode:
     """Compute the layout tree of a well-typed term.
 
     The root is a ``diagram`` node holding the term's node plus dangling
-    boundary wires and their object labels.  Nodes are built bottom-up,
-    each in its own frame with its children's ``x``/``y`` their offsets
-    inside it; one top-down pass then makes every coordinate absolute,
-    giving each node lists of its own.  Each distinct atom is laid out
-    once: a later occurrence is a fresh node over the first one's size,
-    ports and wires.
+    boundary wires and their object labels.  Children first, each subterm
+    gets a shape; a repeated atom gets its first one back, so each distinct
+    atom is sized once.  Then parents first, each node is made once, with
+    absolute coordinates, ports and wires; a group's wires are drawn from
+    its children's shapes and offsets.
     """
 
     cfg = cfg or RenderConfig()
     typecheck(term, sig)
-    seen: dict[MorExpr, LayoutNode] = {}  # atom -> its first node
+    seen: dict[MorExpr, _Shape] = {}  # atom -> its shape
 
-    def again(n: LayoutNode, x: float = 0.0, y: float = 0.0) -> LayoutNode:
-        node = object.__new__(LayoutNode)  # one dict copy costs less than the constructor
-        node.__dict__.update(n.__dict__)  # n's fields, then a place and children of its own
-        node.x, node.y, node.children = x, y, [again(c, c.x, c.y) for c in n.children]
-        return node
+    def atom(t: MorExpr) -> _Shape:  # a shape is a nonempty tuple, so never false
+        return seen.get(t) or seen.setdefault(t, atom_shape(t))
 
-    def atom(t: MorExpr) -> LayoutNode:
-        first = seen.get(t)
-        if first is not None:
-            return again(first)
-        node = seen[t] = new_atom(t)
-        return node
+    def boxed(kind: str, label: str, ins, outs, emphasized: bool) -> _Shape:
+        box = _box(cfg, kind, label, ins, outs, emphasized)
+        return _Shape(kind, box.w, box.h, label, box.in_ports, box.out_ports, emphasized, [], ())
 
-    def new_atom(t: MorExpr) -> LayoutNode:
+    def atom_shape(t: MorExpr) -> _Shape:
         ins, outs = atom_wires(t, sig)
         cls = type(t)
         if cls is MorGen:
             iso = sig.morphism(t.name).iso
-            return _box(cfg, "isobox" if iso else "genbox", t.name, ins, outs, emphasized=iso)
+            return boxed("isobox" if iso else "genbox", t.name, ins, outs, iso)
         if cls is Inv:
-            gen = _box(cfg, "isobox", t.name, ins, outs, emphasized=True)
+            gen = boxed("isobox", t.name, ins, outs, True)
             side = cfg.unit * 0.6
-            marker = LayoutNode("marker", 0.0, (gen.h - side) / 2.0, side, side, "-1", [], [], [],
-                                [], False, 0)
-            gen.x = marker.w
-            return LayoutNode("invbox", 0.0, 0.0, marker.w + gen.w, gen.h, "", gen.in_ports,
-                              gen.out_ports, [marker, gen],
-                              [[(0.0, y), (gen.x, y)] for y, _ in gen.in_ports], False, 0)
+            marker = _Shape("marker", side, side, "-1", [], [], False, [], ())
+            return _Shape("invbox", side + gen.w, gen.h, "", gen.in_ports, gen.out_ports, False,
+                          [[(0.0, y), (side, y)] for y, _ in gen.in_ports],
+                          ((marker, 0.0, (gen.h - side) / 2.0), (gen, side, 0.0)))
         if cls is Id:
             h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width
             ports = _spread(h, ins)
-            return LayoutNode("idwire", 0.0, 0.0, w, h, "" if ins else "I", ports, ports,
-                              [], [[(0.0, y), (w, y)] for y, _ in ports], False, 0)
+            return _Shape("idwire", w, h, "" if ins else "I", ports, ports, False,
+                          [[(0.0, y), (w, y)] for y, _ in ports], ())
         halves = STRUCTURAL[cls][5]
         if halves is not None:
             h, w = cfg.unit * max(len(ins), 1), cfg.box_min_width * 1.2
@@ -195,78 +192,74 @@ def layout(term: MorExpr, sig: Signature, cfg: RenderConfig | None = None) -> La
             shift = len(flatten_object(halves(*node_fields(t))[1]))
             wires = [[(0.0, in_ports[i][0]), (w, out_ports[(i + shift) % len(ins)][0])]
                      for i in range(len(ins))]
-            return LayoutNode("braidcross", 0.0, 0.0, w, h, "", in_ports, out_ports, [], wires,
-                              False, 0)
+            return _Shape("braidcross", w, h, "", in_ports, out_ports, False, wires, ())
         label = f"{STRUCTURAL[cls][4]}[{','.join(map(print_obj, node_fields(t)))}]"
-        return _box(cfg, "structbox", label, ins, outs, emphasized=True)
+        return boxed("structbox", label, ins, outs, True)
 
-    pad = cfg.box_padding
+    pad, hgap, vgap = cfg.box_padding, cfg.hgap, cfg.vgap
 
-    def comp(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
+    def comp(t: MorExpr, a: _Shape, b: _Shape) -> _Shape:
         maxh = max(a.h, b.h)
-        a.x, a.y = pad, pad + (maxh - a.h) / 2.0
-        b.x, b.y = pad + (a.w + cfg.hgap), pad + (maxh - b.h) / 2.0
-        w = b.x + (b.w + cfg.hgap) - cfg.hgap + pad
-        in_ports = [(y + a.y, s) for y, s in a.in_ports]
-        out_ports = [(y + b.y, s) for y, s in b.out_ports]
-        x1, x2 = a.x + a.w, b.x
-        mid = (x1 + x2) / 2.0  # a wire between ports at different heights jogs here
-        wires = []
-        for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports):
-            y1, y2 = ya + a.y, yb + b.y
-            wires.append([(x1, y1), (x2, y2)] if y1 == y2 else
-                         [(x1, y1), (mid, y1), (mid, y2), (x2, y2)])
-        wires += [[(0.0, y), (a.x, y)] for y, _ in in_ports]
-        wires += [[(x2 + b.w, y), (w, y)] for y, _ in out_ports]
-        return LayoutNode("compgroup", 0.0, 0.0, w, maxh + 2 * pad, "", in_ports, out_ports,
-                          [a, b], wires, False, 0)
+        ay, bx, by = pad + (maxh - a.h) / 2.0, pad + (a.w + hgap), pad + (maxh - b.h) / 2.0
+        return _Shape("compgroup", bx + (b.w + hgap) - hgap + pad, maxh + 2 * pad, "",
+                      [(y + ay, s) for y, s in a.in_ports], [(y + by, s) for y, s in b.out_ports],
+                      False, [], ((a, pad, ay), (b, bx, by)))
 
-    def tensor(t: MorExpr, a: LayoutNode, b: LayoutNode) -> LayoutNode:
+    def tensor(t: MorExpr, a: _Shape, b: _Shape) -> _Shape:
         maxw = max(a.w, b.w)
-        y = pad
-        for child in (a, b):
-            child.x, child.y = pad + (maxw - child.w) / 2.0, y
-            y += child.h + cfg.vgap
-        node = LayoutNode("tensorgroup", 0.0, 0.0, maxw + 2 * pad, y - cfg.vgap + pad, "", [], [],
-                          [a, b], [], False, 0)
-        for child in (a, b):
-            ins = [(py + child.y, s) for py, s in child.in_ports]
-            outs = [(py + child.y, s) for py, s in child.out_ports]
-            node.in_ports += ins
-            node.out_ports += outs
-            right = child.x + child.w
-            node.wires += [[(0.0, py), (child.x, py)] for py, _ in ins]
-            node.wires += [[(right, py), (node.w, py)] for py, _ in outs]
-        return node
+        by = pad + (a.h + vgap)  # the top factor sits at pad
+        ins = [(y + pad, s) for y, s in a.in_ports] + [(y + by, s) for y, s in b.in_ports]
+        outs = [(y + pad, s) for y, s in a.out_ports] + [(y + by, s) for y, s in b.out_ports]
+        kids = ((a, pad + (maxw - a.w) / 2.0, pad), (b, pad + (maxw - b.w) / 2.0, by))
+        return _Shape("tensorgroup", maxw + 2 * pad, by + (b.h + vgap) - vgap + pad, "",
+                      ins, outs, False, [], kids)
 
     inner = fold(term, atom, comp, tensor)
+    margin, stub = cfg.margin, cfg.boundary_stub
+    diagram = _Shape("diagram", inner.w + 2 * stub + 2 * margin, inner.h + 2 * margin, "",
+                     [(y + margin, s) for y, s in inner.in_ports],
+                     [(y + margin, s) for y, s in inner.out_ports], False, [],
+                     ((inner, margin + stub, margin),))
 
-    stub = cfg.boundary_stub
-    inner.x, inner.y = cfg.margin + stub, cfg.margin
-    in_ports = [(y + inner.y, s) for y, s in inner.in_ports]
-    out_ports = [(y + inner.y, s) for y, s in inner.out_ports]
-    right = inner.x + inner.w
-    wires = [[(cfg.margin, y), (inner.x, y)] for y, _ in in_ports]
-    wires += [[(right, y), (right + stub, y)] for y, _ in out_ports]
-    root = LayoutNode("diagram", 0.0, 0.0, inner.w + 2 * stub + 2 * cfg.margin,
-                      inner.h + 2 * cfg.margin, "", in_ports, out_ports, [inner], wires, False, 0)
-
-    # resolve offsets once: each node's origin is its parent's plus its
-    # offset; a group's depth counts it and the groups around it
-    frames = [(inner, 0.0, 0.0, 1)]
-    while frames:
-        node, px, py, depth = frames.pop()
-        x = node.x = px + node.x
-        y = node.y = py + node.y
-        node.in_ports = [(v + y, s) for v, s in node.in_ports]
-        node.out_ports = [(v + y, s) for v, s in node.out_ports]
-        lines = node.wires  # shared with a repeated atom's copies until here
-        node.wires = [[(u + x, v + y) for u, v in line] for line in lines] if lines else []
-        if node.kind in ("compgroup", "tensorgroup"):
-            node.depth = depth
-        for child in node.children:
-            frames.append((child, x, y, depth + 1))
-    return root
+    # each node once, at its parent's origin plus its offset; a group's depth
+    # counts it and the groups around it
+    top: list[LayoutNode] = []
+    todo = [(diagram, 0.0, 0.0, top, 0)]
+    while todo:
+        shape, x, y, siblings, depth = todo.pop()
+        kind, w, h, label, ins, outs, emphasized, own, kids = shape
+        in_ports, out_ports = [(v + y, s) for v, s in ins], [(v + y, s) for v, s in outs]
+        if kind == "compgroup":
+            (a, ax, ay), (b, bx, by) = kids
+            x1 = ax + a.w  # a wire between ports at different heights jogs at mid
+            mid, x1, x2 = (x1 + bx) / 2.0 + x, x1 + x, bx + x
+            wires = []
+            for (ya, _), (yb, _) in zip(a.out_ports, b.in_ports):
+                y1, y2 = ya + ay, yb + by  # compared in the frame, where rounding set them
+                v1, v2 = y1 + y, y2 + y
+                wires.append([(x1, v1), (x2, v2)] if y1 == y2 else
+                             [(x1, v1), (mid, v1), (mid, v2), (x2, v2)])
+            wires += [[(x, v), (ax + x, v)] for v, _ in in_ports]
+            wires += [[(bx + b.w + x, v), (w + x, v)] for v, _ in out_ports]
+        elif kind == "tensorgroup":
+            wires = []
+            for c, cx, cy in kids:
+                left, right = cx + x, cx + c.w + x
+                wires += [[(x, v), (left, v)] for v in [py + cy + y for py, _ in c.in_ports]]
+                wires += [[(right, v), (w + x, v)] for v in [py + cy + y for py, _ in c.out_ports]]
+        elif kind == "diagram":  # at the origin, so its frame values are absolute
+            ((c, cx, _),) = kids
+            right = cx + c.w
+            wires = [[(margin, v), (cx, v)] for v, _ in in_ports]
+            wires += [[(right, v), (right + stub, v)] for v, _ in out_ports]
+        else:
+            wires = [[(u + x, v + y) for u, v in line] for line in own]
+        node = LayoutNode(kind, x, y, w, h, label, in_ports, out_ports, [], wires, emphasized,
+                          depth if kind == "compgroup" or kind == "tensorgroup" else 0)
+        siblings.append(node)
+        for c, dx, dy in reversed(kids):
+            todo.append((c, x + dx, y + dy, node.children, depth + 1))
+    return top[0]
 
 
 # ---------------------------------------------------------------------------

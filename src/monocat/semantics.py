@@ -118,6 +118,7 @@ class MatrixInstance:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        _tolerance(self.tolerance)
         for name in self.sig.objects:
             if name not in self.dim:
                 raise MissingBackendData(f"no dimension for object {name!r}")
@@ -389,6 +390,20 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.array(data, dtype=complex)
 
 
+def _tolerance(tol: float, where: str = "") -> float:
+    if not 0.0 <= tol < float("inf"):  # a NaN fails every comparison
+        raise InvalidBackendData(f"{where}tolerance must be finite and at least 0, not {tol}")
+    return tol
+
+
+def _number(read, text: str, line_no: int, what: str):
+    try:
+        return read(text)
+    except ValueError:
+        kind = "an integer" if read is int else "a number"
+        raise InvalidBackendData(f"line {line_no}: {what} must be {kind}, not {text!r}") from None
+
+
 def _block_entries(sig: Signature, kind: str, words: tuple[str, ...]):
     """(word, name, value, line number) per line of the ``backend kind``
     block; a ``tolerance`` line has no name and its number as the value."""
@@ -417,10 +432,10 @@ def matrix_instance(sig: Signature, tolerance: float | None = None) -> MatrixIns
     tol = 1e-9
     for word, name, value, line_no in _block_entries(sig, "matrix", (*tables, "tolerance")):
         if word == "tolerance":
-            tol = float(value)
+            tol = _tolerance(_number(float, value, line_no, word), f"line {line_no}: ")
         else:
-            tables[word][name] = int(value) if word == "dim" else \
-                _parse_matrix(value, f"{word} {name} (line {line_no})")
+            tables[word][name] = _number(int, value, line_no, f"dim {name}") if word == "dim" \
+                else _parse_matrix(value, f"{word} {name} (line {line_no})")
     return MatrixInstance(sig, tables["dim"], tables["mat"], tables["inv"],
                           tol if tolerance is None else tolerance)
 
@@ -432,7 +447,7 @@ def rel_instance(sig: Signature) -> RelInstance:
     rel: dict[str, Rel] = {}
     for word, name, value, line_no in _block_entries(sig, "rel", ("size", "rel")):
         if word == "size":
-            size[name] = int(value)
+            size[name] = _number(int, value, line_no, f"size {name}")
         elif not (value.startswith("{") and value.endswith("}")):
             raise InvalidBackendData(f"line {line_no}: relation literal must be {{(i,j),...}}")
         else:
@@ -471,15 +486,6 @@ def _random_objects(rng: Random, names: tuple[str, ...], count: int,
         objs.append(obj)
         budget = max(1, budget // dim_flat(obj, dims))
     return objs
-
-
-def _composable_pairs(sig: Signature) -> list[tuple[MorGen, MorGen]]:
-    return [
-        (MorGen(f.name), MorGen(g.name))
-        for f in sig.morphisms
-        for g in sig.morphisms
-        if f.cod == g.dom
-    ]
 
 
 def check_coherence(inst: MatrixInstance | RelInstance, sig: Signature,
@@ -552,7 +558,8 @@ def check_coherence(inst: MatrixInstance | RelInstance, sig: Signature,
                 Comp(f, Inv(decl.name)), Id(decl.dom))
             add("iso_inverses",
                 Comp(Inv(decl.name), f), Id(decl.cod))
-    pairs = _composable_pairs(sig)
+    pairs = [(MorGen(f.name), MorGen(g.name)) for f in sig.morphisms for g in sig.morphisms
+             if f.cod == g.dom]
     if pairs and sig.has_level("monoidal"):
         for _ in range(rounds):
             f, g = rng.choice(pairs)

@@ -3,13 +3,18 @@
 import ast
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from gen import STD_SIG_TEXT, random_term
 from monocat.cli import ReplState, repl_step, run
 from monocat.parser import parse_expr, parse_signature, print_expr
 
@@ -183,6 +188,27 @@ def test_check_wide_tensor_by_backend(tmp_path, capsys, default_recursion_limit,
     ident = f"id[{' * '.join(['A'] * 1200)}]"
     assert run(["check", "--sig", str(path), "--method", method, wide, f"({wide}) ; {ident}"]) == 0
     assert capsys.readouterr().out.startswith("equal (")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_matrix_tolerance_must_be_finite_and_at_least_0(sig_path, capsys, tol):
+    code = run(["check", "--sig", sig_path, "--method", "matrix", "--tolerance", tol, "u", "u"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: tolerance must be finite and at least 0, not {float(tol)}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tolerance nan", "tolerance must be finite and at least 0, not nan"),
+    ("dim A = abc", "dim A must be an integer, not 'abc'"),
+])
+def test_check_unreadable_backend_line_names_it(tmp_path, capsys, line, message):
+    path = tmp_path / "sig.txt"
+    path.write_text("category symmetric\nobject A\nmor u : A -> A\n"
+                    f"backend matrix\n{line}\ndim A = 1\nmat u = [[1]]\n", encoding="utf-8")
+    assert run(["check", "--sig", str(path), "--method", "matrix", "u", "u"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: line 5: {message}\n"
 
 
 def test_import_leaves_numpy_out():
@@ -527,3 +553,122 @@ def test_module_entry_point_exits_2():
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on damaged input
+# ---------------------------------------------------------------------------
+
+CONTRACT_SIG_TEXT = STD_SIG_TEXT + """
+backend matrix
+dim A = 2
+dim B = 2
+dim C = 1
+mat f = [[1, 0], [0, 1i]]
+mat g = [[1, 1]]
+mat h = [[1], [0.5]]
+mat u = [[1, 1], [0, 1]]
+mat p = [[1, 0, 0, 1]]
+mat q = [[1], [0], [0], [1]]
+mat k = [[0, 1], [1, 0]]
+inv k = [[0, 1], [1, 0]]
+mat w = [[0, 1], [1, 0]]
+inv w = [[0, 1], [1, 0]]
+mat s = [[1], [1]]
+mat e = [[1, 0]]
+
+backend rel
+size A = 2
+size B = 2
+size C = 1
+rel f = {(0,0), (1,1)}
+rel g = {(0,0)}
+rel h = {(0,1)}
+rel u = {(0,0), (0,1)}
+rel p = {(0,0), (3,0)}
+rel q = {(0,2)}
+rel k = {(0,1), (1,0)}
+rel w = {(0,1), (1,0)}
+rel s = {(0,1)}
+rel e = {(1,0)}
+"""
+CONTRACT_SIG = parse_signature(CONTRACT_SIG_TEXT)
+METHODS = ("monoidal", "cat_easy", "matrix", "rel")
+DAMAGE = ("none", "cut", "extra (", "extra )", "missing paren", "undeclared name")
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "sig.txt").write_text(CONTRACT_SIG_TEXT, encoding="utf-8")
+    return path
+
+
+def _damaged(text: str, how: str, at: float) -> str:
+    """``text`` damaged as ``how`` says, at the place that ``at`` in [0, 1) picks."""
+
+    if how == "missing paren":
+        spots = [i for i, c in enumerate(text) if c in "()"]
+    elif how == "undeclared name":
+        spots = [m.span() for m in re.finditer(r"[A-Za-z_]\w*", text)]
+    else:
+        spots = range(len(text) + 1)
+    if how == "none" or not spots:
+        return text
+    spot = spots[int(at * len(spots))]
+    if how == "cut":
+        return text[:spot]
+    if how == "missing paren":
+        return text[:spot] + text[spot + 1:]
+    if how == "undeclared name":
+        return text[:spot[0]] + "nosuch" + text[spot[1]:]
+    return text[:spot] + how[-1] + text[spot:]  # an extra "(" or ")"
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(DAMAGE), st.floats(0, 1, exclude_max=True),
+       st.sampled_from([*METHODS, *(f"batch {m}" for m in METHODS), "normalize", "render"]))
+def test_cli_contract_on_damaged_input(contract_dir, seed, how, at, command):
+    # whatever the input, the exit code is 0, 1 or 2, no traceback is printed, a
+    # failed run says why on one "error:" line, and a batch names each failing line;
+    # time budget: 3 s (the 300 examples take about 1.1 s on one Xeon core)
+    rng = Random(seed)
+    good = print_expr(random_term(rng, CONTRACT_SIG, max_leaves=rng.randint(1, 5)))
+    bad = _damaged(good, how, at)
+    sig = str(contract_dir / "sig.txt")
+    if command.startswith("batch"):
+        batch = contract_dir / "pairs.txt"
+        batch.write_text(f"{bad} == {good}\n{good} == {good}\n{good} == {bad}\n",
+                         encoding="utf-8")
+        argv = ["check", "--sig", sig, "--method", command.split()[1], "--batch", str(batch)]
+    elif command == "normalize":
+        argv = ["normalize", "--sig", sig, bad]
+    elif command == "render":
+        argv = ["render", "--sig", sig, "-o", str(contract_dir / "out.svg"), bad]
+    else:
+        argv = ["check", "--sig", sig, "--method", command, bad, good]
+    code, out, err = _run(argv)
+    event(f"{command.split()[0]} exits {code}")  # see --hypothesis-show-statistics
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out and "Traceback" not in err
+    if command.startswith("batch"):
+        assert err == ""
+        verdicts = [re.match(r"\[(ok|FAIL)\] |\[error\] (.*?):(\d+): ", line) for line in
+                    out.splitlines()]
+        assert all(verdicts) and len(verdicts) == 3
+        erred = [int(m[3]) for m in verdicts if m[2] is not None]
+        assert all(m[2] == str(batch) for m in verdicts if m[2] is not None)
+        assert set(erred) <= {1, 3}  # only the damaged lines can err
+        assert code == (2 if erred else 1 if "[FAIL]" in out else 0)
+    elif code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+

@@ -270,6 +270,34 @@ def test_invalid_backend_data():
         matrix_instance(bad_inv)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+def test_tolerance_must_be_finite_and_at_least_0(tol):
+    # a NaN tolerance would make every matrix verdict "unequal" and fail a coherence
+    # condition at deviation 0.0; an infinite one would make every pair equal
+    with pytest.raises(InvalidBackendData, match="^tolerance must be finite and at least 0"):
+        matrix_instance(BACKEND_SIG, tol)
+    with pytest.raises(InvalidBackendData, match="^tolerance must be finite and at least 0"):
+        MatrixInstance(BACKEND_SIG, {"A": 2, "B": 3, "C": 4}, {}, tolerance=tol)
+    assert matrix_instance(BACKEND_SIG, 0.0).tolerance == 0.0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tolerance nan", "line 5: tolerance must be finite and at least 0, not nan"),
+    ("tolerance -1e-9", "line 5: tolerance must be finite and at least 0, not -1e-09"),
+    ("tolerance abc", "line 5: tolerance must be a number, not 'abc'"),
+    ("dim A = abc", "line 5: dim A must be an integer, not 'abc'"),
+    ("dim A = 1.5", "line 5: dim A must be an integer, not '1.5'"),
+    ("size A = x", "line 5: size A must be an integer, not 'x'"),
+])
+def test_unreadable_backend_number_names_its_line(line, message):
+    kind = "rel" if line.startswith("size") else "matrix"
+    sig = parse_signature(f"category symmetric\nobject A\nmor f : A -> A\n"
+                          f"backend {kind}\n{line}\n")
+    with pytest.raises(InvalidBackendData) as err:
+        (rel_instance if kind == "rel" else matrix_instance)(sig)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Relations
 # ---------------------------------------------------------------------------
