@@ -67,8 +67,8 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
 
 def _cmd_check(args) -> int:
     sig = _load_signature(args.sig)
-    # one backend instance per run, built once the first pair to need it has parsed;
-    # ``semantics`` (and numpy) loads on its first attribute access, here or in _check_pair
+    # one backend instance per run, built for the first pair to need it (once that pair has
+    # parsed, outside a batch); ``semantics`` (and numpy) loads on its first attribute access
     backend = cache(lambda: semantics.matrix_instance(sig, args.tolerance)
                     if args.method == "matrix" else semantics.rel_instance(sig))
     if args.batch:
@@ -76,6 +76,8 @@ def _cmd_check(args) -> int:
             text = fh.read()
         code = 0  # the worst outcome so far: 1 a pair unequal, 2 a pair erred
         for line_no, line in _logical_lines(text, ()):
+            if args.method in ("matrix", "rel"):
+                backend()  # one for every pair: an error building it ends the run
             left, eq, right = (side.strip() for side in line.partition("=="))
             try:
                 if not eq:
@@ -274,8 +276,13 @@ def _cmd_repl(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgParser(argparse.ArgumentParser):  # subcommand parsers are of the same class
+    def error(self, message: str):  # one "error:" line and exit code 2, as any other error
+        self.exit(2, f"error: {' '.join(message.split())} (see {self.prog} --help)\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="monocat",
         description="monoidal-category terms: normalize, rewrite, check, draw")
     sub = ap.add_subparsers(dest="command", required=True)

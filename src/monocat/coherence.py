@@ -4,6 +4,7 @@ A term is flattened into a :class:`Sheet`: a list of layers over a list
 of wires, with associators and unitors erased (their flattened domain
 and codomain coincide) and generators, inverses and braidings kept as
 opaque boxes, in two flat passes over the term (:func:`sheet_of_term`).
+A layer holds its boxes and the names of the wires passing through it.
 :func:`canonicalize` slides every box as far left as the wires allow
 and drops wire-only layers; two terms with the same boundary are equal
 up to monoidal structure whenever their normal forms are structurally
@@ -60,28 +61,21 @@ WireList = tuple[str, ...]
 
 
 @record(frozen=True)
-class WireSlot:
-    """One wire passing through a layer unchanged."""
-
-    obj: str
-
-
-@record(frozen=True)
 class BoxSlot:
-    """A box consuming ``ins`` and producing ``outs`` inside one layer."""
+    """A box consuming ``ins`` and producing ``outs``; a layer's other slots are wire names."""
 
     label: str
     ins: WireList
     outs: WireList
 
 
-Slot = WireSlot | BoxSlot
+Slot = str | BoxSlot  # a wire is its name
 Layer = tuple[Slot, ...]
 
 
 @record(frozen=True)
 class Sheet:
-    """Flattened diagram: layers of slots over an input wire list."""
+    """Flattened diagram: layers of boxes and wire names over an input wire list."""
 
     input: WireList
     layers: tuple[Layer, ...]
@@ -142,7 +136,7 @@ def flatten_object(obj: ObjExpr) -> WireList:
 
 
 def slot_out(slot: Slot) -> WireList:
-    return (slot.obj,) if isinstance(slot, WireSlot) else slot.outs
+    return slot.outs if slot.__class__ is BoxSlot else (slot,)
 
 
 def layer_output(layer: Layer) -> WireList:
@@ -169,8 +163,8 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
     ``*``.  The second, parents first, hands each node its first layer and
     extent: ``*`` gives both factors its own, ``;`` its first factor that
     one's count and its second the rest.  Each atom appends its box, then
-    its output wires to each layer left, top factor first, so a sheet takes
-    time linear in its slots.  Each atom and each output list is looked up once.
+    its output wire names to each layer left, top factor first, so a sheet
+    takes time linear in its slots.  Each distinct atom is looked up once.
     """
 
     ty = typecheck(term, sig)
@@ -179,8 +173,8 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
         kids.append(len(nodes) if t.__class__ is Comp or t.__class__ is Tensor else 0)
         if kids[-1]:
             nodes += t.__dict__.values()
-    counts, leaves = [0] * len(nodes), [None] * len(nodes)  # layer count; an atom's (ins, box, pad)
-    atoms, pads = {}, {}  # atom -> its leaf; wire list -> wire slots
+    counts, leaves = [0] * len(nodes), [None] * len(nodes)  # layer count; an atom's (ins, box, outs)
+    atoms = {}  # atom -> its leaf
     for i in range(len(nodes) - 1, -1, -1):
         t, k = nodes[i], kids[i]
         if k:
@@ -196,9 +190,7 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
                 fa, fb = map(flatten_object, node_fields(t))
                 # a unit-like half permutes nothing in any lawful backend: no box
                 label = fa and fb and f"{STRUCTURAL[cls][0]}([{','.join(fa)}],[{','.join(fb)}])"
-            if outs not in pads:
-                pads[outs] = tuple(map(WireSlot, outs))
-            leaf = atoms[t] = ins, BoxSlot(label, ins, outs) if label else None, pads[outs]
+            leaf = atoms[t] = ins, BoxSlot(label, ins, outs) if label else None, outs
         leaves[i], counts[i] = leaf, 0 if leaf[1] is None else 1
     layers: list[list[Slot]] = [[] for _ in range(counts[0])]
     front: list[str] = []  # inputs of the atoms reached through no ';''s second factor
@@ -213,14 +205,14 @@ def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
             else:
                 todo.append((k + 1, first, extent, on_front))
             i = k
-        ins, box, pad = leaves[i]
+        ins, box, outs = leaves[i]
         if on_front:
             front += ins
         if box is not None:
             layers[first].append(box)
             first, extent = first + 1, extent - 1
         for k in range(first, first + extent):
-            layers[k] += pad
+            layers[k] += outs
     assert tuple(front) == flatten_object(ty.dom)
     return Sheet(tuple(front), tuple(map(tuple, layers)))
 
@@ -267,7 +259,7 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
         pos = 0
         last = -1  # the last id (or placeholder) placed in this layer so far
         for slot in layer:
-            if isinstance(slot, WireSlot):
+            if slot.__class__ is not BoxSlot:
                 last = boundary[pos]
                 nxt.append(last)
                 nxt_gaps.append(gaps[pos + 1])
@@ -311,7 +303,6 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
     due: dict[int, list[tuple[int, BoxSlot, range]]] = {}  # layer -> (rank, box, output ids), last first
     for at, first, slot, outs in sorted(scalars, key=lambda s: rank[s[1]], reverse=True):
         due.setdefault(at, []).append((rank[first], slot, outs))
-    wire_slot = {name: WireSlot(name) for name in set(names)}
     kept = []
     boundary = list(range(len(sheet.input)))
     depth = max([at for at, _, _ in placed.values()] + [at for at, *_ in scalars], default=-1)
@@ -333,7 +324,7 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
                 nxt += box[2]
                 i += len(box[1].ins)
             else:
-                slots.append(wire_slot[names[w]])
+                slots.append(names[w])
                 nxt.append(w)
                 i += 1
         kept.append(tuple(slots))
@@ -347,8 +338,8 @@ def shared_boundary(t1: MorExpr, t2: MorExpr, sig: Signature) -> None:
 
     ty1, ty2 = typecheck(t1, sig), typecheck(t2, sig)
     if ty1.dom is not ty2.dom or ty1.cod is not ty2.cod:
-        raise TypeMismatch("terms do not share a boundary type: "
-                           f"{_ty_text(ty1)} vs {_ty_text(ty2)}")
+        a, b = (f"{print_obj(ty.dom, True)} -> {print_obj(ty.cod, True)}" for ty in (ty1, ty2))
+        raise TypeMismatch(f"terms do not share a boundary type: {a} vs {b}")
 
 
 def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
@@ -362,17 +353,13 @@ def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:
     return NotDecided(nf1, nf2)
 
 
-def _ty_text(ty) -> str:
-    return f"{print_obj(ty.dom, True)} -> {print_obj(ty.cod, True)}"
-
-
 def dump_normal_form(nf: NormalForm) -> str:
     """Stable one-line textual dump, used by the CLI and golden tests."""
 
     def slot_text(slot: Slot) -> str:
-        if isinstance(slot, WireSlot):
-            return f"wire({slot.obj})"
-        return f"{slot.label}([{','.join(slot.ins)}]->[{','.join(slot.outs)}])"
+        if slot.__class__ is BoxSlot:
+            return f"{slot.label}([{','.join(slot.ins)}]->[{','.join(slot.outs)}])"
+        return f"wire({slot})"
 
     layers = ", ".join("[" + "|".join(slot_text(s) for s in layer) + "]" for layer in nf.layers)
     return (f"in=[{','.join(nf.input)}]; layers=[{layers}]; out=[{','.join(nf.output)}]")

@@ -20,6 +20,7 @@ unitors move no wire and cost nothing.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import field
@@ -368,11 +369,13 @@ _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 def _parse_complex(text: str, where: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    try:
-        return complex(cleaned)
+    try:  # a NaN or infinite entry would make a term unequal to itself
+        value = complex(text.strip().replace(" ", "").replace("i", "j"))
+        if cmath.isfinite(value):
+            return value
     except ValueError:
-        raise InvalidBackendData(f"bad complex number {text.strip()!r} in {where}") from None
+        pass
+    raise InvalidBackendData(f"bad complex number {text.strip()!r} in {where}")
 
 
 def _parse_matrix(text: str, where: str) -> np.ndarray:

@@ -13,6 +13,7 @@ window never crosses a tensor boundary.
 
 from __future__ import annotations
 
+from .coherence import shared_boundary
 from .parser import RewriteRule, print_expr
 from .terms import (
     CatError,
@@ -27,7 +28,6 @@ from .terms import (
     Signature,
     Tensor,
     Typer,
-    TypeMismatch,
     comp_chain,
     fold,
     iso_inverse,
@@ -394,9 +394,7 @@ def cat_easy(t1: MorExpr, t2: MorExpr, sig: Signature) -> Proved | NotProved:
     foliate both sides, then compare syntactically (by printed text, which
     parses back to exactly its term)."""
 
-    if typecheck(t1, sig) != typecheck(t2, sig):
-        raise TypeMismatch("cat_easy goals must share a boundary type")
-
+    shared_boundary(t1, t2, sig)
     trace: list[TraceStep] = []
 
     def pipeline(t: MorExpr, side: str) -> str:

@@ -20,14 +20,13 @@ from monocat.coherence import (
     NormalForm,
     Sheet,
     Slot,
-    WireSlot,
     layer_output,
     slot_out,
 )
 
 
 def slot_in(slot: Slot):
-    return (slot.obj,) if isinstance(slot, WireSlot) else slot.ins
+    return (slot,) if isinstance(slot, str) else slot.ins
 
 
 def _scalar_edge(prev: list[Slot] | Layer, start: int) -> int | None:
@@ -51,7 +50,7 @@ def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
         if j is None:
             return False
         prev.insert(j, box)
-        layers[k][i:i + 1] = [WireSlot(w) for w in box.outs]
+        layers[k][i:i + 1] = list(box.outs)
         return True
 
     covering: list[int] = []
@@ -59,7 +58,7 @@ def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
     for j, slot in enumerate(prev):
         w = len(slot_out(slot))
         if pos < start + width and pos + w > start:
-            if not isinstance(slot, WireSlot):
+            if not isinstance(slot, str):
                 return False
             covering.append(j)
         pos += w
@@ -67,7 +66,7 @@ def _try_move(layers: list[list[Slot]], k: int, i: int) -> bool:
         return False
     j0 = covering[0]
     prev[j0:j0 + width] = [box]
-    layers[k][i:i + 1] = [WireSlot(w) for w in box.outs]
+    layers[k][i:i + 1] = list(box.outs)
     return True
 
 
@@ -115,7 +114,7 @@ def check_normal_form(nf: NormalForm) -> None:
         pos = 0
         for slot in layer:
             n = len(slot_in(slot))
-            if isinstance(slot, WireSlot):
+            if isinstance(slot, str):
                 nxt.append(produced[pos])
             elif n:
                 latest = max(produced[pos:pos + n])

@@ -153,11 +153,6 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class WireSlot:
-    obj: str
-
-
-@dataclass(frozen=True)
 class BoxSlot:
     label: str
     ins: WireList
@@ -312,7 +307,7 @@ class ReplState:
 TWINS = {getattr(module, name): globals()[name] for module, names in (
     (terms, "Unit ObjGen ObjTensor ObjVar MorGen Id Comp Tensor Assoc AssocInv LUnit LUnitInv "
             "RUnit RUnitInv Braid BraidInv Inv MorVar MorType MorDecl BackendBlock Signature"),
-    (coherence, "WireSlot BoxSlot Sheet NormalForm Equal NotDecided"),
+    (coherence, "BoxSlot Sheet NormalForm Equal NotDecided"),
     (parser, "SourceSpan RewriteRule RuleFile"),
     (render, "RenderConfig LayoutNode"),
     (semantics, "MatrixInstance RelInstance ConditionResult"),

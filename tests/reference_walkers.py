@@ -17,7 +17,6 @@ from monocat.coherence import (
     Layer,
     Sheet,
     WireList,
-    WireSlot,
     flatten_object,
     layer_output,
 )
@@ -89,7 +88,7 @@ def reference_print_expr(term: MorExpr) -> str:
 
 
 def _wire_layer(wires: WireList) -> Layer:
-    return tuple(WireSlot(w) for w in wires)
+    return tuple(wires)
 
 
 def reference_sheet(term: MorExpr, sig: Signature) -> Sheet:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from gen import STD_SIG_TEXT, random_term
+from monocat import semantics
 from monocat.cli import ReplState, repl_step, run
 from monocat.parser import parse_expr, parse_signature, print_expr
 
@@ -122,9 +123,24 @@ def test_check_usage_and_input_errors(sig_path, capsys):
     capsys.readouterr()
 
 
-def test_usage_error_exit_2():
-    assert run(["check"]) == 2       # missing required args
-    assert run(["frobnicate"]) == 2  # unknown subcommand
+def test_usage_error_exit_2(capsys):
+    # an argparse usage error is one "error:" line on stderr, as every other error
+    check, top = re.escape(" (see monocat check --help)"), re.escape(" (see monocat --help)")
+    for argv, pattern in [
+        (["check"], re.escape("the following arguments are required: --sig, --method") + check),
+        # Python versions write the list of choices differently
+        (["frobnicate"], re.escape("argument command: invalid choice: 'frobnicate' (choose from ")
+         + r"[^\n]*\)" + top),
+        (["check", "--sig", "s", "--method", "matrix", "--tolerance", "-inf", "u", "u"],
+         re.escape("argument --tolerance: expected one argument") + check),
+        ([], re.escape("the following arguments are required: command") + top),
+    ]:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.fullmatch(f"error: {pattern}\n", captured.err), captured.err
+    assert run(["check", "--help"]) == 0  # help is no error
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: monocat check") and captured.err == ""
 
 
 def test_foliate_worked_example(sig_path, capsys):
@@ -374,6 +390,26 @@ def test_batch_check_error_and_empty(sig_path, tmp_path, capsys):
         assert run(["check", "--sig", str(bare), "--method", method,
                     "--batch", str(batch)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_batch_builds_the_backend_once_and_stops_when_it_cannot(sig_path, tmp_path, capsys,
+                                                                 monkeypatch):
+    # the backend is the same for every pair: a batch builds it at most once, and
+    # when it cannot be built the run ends on one "error:" line, not one per pair
+    calls = []
+    built = semantics.matrix_instance
+    monkeypatch.setattr(semantics, "matrix_instance", lambda *a: calls.append(a) or built(*a))
+    batch = tmp_path / "pairs.txt"
+    batch.write_text("u == u\nu ; u == u\nk == k\n", encoding="utf-8")
+    argv = ["check", "--sig", sig_path, "--method", "matrix", "--batch", str(batch)]
+    assert run([*argv, "--tolerance", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be finite and at least 0, not nan\n"
+    assert len(calls) == 1
+    assert run(argv) == 1
+    assert capsys.readouterr().out == "[ok] u == u\n[FAIL] u ; u == u\n[ok] k == k\n"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -632,43 +668,173 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_contract(code: int, out: str, err: str, batch: Path | None = None) -> list[int]:
+    """Whatever the input, the exit code is 0, 1 or 2 and no traceback is printed; a
+    failed run says why on one "error:" line; a batch that runs to its end prints one
+    verdict per pair and names each failing line.  Returns the batch lines that erred."""
+
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out and "Traceback" not in err
+    if batch is None or err:
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert err == ""
+        return []
+    verdicts = [re.match(r"\[(ok|FAIL)\] |\[error\] (.*?):(\d+): ", line) for line in
+                out.splitlines()]
+    assert all(verdicts) and len(verdicts) == 3
+    erred = [int(m[3]) for m in verdicts if m[2] is not None]
+    assert all(m[2] == str(batch) for m in verdicts if m[2] is not None)
+    assert code == (2 if erred else 1 if "[FAIL]" in out else 0)
+    return erred
+
+
+COMMANDS = [*METHODS, *(f"batch {m}" for m in METHODS), "normalize", "render"]
+
+
+def _argv(command: str, path: Path, lhs: str, rhs: str) -> list[str]:
+    """The argv of ``command`` on the signature and batch file in ``path``."""
+
+    sig = str(path / "sig.txt")
+    if command.startswith("batch"):
+        batch = path / "pairs.txt"
+        batch.write_text(f"{lhs} == {rhs}\n{rhs} == {rhs}\n{rhs} == {lhs}\n", encoding="utf-8")
+        return ["check", "--sig", sig, "--method", command.split()[1], "--batch", str(batch)]
+    if command == "normalize":
+        return ["normalize", "--sig", sig, lhs]
+    if command == "render":
+        return ["render", "--sig", sig, "-o", str(path / "out.svg"), lhs]
+    return ["check", "--sig", sig, "--method", command, lhs, rhs]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 16), st.sampled_from(DAMAGE), st.floats(0, 1, exclude_max=True),
-       st.sampled_from([*METHODS, *(f"batch {m}" for m in METHODS), "normalize", "render"]))
+       st.sampled_from(COMMANDS))
 def test_cli_contract_on_damaged_input(contract_dir, seed, how, at, command):
-    # whatever the input, the exit code is 0, 1 or 2, no traceback is printed, a
-    # failed run says why on one "error:" line, and a batch names each failing line;
     # time budget: 3 s (the 300 examples take about 1.1 s on one Xeon core)
     rng = Random(seed)
     good = print_expr(random_term(rng, CONTRACT_SIG, max_leaves=rng.randint(1, 5)))
-    bad = _damaged(good, how, at)
-    sig = str(contract_dir / "sig.txt")
-    if command.startswith("batch"):
-        batch = contract_dir / "pairs.txt"
-        batch.write_text(f"{bad} == {good}\n{good} == {good}\n{good} == {bad}\n",
-                         encoding="utf-8")
-        argv = ["check", "--sig", sig, "--method", command.split()[1], "--batch", str(batch)]
-    elif command == "normalize":
-        argv = ["normalize", "--sig", sig, bad]
-    elif command == "render":
-        argv = ["render", "--sig", sig, "-o", str(contract_dir / "out.svg"), bad]
-    else:
-        argv = ["check", "--sig", sig, "--method", command, bad, good]
+    argv = _argv(command, contract_dir, _damaged(good, how, at), good)
     code, out, err = _run(argv)
     event(f"{command.split()[0]} exits {code}")  # see --hypothesis-show-statistics
-    assert code in (0, 1, 2)
-    assert "Traceback" not in out and "Traceback" not in err
-    if command.startswith("batch"):
+    batch = contract_dir / "pairs.txt" if command.startswith("batch") else None
+    erred = _assert_contract(code, out, err, batch)
+    if batch is not None:
         assert err == ""
-        verdicts = [re.match(r"\[(ok|FAIL)\] |\[error\] (.*?):(\d+): ", line) for line in
-                    out.splitlines()]
-        assert all(verdicts) and len(verdicts) == 3
-        erred = [int(m[3]) for m in verdicts if m[2] is not None]
-        assert all(m[2] == str(batch) for m in verdicts if m[2] is not None)
         assert set(erred) <= {1, 3}  # only the damaged lines can err
-        assert code == (2 if erred else 1 if "[FAIL]" in out else 0)
-    elif code == 2:
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    else:
-        assert err == ""
 
+
+ARGV_DAMAGE = ("drop option", "drop value", "unknown option", "repeat option", "drop expression",
+               "extra expression", "tolerance nan", "tolerance -inf", "tolerance -1")
+
+
+def _damaged_argv(argv: list[str], how: str, rng: Random, path: Path) -> list[str]:
+    """``argv`` with one option or operand missing, unknown or repeated, or with
+    ``--tolerance`` set out of range, at the place that ``rng`` picks."""
+
+    argv = list(argv)
+    options = [i for i, a in enumerate(argv) if a.startswith("-")]  # each takes a value here
+    operands = [i for i in range(1, len(argv)) if i not in options and i - 1 not in options]
+    missing = str(path / "missing")
+    if how == "drop option":
+        i = rng.choice(options)
+        del argv[i:i + 2]
+    elif how == "drop value":
+        del argv[rng.choice(options) + 1]
+    elif how == "unknown option":
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["--json", "--stats", "-x", "--"]))
+    elif how == "repeat option":
+        i = rng.choice(options)
+        value = rng.choice({"--sig": [missing], "--method": [*METHODS, "bogus"],
+                            "--batch": [missing], "-o": [str(path)]}.get(argv[i], [argv[i + 1]]))
+        j = rng.choice(options)  # before an option, so that no option loses its value
+        argv[j:j] = [argv[i], value]
+    elif how == "drop expression":
+        del argv[rng.choice(operands or options)]  # a batch has none: its flag goes
+    elif how == "extra expression":
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["u", "f ; g", "nosuch"]))
+    else:  # argparse takes "-inf" for an option unless it is joined to its flag
+        value = how.split()[1]
+        argv[1:1] = rng.choice([["--tolerance", value], [f"--tolerance={value}"]])
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(ARGV_DAMAGE), st.sampled_from(COMMANDS))
+def test_cli_contract_on_damaged_argv(contract_dir, seed, how, command):
+    # missing, unknown or repeated options and operands, and tolerances out of range;
+    # time budget: 3 s (the 200 examples take about 0.7 s on one Xeon core)
+    rng = Random(seed)
+    lhs, rhs = (print_expr(random_term(rng, CONTRACT_SIG, max_leaves=rng.randint(1, 5)))
+                for _ in range(2))
+    rhs = rng.choice([lhs, rhs])
+    argv = _damaged_argv(_argv(command, contract_dir, lhs, rhs), how, rng, contract_dir)
+    code, out, err = _run(argv)
+    event(f"{how} exits {code}")
+    _assert_contract(code, out, err, contract_dir / "pairs.txt" if "--batch" in argv else None)
+
+
+SIG_DAMAGE = ("drop line", "repeat line", "garble line", "bad level", "bad matrix")
+#: Garbling writes no digit, so no dimension grows
+GARBLE = "()[]{},;:=*#?!x_ ->\t\u00e9"
+BAD_ENTRIES = ("nan", "1e999", "-1e999i", "1 + nani", "x", "")
+
+
+def _bad_matrix(literal: str, rng: Random) -> str:
+    """``literal`` with one entry made bad, one row dropped or lengthened, or cut short."""
+
+    how = rng.choice(["entry", "entry", "entry", "drop row", "long row", "cut"])
+    if how == "cut":
+        return literal[:rng.randrange(len(literal))]
+    spot = rng.choice(list(re.finditer(r"[^][,\s][^][,]*" if how == "entry" else r"\[[^][]*\]",
+                                       literal)))
+    new = {"entry": rng.choice(BAD_ENTRIES), "drop row": "", "long row": spot[0][:-1] + ", 0]"}
+    return literal[:spot.start()] + new[how] + literal[spot.end():]
+
+
+def _mutated_signature(text: str, how: str, rng: Random, used: str) -> str:
+    """``text`` with one line dropped, repeated or garbled, its category level
+    changed, or one matrix literal made bad (of a morphism named in ``used``, if any)."""
+
+    lines = text.splitlines()
+    if how in ("bad level", "bad matrix"):
+        prefix = "category " if how == "bad level" else rng.choice(["mat ", "mat ", "inv "])
+        spots = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        i = rng.choice([i for i in spots if lines[i].split()[1] in used.split()] or spots)
+        if how == "bad level":
+            lines[i] = prefix + rng.choice(["", "frobenius", "symmetric braided", "Symmetric",
+                                            "plain", "monoidal", "braided"])
+        else:
+            head, eq, literal = lines[i].partition("=")
+            lines[i] = head + eq + _bad_matrix(literal, rng)
+        return "\n".join(lines)
+    i = rng.randrange(len(lines))
+    if how == "drop line":
+        del lines[i]
+    elif how == "repeat line":
+        lines.insert(i, lines[i])
+    else:
+        line, at = lines[i], rng.randint(0, len(lines[i]))
+        lines[i] = rng.choice([line[:at], line[:at] + rng.choice(GARBLE) + line[at:],
+                               line[:at] + rng.choice(GARBLE) + line[at + 1:],
+                               line[:at] + line[at + 1:]])
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(SIG_DAMAGE), st.sampled_from(COMMANDS))
+def test_cli_contract_on_mutated_signature(tmp_path_factory, seed, how, command):
+    # signature texts with lines dropped, repeated or garbled, bad levels and bad
+    # matrices; time budget: 3 s (the 200 examples take about 0.8 s on one Xeon core)
+    rng = Random(seed)
+    path = tmp_path_factory.getbasetemp() / "mutated"
+    path.mkdir(exist_ok=True)
+    good = print_expr(random_term(rng, CONTRACT_SIG, max_leaves=rng.randint(1, 5)))
+    used = re.sub(r"\W", " ", good)
+    (path / "sig.txt").write_text(_mutated_signature(CONTRACT_SIG_TEXT, how, rng, used),
+                                  encoding="utf-8")
+    code, out, err = _run(_argv(command, path, good, good))
+    event(f"{how} exits {code}")
+    _assert_contract(code, out, err, path / "pairs.txt" if command.startswith("batch") else None)
+    assert code != 1  # every pair is a term and itself: whatever the signature, never unequal

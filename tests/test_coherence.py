@@ -26,7 +26,6 @@ from monocat.coherence import (
     NormalForm,
     NotDecided,
     Sheet,
-    WireSlot,
     _sweep,
     canonicalize,
     dump_normal_form,
@@ -70,15 +69,30 @@ def test_sheet_single_generator(sig):
 
 def test_sheet_tensor_with_identity(sig):
     sheet = sheet_of_term(parse_expr("f * id[C]", sig), sig)
-    assert sheet.layers == ((BoxSlot("f", ("A",), ("B",)), WireSlot("C")),)
+    assert sheet.layers == ((BoxSlot("f", ("A",), ("B",)), "C"),)
+
+
+def test_every_wire_slot_is_its_name(sig):
+    # a wire passing through a layer is the str flatten_object returns, in
+    # sheets and in normal forms alike; every other slot is a BoxSlot
+    terms_ = [parse_expr(text, sig) for text in ("f * id[C]", "braid[A,B] ; (g * id[A])")]
+    terms_ += [t for seed in range(40) for t in interchange_pair(seed, sig)]
+    wires = [0, 0]
+    for t in terms_:
+        sheet = sheet_of_term(t, sig)
+        for i, layers in enumerate((sheet.layers, canonicalize(sheet).layers)):
+            for slot in (slot for layer in layers for slot in layer):
+                assert type(slot) is str or type(slot) is BoxSlot, slot
+                wires[i] += type(slot) is str
+    assert min(wires) > 10, wires
 
 
 def test_layer_output_concatenates_slot_outputs():
-    layer = (WireSlot("A"), BoxSlot("e", ("A",), ()), BoxSlot("f", ("A",), ("B",)),
-             WireSlot("C"), BoxSlot("q", ("C",), ("B", "A")), BoxSlot("s", (), ()), WireSlot("B"))
+    layer = ("A", BoxSlot("e", ("A",), ()), BoxSlot("f", ("A",), ("B",)),
+             "C", BoxSlot("q", ("C",), ("B", "A")), BoxSlot("s", (), ()), "B")
     expected: tuple = ()
     for slot in layer:
-        expected += (slot.obj,) if isinstance(slot, WireSlot) else slot.outs
+        expected += (slot,) if isinstance(slot, str) else slot.outs
     assert layer_output(layer) == expected == ("A", "B", "C", "B", "A", "B")
     assert layer_output(()) == ()
 
@@ -362,9 +376,9 @@ def _sheet_padded_at_start(term, sig):
             top, bottom = build(t.top), build(t.bottom)
             tl, bl = list(top.layers), list(bottom.layers)
             while len(tl) < len(bl):
-                tl.insert(0, tuple(WireSlot(w) for w in top.input))
+                tl.insert(0, top.input)
             while len(bl) < len(tl):
-                bl.insert(0, tuple(WireSlot(w) for w in bottom.input))
+                bl.insert(0, bottom.input)
             return Sheet(top.input + bottom.input,
                          tuple(ta + tb for ta, tb in zip(tl, bl)))
         return base(t, sig)
@@ -503,7 +517,7 @@ def _random_sheet(rng: Random, width: int, depth: int, scalars: float = 0.0,
             if pos == len(boundary):
                 break
             if rng.random() < 0.6:
-                slots.append(WireSlot(boundary[pos]))
+                slots.append(boundary[pos])
                 pos += 1
                 made += 1
                 continue
@@ -540,7 +554,7 @@ def _sheet_matrix(layers, wires, boxes: dict, rng: Random) -> np.ndarray:
     for layer in layers:
         step = np.ones((1, 1))
         for slot in layer:
-            if isinstance(slot, WireSlot):
+            if isinstance(slot, str):
                 step = np.kron(step, np.eye(2))
                 continue
             if slot.label not in boxes:
@@ -602,12 +616,12 @@ def test_scalar_on_a_wide_staircase_is_linear():
 def test_check_normal_form_allows_only_an_effect_to_hold_a_box_back():
     box_p = BoxSlot("p", ("A", "B"), ("C",))
     held = NormalForm(("A", "A", "B"), ("C",), (
-        (WireSlot("A"), BoxSlot("e", ("A",), ()), WireSlot("B")),
+        ("A", BoxSlot("e", ("A",), ()), "B"),
         (box_p,)))
     check_normal_form(held)
     # an effect beside the inputs, not between them, holds nothing back
     late = NormalForm(("A", "A", "B"), ("C",), (
-        (BoxSlot("e", ("A",), ()), WireSlot("A"), WireSlot("B")),
+        (BoxSlot("e", ("A",), ()), "A", "B"),
         (box_p,)))
     with pytest.raises(AssertionError, match="box p at layer 1, expected 0"):
         check_normal_form(late)
@@ -617,10 +631,10 @@ def test_check_normal_form_checks_where_a_scalar_may_enter():
     box_s = BoxSlot("s", (), ("A",))
     q = BoxSlot("q", ("C",), ("B", "A"))
     # between q's outputs: s may not enter q's layer
-    inside = NormalForm(("C",), ("B", "A", "A"), ((q,), (WireSlot("B"), box_s, WireSlot("A"))))
+    inside = NormalForm(("C",), ("B", "A", "A"), ((q,), ("B", box_s, "A")))
     check_normal_form(inside)
     # at the edge after q's outputs: s could enter q's layer
-    beside = NormalForm(("C",), ("B", "A", "A"), ((q,), (WireSlot("B"), WireSlot("A"), box_s)))
+    beside = NormalForm(("C",), ("B", "A", "A"), ((q,), ("B", "A", box_s)))
     with pytest.raises(AssertionError, match="box s without inputs could enter layer 0"):
         check_normal_form(beside)
     # an effect on the same edge holds s back

@@ -288,6 +288,9 @@ def test_tolerance_must_be_finite_and_at_least_0(tol):
     ("dim A = abc", "line 5: dim A must be an integer, not 'abc'"),
     ("dim A = 1.5", "line 5: dim A must be an integer, not '1.5'"),
     ("size A = x", "line 5: size A must be an integer, not 'x'"),
+    # a NaN or infinite entry made every check of a term against itself "unequal"
+    *((f"mat f = [[{x}]]", f"bad complex number {x!r} in mat f (line 5)")
+      for x in ("nan", "1e999", "-1e999i", "1 + nani")),
 ])
 def test_unreadable_backend_number_names_its_line(line, message):
     kind = "rel" if line.startswith("size") else "matrix"

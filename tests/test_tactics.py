@@ -246,7 +246,9 @@ def test_cat_easy_distinct_generators(sig):
 
 
 def test_cat_easy_type_mismatch(sig):
-    with pytest.raises(TypeMismatch):
+    # the same check and text as monoidal_eq and the CLI (coherence.shared_boundary)
+    with pytest.raises(TypeMismatch,
+                       match=r"^terms do not share a boundary type: A -> B vs B -> C$"):
         cat_easy(parse_expr("f", sig), parse_expr("g", sig), sig)
 
 
