@@ -58,10 +58,10 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
         return False, "unequal (matrix backend)"
     if method == "rel":
         inst = backend()
-        r1, r2 = semantics.eval_rel(t1, inst), semantics.eval_rel(t2, inst)
-        if r1 == r2:
+        difference = semantics.rel_difference(t1, t2, inst)
+        if not difference:
             return True, "equal (relation backend)"
-        return False, f"unequal (relation backend): symmetric difference {sorted(r1 ^ r2)}"
+        return False, f"unequal (relation backend): symmetric difference {difference}"
     raise CatError(f"unknown check method {method!r}")
 
 

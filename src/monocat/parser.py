@@ -583,7 +583,10 @@ def parse_signature(text: str) -> Signature:
             p.take("=", "'='")
             aliases[token] = p.take(_BUILTIN.__contains__, "compose, tensor or id")
         elif word == "backend":
-            blocks.append((p.take(_is_name, "a backend kind"), []))
+            kind = p.take(_is_name, "a backend kind")
+            if any(kind == seen for seen, _ in blocks):
+                p.fail("'backend {}' declared more than once", 1, DuplicateName)
+            blocks.append((kind, []))
             current_block = blocks[-1][1]
         else:
             name, dom, cod = p.declaration(_is_name, "a morphism name")

@@ -9,13 +9,17 @@ Both evaluators walk the term, never its normal form, so the normalizer is
 checked by independent oracles.  They share one walk by local application,
 as DisCoPy contracts diagrams (arXiv:2005.02975): a tensor is a Kronecker
 product (of matrices, or of pair sets), and ``f ; g`` applies each box of
-``g`` at its wire offset to the value of ``f``.  A matrix box is one batched
-``matmul`` on the rows its wires index.  A relation box splits each target
-into the digits ``pre / k / post`` around its wires, joins ``k`` with the
-box's pairs and writes ``(p * k' + b) * post + q`` back, dropping repeated
-pairs only after a box that maps two sources to one target.  A braiding
-permutes two row blocks or target digits; identities, associators and
-unitors move no wire and cost nothing.
+``g`` at its wire offset to the value of ``f``.  By the mixed-product
+property (Van Loan, 2000) a matrix value stays a list of Kronecker factors,
+an int n standing for the n x n identity: a box is one batched ``matmul``,
+and a braiding one transpose, on the product of only the factors its rows
+fall in.  The full matrix is formed once, at the end, and ``mat_equiv``
+compares two in row blocks small enough to need no large temporary.  A
+relation box splits each target into the digits ``pre / k / post`` around
+its wires, joins ``k`` with the box's pairs and writes
+``(p * k' + b) * post + q`` back, dropping repeated pairs only after a box
+that maps two sources to one target; a relation braiding permutes target
+digits.  Identities, associators and unitors move no wire and cost nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import cmath
 import math
 import re
 from dataclasses import field
-from functools import partial
+from functools import partial, reduce
 from random import Random
 from typing import NamedTuple
 
@@ -87,7 +91,7 @@ def braid_matrix(m: int, n: int) -> np.ndarray:
     return np.eye(m * n, dtype=complex).reshape(m, n, m * n).transpose(1, 0, 2).reshape(n * m, -1)
 
 
-_EQUIV_BLOCK = 1 << 16  # entries per row block compared by mat_equiv
+_EQUIV_BLOCK = 1 << 12  # entries per row block compared by mat_equiv
 
 
 def _block_deviations(a: np.ndarray, b: np.ndarray):
@@ -218,24 +222,79 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
     return ev(term), ty
 
 
-def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
-    """Evaluate a well-typed term to its matrix (cod x dom)."""
+def _kron(a, b):
+    """The Kronecker product of two factors, an int n > 1 standing for the
+    n x n identity, which is written as a block diagonal into zeros."""
 
-    def gen(t: MorGen | Inv) -> np.ndarray:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return a * b
+    p, m, q = (a, b, 1) if isinstance(b, np.ndarray) else (1, a, b)
+    out = np.zeros((p, len(m), q, p, m.shape[1], q), dtype=complex)
+    i, j = np.ogrid[:p, :q]
+    out[i, :, j, i, :, j] = m
+    return out.reshape(p * len(m) * q, -1)
+
+
+def _product(factors: list):
+    """The Kronecker product of a factor list: two halves, balanced by size,
+    are each folded left to right at their own size, then joined once."""
+
+    if len(factors) < 2:
+        return factors[0] if factors else 1
+    sizes = [f.size if isinstance(f, np.ndarray) else f * f for f in factors]
+    total, half, h = math.prod(sizes), sizes[0], 1
+    while h < len(sizes) - 1 and (half * sizes[h]) ** 2 <= total:
+        half, h = half * sizes[h], h + 1
+    return _kron(reduce(_kron, factors[:h]), reduce(_kron, factors[h:]))
+
+
+def _act(v: list, pre: int, k: int, op) -> list:
+    """The factor list ``v`` acted on at rows ``pre / k / post``: ``op(m, n)``
+    acts on the middle block of the rows of ``m`` split as ``n / k / rest``,
+    and is applied to the product of the fewest factors holding those rows."""
+
+    rows = [len(f) if isinstance(f, np.ndarray) else f for f in v]
+    i, r = 0, 1  # the rows of v[:i], dividing pre
+    while i < len(v) and pre % (r * rows[i]) == 0:
+        r, i = r * rows[i], i + 1
+    j, rj = i, r  # the rows of v[:j], a multiple of pre * k
+    while rj % (pre * k):
+        rj, j = rj * rows[j], j + 1
+    block, pre = _product(v[i:j]), pre // r
+    if isinstance(block, np.ndarray):
+        v[i:j] = [op(block, pre)]
+    else:  # identities only: act on k rows between two identities
+        post = block // (pre * k)
+        v[i:j] = [pre] * (pre > 1) + [op(np.eye(k, dtype=complex), 1)] + [post] * (post > 1)
+    return v
+
+
+def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
+    """Evaluate a well-typed term to its matrix (cod x dom): its value is a
+    list of Kronecker factors, multiplied out once at the end."""
+
+    def gen(t: MorGen | Inv) -> list:
         table = inst.mat if isinstance(t, MorGen) else inst.inv_mat
         if t.name not in table:
             kind = "matrix" if isinstance(t, MorGen) else "inverse matrix"
             raise MissingBackendData(f"no {kind} for {t.name!r}")
-        return table[t.name]
+        return [table[t.name]]
 
-    def box(s: np.ndarray, m: np.ndarray, pre: int) -> tuple[np.ndarray, int]:
-        return np.matmul(s, m.reshape(pre, s.shape[1], -1)).reshape(-1, m.shape[1]), s.shape[0]
+    def box(s: list, v: list, pre: int) -> tuple[list, int]:
+        (s,) = s  # a generator's value is its one factor
+        return _act(v, pre, s.shape[1], lambda m, n: np.matmul(
+            s, m.reshape(n, s.shape[1], -1)).reshape(-1, m.shape[1])), s.shape[0]
 
-    def swap(m: np.ndarray, pre: int, a: int, b: int) -> np.ndarray:
-        return m.reshape(pre, a, b, -1).transpose(0, 2, 1, 3).reshape(-1, m.shape[1])
+    def swap(v: list, pre: int, a: int, b: int) -> list:
+        return _act(v, pre, a * b, lambda m, n: m.reshape(n, a, b, -1).transpose(
+            0, 2, 1, 3).reshape(-1, m.shape[1]))
 
-    result, ty = _evaluate(term, inst.sig, inst.dim, gen, partial(np.eye, dtype=complex),
-                           np.kron, box, swap)
+    factors, ty = _evaluate(term, inst.sig, inst.dim, gen, lambda n: [n] if n > 1 else [],
+                            list.__add__, box, swap)
+    result = _product(factors)
+    result = result if isinstance(result, np.ndarray) else np.eye(result, dtype=complex)
     assert result.shape == (dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim)), ty
     return result
 
@@ -352,13 +411,29 @@ def _rel_swap(v: _Pairs, pre: int, a: int, b: int) -> _Pairs:
     return _Pairs(v.src, ((p * b + j) * a + i) * post + q, v.dom, v.cod)
 
 
+def _rel_pairs(term: MorExpr, inst: RelInstance) -> _Pairs:
+    return _evaluate(term, inst.sig, inst.size, inst._generator,
+                     lambda n: _pairs(np.arange(n), np.arange(n), n, n), _rel_kron,
+                     _rel_box, _rel_swap)[0]
+
+
 def eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
     """Evaluate a well-typed term to its relation on flattened carriers."""
 
-    v, _ = _evaluate(term, inst.sig, inst.size, inst._generator,
-                     lambda n: _pairs(np.arange(n), np.arange(n), n, n), _rel_kron,
-                     _rel_box, _rel_swap)
+    v = _rel_pairs(term, inst)
     return frozenset(zip(v.src.tolist(), v.tgt.tolist()))
+
+
+def rel_difference(t1: MorExpr, t2: MorExpr, inst: RelInstance) -> list[tuple[int, int]]:
+    """The sorted pairs in exactly one of the two terms' relations, found
+    from their sorted int64 keys ``src * cod + tgt``; no ``Rel`` is built."""
+
+    a, b = _rel_pairs(t1, inst), _rel_pairs(t2, inst)
+    if (a.dom, a.cod) != (b.dom, b.cod):
+        raise CatError(f"relations on {a.dom} x {a.cod} and {b.dom} x {b.cod} elements")
+    keys = np.setxor1d(a.src * a.cod + a.tgt, b.src * b.cod + b.tgt, assume_unique=True)
+    src, tgt = np.divmod(keys, a.cod)
+    return list(zip(src.tolist(), tgt.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +484,27 @@ def _number(read, text: str, line_no: int, what: str):
 
 def _block_entries(sig: Signature, kind: str, words: tuple[str, ...]):
     """(word, name, value, line number) per line of the ``backend kind``
-    block; a ``tolerance`` line has no name and its number as the value."""
+    block; a ``tolerance`` line has no name and its number as the value.
+    A word repeated for one name, or a second ``tolerance``, is an error."""
 
     block = next((b for b in sig.backend_blocks if b.kind == kind), None)
     if block is None:
         raise MissingBackendData(f"signature has no 'backend {kind}' block")
+    seen = set()
     for line_no, line in block.entries:
         word = line.split(None, 1)[0]
         if word not in words:
             raise InvalidBackendData(f"line {line_no}: {word!r} not valid in a {kind} block")
-        rest = line[len(word):].strip()
-        if word == "tolerance":
-            yield word, "", rest, line_no
-            continue
-        if "=" not in rest:
-            raise InvalidBackendData(f"line {line_no}: expected '{word} NAME = VALUE'")
-        name, value = rest.split("=", 1)
-        yield word, name.strip(), value.strip(), line_no
+        name, value = "", line[len(word):].strip()
+        if word != "tolerance":
+            if "=" not in value:
+                raise InvalidBackendData(f"line {line_no}: expected '{word} NAME = VALUE'")
+            name, value = (part.strip() for part in value.split("=", 1))
+        if (word, name) in seen:
+            what = f"{word} {name!r}" if name else word
+            raise InvalidBackendData(f"line {line_no}: {what} declared more than once")
+        seen.add((word, name))
+        yield word, name, value, line_no
 
 
 def matrix_instance(sig: Signature, tolerance: float | None = None) -> MatrixInstance:
@@ -512,8 +591,7 @@ def check_coherence(inst: MatrixInstance | RelInstance, sig: Signature,
             if m1.shape != m2.shape:
                 return float("inf")
             return float(np.max([*_block_deviations(m1, m2)], initial=0.0))
-        r1, r2 = eval_rel(t1, inst), eval_rel(t2, inst)
-        return float(len(r1 ^ r2))
+        return float(len(rel_difference(t1, t2, inst)))
 
     conditions: dict[str, list[tuple[MorExpr, MorExpr]]] = {}
 

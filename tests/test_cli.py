@@ -227,6 +227,32 @@ def test_check_unreadable_backend_line_names_it(tmp_path, capsys, line, message)
     assert captured.out == "" and captured.err == f"error: line 5: {message}\n"
 
 
+@pytest.mark.parametrize("method, block, message", [
+    # the last entry used to win: "u" against "u ; u" was unequal, then equal
+    ("matrix", "backend matrix\ndim A = 1\nmat u = [[1]]\nmat u = [[2]]\n",
+     "line 7: mat 'u' declared more than once"),
+    ("rel", "backend rel\nsize A = 1\nrel u = {(0,0)}\nrel u = {}\n",
+     "line 7: rel 'u' declared more than once"),
+    ("rel", "backend rel\nsize A = 1\nrel u = {(0,0)}\nbackend rel\nrel u = {}\n",
+     "'backend rel' declared more than once (line 7, column 9)"),
+])
+def test_check_repeated_backend_entry_is_an_error(tmp_path, capsys, method, block, message):
+    path = tmp_path / "sig.txt"
+    path.write_text(f"category symmetric\nobject A\nmor u : A -> A\n{block}", encoding="utf-8")
+    assert run(["check", "--sig", str(path), "--method", method, "u", "u ; u"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_check_rel_unequal_reports_sorted_difference(sig_path, capsys):
+    # k ; inv(k) is {(0,0), (1,1)} and u is {(0,0), (0,1)}
+    assert run(["check", "--sig", sig_path, "--method", "rel", "u ; k ; inv(k)", "u"]) == 0
+    assert run(["check", "--sig", sig_path, "--method", "rel", "k ; inv(k)", "u"]) == 1
+    assert capsys.readouterr().out == (
+        "equal (relation backend)\n"
+        "unequal (relation backend): symmetric difference [(0, 1), (1, 1)]\n")
+
+
 def test_import_leaves_numpy_out():
     # only the matrix and relation oracles need numpy; it is imported on their first use
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,6 +1,7 @@
 """Matrix and relation oracles: evaluation, laws, coherence checking."""
 
 import itertools
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -101,6 +102,19 @@ def test_mat_equiv_verdicts(block, monkeypatch):
     assert mat_equiv(np.ones(7), np.ones(7), 0.0)
     assert not mat_equiv(np.ones(7), np.r_[np.ones(6), 2.0], 0.5)
     assert mat_equiv(np.array(2.0), np.array(2.25), 0.25)
+
+
+def test_mat_equiv_has_no_large_temporaries():
+    a = np.ones((1024, 1024), dtype=complex)
+    b = a.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert mat_equiv(a, b, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 BACKEND_SIG = parse_signature("""
@@ -241,6 +255,100 @@ def test_eval_wide_state():
     assert mat_equiv(got, want, 1e-12)
 
 
+FACTOR_SIG = parse_signature("""
+category symmetric
+object A
+object C
+object B
+mor s : I -> I
+mor e : I -> A
+mor d : A -> I
+mor x : A -> A
+mor m : A * A -> C
+mor n : C -> A * A
+mor c : C -> C
+mor u : B -> B
+backend matrix
+dim A = 2
+dim C = 4
+dim B = 1
+mat s = [[2i]]
+mat e = [[1], [2i]]
+mat d = [[0.6, 0.4]]
+mat x = [[0, 1], [1, 0.5]]
+mat m = [[1, 2, 0, 1i], [0, 1, 3, 0], [2i, 0, 1, 1], [1, 1, 0, 2]]
+mat n = [[0, 1, 0, 0], [1, 0, 2, 0], [0, 1i, 0, 1], [3, 0, 0, 1]]
+mat c = [[1, 0, 0, 2], [0, 0, 1i, 0], [0, 1, 0, 0], [1, 0, 0, 1]]
+mat u = [[0.6+0.8i]]
+""")
+
+
+@pytest.mark.parametrize("text", [
+    # chains that start with a tensor of identities
+    "id[A] * id[C] * id[A] ; x * c * x",
+    "id[A] * id[A] * id[C] ; m * c ; n * c",
+    "id[C] * id[A * A] ; id[C] * m ; braid[C, C] ; c * n",
+    "id[I] * id[A] ; lunit[A] ; lunit_inv[A]",
+    # scalars, states and effects (one-row or one-column factors) at factor boundaries
+    "e * s * x ; d * s * x",
+    "x * e * s * d ; m * s * s",
+    "x * e ; m",
+    "(d * x) ; lunit[A] ; x",
+    "d * e",
+    "s * s ; lunit[I] ; s",
+    # dimensions 2 and 4, a box's rows spanning factors whose sizes divide each other
+    "x * c * x ; alpha[A, C, A] ; id[A] * (n * id[A]) ; id[A] * alpha[A, A, A]"
+    " ; id[A] * (id[A] * m)",
+    "c * (x * x) ; id[C] * m ; n * c",
+    # a braiding spanning several factors
+    "x * c * e ; braid[A * C, A]",
+    "e * (x * c) ; braid[A, A * C] ; (x * c) * x",
+    "id[A] * c * x ; alpha[A, C, A] ; id[A] * braid[C, A] ; braid_inv[A * C, A]",
+])
+def test_eval_factored_values_match_dense_reference(text):
+    inst = matrix_instance(FACTOR_SIG)
+    term = parse_expr(text, FACTOR_SIG)
+    got, want = eval_matrix(term, inst), dense_eval_matrix(term, inst)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_eval_1200_factors(default_recursion_limit):
+    """1200 factors, of dimension 1 and of dimension 2 as states, are
+    multiplied out without recursing."""
+
+    inst = matrix_instance(FACTOR_SIG)
+    ones = " * ".join(["u"] * 1200)
+    term = parse_expr(f"({ones}) ; id[{' * '.join(['B'] * 1200)}] ; ({ones})", FACTOR_SIG)
+    assert mat_equiv(eval_matrix(term, inst), np.array([[(0.6 + 0.8j) ** 2400]]), 1e-9)
+    states = " * ".join(["e"] * 1200)
+    term = parse_expr(f"({states}) ; ({' * '.join(['d'] * 1200)})", FACTOR_SIG)
+    scalar = (inst.mat["d"] @ inst.mat["e"])[0, 0]  # 0.6 + 0.8i, of modulus 1
+    assert mat_equiv(eval_matrix(term, inst), np.array([[scalar ** 1200]]), 1e-9)
+
+
+def test_eval_interchange_side_peaks_near_its_result():
+    """One side of a 10-wire interchange pair allocates little beyond its
+    1024 x 1024 result: the matrix is formed once, from two small halves."""
+
+    inst = matrix_instance(WIDE_SIG)
+    half = " * ".join(["A"] * 5)
+    top = " * ".join(["id[A]", "id[A]", "x", "id[A]", "id[A]"])
+    bottom = " * ".join(["id[A]", "id[A]", "id[A]", "x", "id[A]"])
+    for text in (f"({top}) * id[{half}] ; id[{half}] * ({bottom})",
+                 f"id[{half}] * ({bottom}) ; ({top}) * id[{half}]"):
+        term = parse_expr(text, WIDE_SIG)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = eval_matrix(term, inst)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (1024, 1024)
+        assert peak < 1.25 * result.nbytes, peak / result.nbytes
+
+
 def test_eval_missing_matrix():
     inst = matrix_instance(BACKEND_SIG)
     del inst.inv_mat["k"]
@@ -296,6 +404,25 @@ def test_unreadable_backend_number_names_its_line(line, message):
     kind = "rel" if line.startswith("size") else "matrix"
     sig = parse_signature(f"category symmetric\nobject A\nmor f : A -> A\n"
                           f"backend {kind}\n{line}\n")
+    with pytest.raises(InvalidBackendData) as err:
+        (rel_instance if kind == "rel" else matrix_instance)(sig)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("matrix", "dim A = 2\nmat f = [[1, 0], [0, 1]]\nmat f = [[2, 0], [0, 1]]",
+     "line 7: mat 'f' declared more than once"),
+    ("matrix", "dim A = 2\ndim A = 1\nmat f = [[1]]", "line 6: dim 'A' declared more than once"),
+    ("matrix", "dim A = 1\nmat f = [[1]]\ninv f = [[1]]\ninv f = [[1]]",
+     "line 8: inv 'f' declared more than once"),
+    ("matrix", "tolerance 1e-9\ndim A = 1\nmat f = [[1]]\ntolerance 1e-3",
+     "line 8: tolerance declared more than once"),
+    ("rel", "size A = 1\nrel f = {(0,0)}\nrel f = {}", "line 7: rel 'f' declared more than once"),
+    ("rel", "size A = 1\nsize A = 2\nrel f = {}", "line 6: size 'A' declared more than once"),
+])
+def test_repeated_backend_entry_names_its_line(kind, lines, message):
+    sig = parse_signature(f"category symmetric\nobject A\nmor f : A -> A\n"
+                          f"backend {kind}\n{lines}\n")
     with pytest.raises(InvalidBackendData) as err:
         (rel_instance if kind == "rel" else matrix_instance)(sig)
     assert str(err.value) == message
@@ -415,6 +542,26 @@ def test_eval_rel_matches_reference(make_sig):
             continue
         assert eval_rel(term, inst) == want, term
     assert raised == ({MissingBackendData, NotBijective} if sig.morphisms else set())
+
+
+def test_rel_difference_matches_set_difference():
+    """Sorted int64 keys give the pairs in exactly one relation, as ``^`` of
+    the two ``Rel`` sets does."""
+
+    sig = parse_signature("category symmetric\nobject A\nmor p : A -> A\nmor q : A -> A\n")
+    rng = Random(61)
+    atoms = ("p", "q", "id[A]")
+    for _ in range(200):
+        inst = semantics.RelInstance(sig, {"A": 3}, {
+            g: frozenset((x, y) for x in range(3) for y in range(3) if rng.random() < 0.4)
+            for g in "pq"})
+        t1, t2 = (parse_expr(" ; ".join(
+            rng.choice(("braid[A, A]", f"{rng.choice(atoms)} * {rng.choice(atoms)}"))
+            for _ in range(rng.randint(1, 4))), sig) for _ in range(2))
+        got = semantics.rel_difference(t1, t2, inst)
+        assert got == sorted(eval_rel(t1, inst) ^ eval_rel(t2, inst)), (t1, t2)
+    with pytest.raises(CatError, match="relations on 3 x 3 and 9 x 9 elements"):
+        semantics.rel_difference(parse_expr("p", sig), parse_expr("p * p", sig), inst)
 
 
 def test_eval_rel_drops_repeated_pairs():
