@@ -23,8 +23,12 @@ operators are always bracketed explicitly.
 ``parse_expr`` typechecks during the parse: each node is typed as it is
 built, chains in loops, and the root's boundary is kept with the term, so
 a later ``typecheck(term, sig)`` reads it instead of walking the term.
-Within one parse, an annotation repeated word for word is parsed and typed
-once (``_ExprParser.memo``); equal atoms and objects are one object anyway.
+Two tables kept on the signature (``_ExprParser.memo`` and ``tensors``)
+outlive a parse: an annotation or generator name is parsed and typed once
+per signature, word for word, and the tensor of two boundaries is typed
+once.  Each holds at most ``_TABLE_SIZE`` entries and is cleared when full.
+Only typed parses (``parse_expr``) share them; rule files and ``parse_obj``
+keep a memo for one parse.  Equal atoms and objects are one object anyway.
 """
 
 from __future__ import annotations
@@ -115,6 +119,16 @@ _WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*|\"[^\"]*\"|[^\W\d][\w']*|.|\Z"
 _KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "*": "TENSOR", "[": "LBRACK",
           "]": "RBRACK", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQUALS"}
 _BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}  # the word for each alias target
+
+#: The entries each parse table holds; a full table is cleared, so a long
+#: batch or REPL session over one signature keeps a bounded working set.
+_TABLE_SIZE = 1 << 10
+
+
+def _store(table: dict, key, value) -> None:
+    if len(table) >= _TABLE_SIZE:
+        table.clear()
+    table[key] = value
 
 
 def _builtins(aliases: dict[str, str]) -> dict[str, str]:  # for aliases and ∘ ⊗
@@ -207,11 +221,18 @@ class _ExprParser:
     only for an error, so a lexical error is first; ``line`` is the source
     line the text starts on.
 
-    ``memo`` lives for one parse.  It maps the words of a bracketed atom
-    (keyword to "]") to the atom and its boundary, and those of each object
-    argument to the object, so repeated annotations are read once.  It never
-    stores what recorded an error or made an undeclared generator, so each
-    error and its span come from a first occurrence parsed word by word.
+    ``memo`` maps the words of a bracketed atom (keyword to "]") and a
+    bare generator name to the atom and its boundary, and the words of each
+    object argument to the object, so repeated annotations are read once.
+    It never stores what recorded an error or made an undeclared generator,
+    so each error and its span come from a first occurrence parsed word by
+    word.  ``tensors`` maps the boundaries of a tensor's two factors to its
+    boundary, which depends on nothing else.  A typed parse reads and fills
+    its signature's tables (``Signature._atoms`` and ``_tensors``), which
+    outlive it; an untyped one has a ``memo`` of its own, as an object it
+    stores may hold a generator the signature lacks, which a typed parse
+    would then not check.  Each table is cleared once it holds
+    ``_TABLE_SIZE`` entries.
     """
 
     def __init__(self, text: str, aliases: dict[str, str] | None = None,
@@ -226,7 +247,8 @@ class _ExprParser:
         self.undeclared = 0  # generators made for names the signature lacks
         self.spans: dict[int, tuple[int, int]] = {}  # by id: first and last word
         self.error: CatError | None = None
-        self.memo: dict[tuple, object] = {}  # see the class docstring
+        # see the class docstring
+        self.memo, self.tensors = (typer.sig._atoms, typer.sig._tensors) if typer else ({}, None)
 
     def _span(self, first: int, last: int) -> tuple[str, SourceSpan]:
         """The text of word ``first`` and the span of words ``first`` to ``last``."""
@@ -318,7 +340,14 @@ class _ExprParser:
 
     def _tensor(self, top, bottom) -> tuple[MorExpr, tuple | None]:
         term = Tensor(top[0], bottom[0])
-        return term, self.typer and self.typer.tensor(term, top[1], bottom[1])
+        if not self.typer:
+            return term, None
+        key = top[1] + bottom[1]
+        ty = self.tensors.get(key)
+        if ty is None:
+            ty = self.typer.tensor(term, top[1], bottom[1])
+            _store(self.tensors, key, ty)
+        return term, ty
 
     def _comp(self, first, second, start: int) -> tuple[MorExpr, tuple | None]:
         term, ty, rty = Comp(first[0], second[0]), first[1], second[1]
@@ -333,6 +362,9 @@ class _ExprParser:
         k, words = self.pos, self.words
         w = words[k]
         self.pos = k + 1
+        hit = self.memo.get(w)  # a bare generator name
+        if hit is not None:
+            return hit
         undeclared, key = self.undeclared, None
         if w in STRUCTURAL_KEYWORDS:
             try:
@@ -359,7 +391,7 @@ class _ExprParser:
         elif w == "I":
             self.fail("'I' is an object, not a morphism", k)
         elif _is_name(w):
-            term = MorGen(w)
+            term, key = MorGen(w), w
         elif _is_metavar(w) and self.allow_metavars:
             term = MorVar(w[1:])
         else:
@@ -368,7 +400,7 @@ class _ExprParser:
         result = term, self.typer and self._type(self.typer.atom, term, k,
                                                  undeclared == self.undeclared)
         if key and self.error is None:  # an undeclared name is an error here
-            self.memo[key] = result
+            _store(self.memo, key, result)
         return result
 
     def parse_obj(self, stop: int = 0) -> ObjExpr:
@@ -397,7 +429,7 @@ class _ExprParser:
         else:
             obj = self._chains(self.parse_objatom, ObjTensor)
         if self.pos == end and self.error is None and undeclared == self.undeclared:
-            memo[key] = obj
+            _store(memo, key, obj)
         return obj
 
     def parse_objatom(self) -> ObjExpr:

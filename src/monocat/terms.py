@@ -565,6 +565,15 @@ class Signature:
     notation token to one of the builtins ``compose``, ``tensor`` or
     ``id``; ``backend_blocks`` are opaque payloads owned by the
     semantics module.
+
+    Besides the boundaries :func:`keep_type` keeps, a signature holds the
+    tables its typed parses share for as long as it lives: ``_atoms``, from
+    the words of a clean annotation, object argument or generator name to
+    what they parse to, and ``_tensors``, from the boundaries of a tensor's
+    factors to its boundary (see ``parser._ExprParser``).  Each is cleared
+    when it reaches ``parser._TABLE_SIZE`` entries.  Untyped parses (rule
+    files, ``parse_obj``) never touch them.  Copies and pickles start with
+    all three tables empty.
     """
 
     level: str = "symmetric"
@@ -591,6 +600,8 @@ class Signature:
             for obj in (decl.dom, decl.cod):
                 _check_obj(obj, self._gens, allow_vars=False)
         self._kept: dict[int, tuple] = {}  # see keep_type
+        self._atoms: dict = {}  # see the class docstring
+        self._tensors: dict[tuple, tuple] = {}
         for token, target in self.aliases.items():
             if target not in ("compose", "tensor", "id"):
                 raise UnknownLevel(
@@ -598,7 +609,7 @@ class Signature:
                 )
 
     def __reduce__(self):
-        # copies and pickles start with no kept boundaries: those are keyed by id
+        # copies and pickles start with empty tables: kept boundaries are keyed by id
         return Signature, (self.level, self.objects, self.morphisms, self.aliases,
                            self.backend_blocks)
 
