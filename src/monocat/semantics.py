@@ -11,10 +11,13 @@ as DisCoPy contracts diagrams (arXiv:2005.02975): a tensor is a Kronecker
 product (of matrices, or of pair sets), and ``f ; g`` applies each box of
 ``g`` at its wire offset to the value of ``f``.  By the mixed-product
 property (Van Loan, 2000) a matrix value stays a list of Kronecker factors,
-an int n standing for the n x n identity: a box is one batched ``matmul``,
-and a braiding one transpose, on the product of only the factors its rows
-fall in.  The full matrix is formed once, at the end, and ``mat_equiv``
-compares two in row blocks small enough to need no large temporary.  A
+dense or identity, each with its row count and column axes: a box is one
+batched ``matmul`` on the merge of only the factors its rows fall in, and a
+braiding of two whole runs of factors only reorders them,
+P (X (x) Y) = (Y (x) X) Q, with Q kept in their column axes (one that cuts
+a dense factor transposes its rows).  The full matrix is written once, at
+the end, into zeros through one strided view, and ``mat_equiv`` compares
+two in row blocks small enough to need no large temporary.  A
 relation box splits each target into the digits ``pre / k / post`` around
 its wires, joins ``k`` with the box's pairs and writes
 ``(p * k' + b) * post + q`` back, dropping repeated pairs only after a box
@@ -28,7 +31,7 @@ import cmath
 import math
 import re
 from dataclasses import field
-from functools import partial, reduce
+from functools import partial
 from random import Random
 from typing import NamedTuple
 
@@ -85,10 +88,14 @@ def dim_flat(obj: ObjExpr, dim: dict[str, int]) -> int:
 def braid_matrix(m: int, n: int) -> np.ndarray:
     """The (n*m) x (m*n) permutation sending e_i (x) e_j to e_j (x) e_i.
 
-    Column index i*n+j (i < m, j < n) maps to row index j*m+i.
+    Column index i*n+j (i < m, j < n) maps to row index j*m+i: the m*n
+    ones are scattered into zeros, so nothing but the result is allocated.
     """
 
-    return np.eye(m * n, dtype=complex).reshape(m, n, m * n).transpose(1, 0, 2).reshape(n * m, -1)
+    out = np.zeros((n * m, m * n), dtype=complex)
+    i, j = np.divmod(np.arange(m * n), n)
+    out[j * m + i, i * n + j] = 1
+    return out
 
 
 _EQUIV_BLOCK = 1 << 12  # entries per row block compared by mat_equiv
@@ -222,81 +229,140 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
     return ev(term), ty
 
 
-def _kron(a, b):
-    """The Kronecker product of two factors, an int n > 1 standing for the
-    n x n identity, which is written as a block diagonal into zeros."""
-
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return a * b
-    p, m, q = (a, b, 1) if isinstance(b, np.ndarray) else (1, a, b)
-    out = np.zeros((p, len(m), q, p, m.shape[1], q), dtype=complex)
-    i, j = np.ogrid[:p, :q]
-    out[i, :, j, i, :, j] = m
-    return out.reshape(p * len(m) * q, -1)
+# A matrix value is a list of Kronecker factors (rows, cols, mat, axes): ``mat``
+# is dense, or None for the rows x rows identity, and each column axis
+# (size, num, den) is a digit of the domain's column index whose stride is
+# num / den times the columns of the factors after it.  So a tensor joins two
+# lists unchanged, and a braiding may reorder one.
 
 
-def _product(factors: list):
-    """The Kronecker product of a factor list: two halves, balanced by size,
-    are each folded left to right at their own size, then joined once."""
+def _write(run: list, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols Kronecker product of the factor ``run``, written once
+    into zeros: the outer product of the dense factors (1 x 1 ones folded in
+    as a scalar) is assigned to one strided view of the result, which takes
+    each dense factor's row and column axes and one diagonal axis (row plus
+    column stride) per identity."""
 
-    if len(factors) < 2:
-        return factors[0] if factors else 1
-    sizes = [f.size if isinstance(f, np.ndarray) else f * f for f in factors]
-    total, half, h = math.prod(sizes), sizes[0], 1
-    while h < len(sizes) - 1 and (half * sizes[h]) ** 2 <= total:
-        half, h = half * sizes[h], h + 1
-    return _kron(reduce(_kron, factors[:h]), reduce(_kron, factors[h:]))
+    def push(dims: list, size: int, stride: int) -> None:  # joins an axis it continues
+        if size > 1 and dims and dims[-1][1] == size * stride:
+            dims[-1] = (dims[-1][0] * size, stride)
+        elif size > 1:
+            dims.append((size, stride))
+
+    out = np.zeros((rows, cols), dtype=complex)
+    diag, dims, dense, scalar = [], [], [], 1  # (size, byte stride) axes
+    r = c = cols * out.itemsize  # the row and column strides of the factors after this one
+    r *= rows
+    for n, k, m, axes in run:
+        r, c = r // n, c // k
+        if m is None:
+            push(diag, n, r + axes[0][1] * c // axes[0][2])
+        elif m.size == 1:
+            scalar *= m[0, 0]
+        else:
+            push(dims, n, r)
+            for size, num, den in axes:
+                push(dims, size, num * c // den)
+            dense.append(m)
+    value = scalar
+    if dense:
+        value = dense[0] * scalar if scalar != 1 else dense[0]
+        for m in dense[1:]:
+            value = np.multiply.outer(value, m).ravel()
+        value = value.reshape([size for size, _ in dims])
+    shape, strides = zip(*diag, *dims) if diag or dims else ((), ())
+    np.ndarray(shape, complex, out, 0, strides)[...] = value
+    return out
+
+
+def _cut(v: list, i: int, n: int) -> tuple[int, int]:
+    """Pass the factors from ``v[i]`` on while their rows divide ``n``, and
+    split in place an identity the cut falls in; returns the index reached and
+    the rows still wanted, over 1 only if the cut falls in the dense ``v[i]``."""
+
+    while n > 1:
+        rows, _, m, axes = v[i]
+        if n % rows == 0:
+            n, i = n // rows, i + 1
+        elif m is None:  # both parts keep its stride ratio
+            v[i:i + 1] = [(p, p, None, ((p, *axes[0][1:]),)) for p in (n, rows // n)]
+            return i + 1, 1
+        else:
+            break
+    return i, n
 
 
 def _act(v: list, pre: int, k: int, op) -> list:
     """The factor list ``v`` acted on at rows ``pre / k / post``: ``op(m, n)``
     acts on the middle block of the rows of ``m`` split as ``n / k / rest``,
-    and is applied to the product of the fewest factors holding those rows."""
+    where ``m`` merges the fewest factors holding those rows, or is None for
+    one identity of k rows.  Rows are read only as far as the block."""
 
-    rows = [len(f) if isinstance(f, np.ndarray) else f for f in v]
-    i, r = 0, 1  # the rows of v[:i], dividing pre
-    while i < len(v) and pre % (r * rows[i]) == 0:
-        r, i = r * rows[i], i + 1
-    j, rj = i, r  # the rows of v[:j], a multiple of pre * k
-    while rj % (pre * k):
-        rj, j = rj * rows[j], j + 1
-    block, pre = _product(v[i:j]), pre // r
-    if isinstance(block, np.ndarray):
-        v[i:j] = [op(block, pre)]
-    else:  # identities only: act on k rows between two identities
-        post = block // (pre * k)
-        v[i:j] = [pre] * (pre > 1) + [op(np.eye(k, dtype=complex), 1)] + [post] * (post > 1)
+    i, pre = _cut(v, 0, pre)
+    j, post = _cut(v, i, pre * k)
+    run = v[i:j + (post > 1)]
+    _, cols, m, axes = run[0] if len(run) == 1 else _merge(run)
+    m = op(m, pre)
+    v[i:i + len(run)] = [(len(m), cols, m, axes)]
+    return v
+
+
+def _merge(run: list) -> tuple:
+    """The factor ``run`` as one dense factor; boxes multiply on the left, so
+    it keeps every column axis of the run."""
+
+    rows, cols = math.prod(f[0] for f in run), math.prod(f[1] for f in run)
+    axes, after = [], cols
+    for _, c, _, f_axes in run:
+        after //= c
+        axes += [(size, num * after, den) for size, num, den in f_axes]
+    m = _write([(n, c, f, ((c, 1, 1),)) for n, c, f, _ in run], rows, cols)
+    return rows, cols, m, tuple(axes)
+
+
+def _swap(v: list, pre: int, a: int, b: int) -> list:
+    """Swap the target blocks ``a`` and ``b`` below rows ``pre``.  If they are
+    runs of whole factors X and Y, P (X (x) Y) = (Y (x) X) Q only reorders the
+    list, Q going into the moved axes' stride ratios; else it acts densely."""
+
+    i, n = _cut(v, 0, pre)
+    h, n = _cut(v, i, a) if n == 1 else (i, n)
+    j, n = _cut(v, h, b) if n == 1 else (h, n)
+    if n > 1:
+        return _act(v, pre, a * b, lambda m, n: m.reshape(n, a, b, -1).transpose(
+            0, 2, 1, 3).reshape(-1, m.shape[1]))
+
+    def scaled(run: list, p: int, q: int) -> list:  # each stride ratio times p / q, reduced
+        return [(n, c, m, tuple((size, num * p // g, den * q // g) for size, num, den in axes
+                                for g in [math.gcd(num * p, den * q)])) for n, c, m, axes in run]
+
+    x, y = v[i:h], v[h:j]
+    v[i:j] = scaled(y, 1, math.prod(f[1] for f in x)) + scaled(x, math.prod(f[1] for f in y), 1)
     return v
 
 
 def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
     """Evaluate a well-typed term to its matrix (cod x dom): its value is a
-    list of Kronecker factors, multiplied out once at the end."""
+    list of Kronecker factors that boxes act on and braidings reorder,
+    written into one matrix at the end."""
 
     def gen(t: MorGen | Inv) -> list:
         table = inst.mat if isinstance(t, MorGen) else inst.inv_mat
         if t.name not in table:
             kind = "matrix" if isinstance(t, MorGen) else "inverse matrix"
             raise MissingBackendData(f"no {kind} for {t.name!r}")
-        return [table[t.name]]
+        m = table[t.name]
+        return [(*m.shape, m, ((m.shape[1], 1, 1),) if m.shape[1] > 1 else ())]
 
     def box(s: list, v: list, pre: int) -> tuple[list, int]:
-        (s,) = s  # a generator's value is its one factor
-        return _act(v, pre, s.shape[1], lambda m, n: np.matmul(
-            s, m.reshape(n, s.shape[1], -1)).reshape(-1, m.shape[1])), s.shape[0]
+        _, k, s, _ = s[0]  # a generator's value is its one factor
+        return _act(v, pre, k, lambda m, n: s if m is None else np.matmul(
+            s, m.reshape(n, k, -1)).reshape(-1, m.shape[1])), len(s)
 
-    def swap(v: list, pre: int, a: int, b: int) -> list:
-        return _act(v, pre, a * b, lambda m, n: m.reshape(n, a, b, -1).transpose(
-            0, 2, 1, 3).reshape(-1, m.shape[1]))
-
-    factors, ty = _evaluate(term, inst.sig, inst.dim, gen, lambda n: [n] if n > 1 else [],
-                            list.__add__, box, swap)
-    result = _product(factors)
-    result = result if isinstance(result, np.ndarray) else np.eye(result, dtype=complex)
-    assert result.shape == (dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim)), ty
-    return result
+    factors, ty = _evaluate(term, inst.sig, inst.dim, gen,
+                            lambda n: [(n, n, None, ((n, 1, 1),))] if n > 1 else [],
+                            list.__add__, box, _swap)
+    return _write(factors, dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim))
 
 
 # ---------------------------------------------------------------------------

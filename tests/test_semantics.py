@@ -6,6 +6,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import (
     random_matrix_instance,
@@ -31,7 +32,16 @@ from monocat.semantics import (
     matrix_instance,
     rel_instance,
 )
-from monocat.terms import CatError, Comp, MorGen, Tensor, UndeclaredName, typecheck
+from monocat.terms import (
+    Braid,
+    CatError,
+    Comp,
+    MorGen,
+    ObjTensor,
+    Tensor,
+    UndeclaredName,
+    typecheck,
+)
 from reference_semantics import dense_eval_matrix, reference_eval_rel
 
 
@@ -67,6 +77,23 @@ def test_braid_matrix_involution():
         for n in range(1, 5):
             prod = braid_matrix(n, m) @ braid_matrix(m, n)
             assert np.array_equal(prod, np.eye(m * n, dtype=complex))
+
+
+def _peak(fn):
+    """``fn()`` and the most memory it held at once beyond what it started with."""
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_braid_matrix_allocates_only_its_result():
+    result, peak = _peak(lambda: braid_matrix(32, 32))
+    assert peak <= 1.1 * result.nbytes, peak / result.nbytes
 
 
 def test_mat_equiv():
@@ -283,6 +310,10 @@ mat u = [[0.6+0.8i]]
 """)
 
 
+# 70 scalars of modulus 1 on dimension-1 wires; 70 scalars 2i and their objects
+U70, S70, I70 = " * ".join(["u"] * 70), " * ".join(["s"] * 70), " * ".join(["I"] * 70)
+
+
 @pytest.mark.parametrize("text", [
     # chains that start with a tensor of identities
     "id[A] * id[C] * id[A] ; x * c * x",
@@ -304,6 +335,26 @@ mat u = [[0.6+0.8i]]
     "x * c * e ; braid[A * C, A]",
     "e * (x * c) ; braid[A, A * C] ; (x * c) * x",
     "id[A] * c * x ; alpha[A, C, A] ; id[A] * braid[C, A] ; braid_inv[A * C, A]",
+    # a swap on factor boundaries: only the factor list is reordered
+    "x * (x * c) ; braid[A, A * C] ; (x * c) * x",
+    "(e * c) * d ; runit[A * C] ; braid[A, C] ; c * x",
+    # a swap that cuts a dense factor: its rows are transposed densely
+    "n * x ; alpha[A, A, A] ; braid[A, A * A] ; m * x",
+    "c ; n ; braid[A, A] ; m",
+    # a swap that splits an identity across its halves
+    "id[A * (A * A)] ; braid[A, A * A] ; (x * x) * id[A]",
+    "id[A * C] * x ; alpha[A, C, A] ; braid[A, C * A] ; (c * x) * x",
+    # a braid followed by boxes on both halves
+    "x * c ; braid[A, C] ; c * x",
+    "braid[A * A, C] ; c * m ; n * c",
+    "id[A] * c ; braid[A, C] ; (c ; c) * (x ; x)",
+    # braid ; braid returns to the original order
+    "x * c ; braid[A, C] ; braid[C, A]",
+    "id[A * C] ; braid[A, C] ; braid_inv[A, C] ; x * c",
+    "(e * s) * (x * c) ; runit[A] * id[A * C] ; braid[A, A * C] ; braid[A * C, A]",
+    # more than 64 dense factors, nearly all 1 x 1, some inside a braid
+    f"(x * x) * ({U70}) ; braid[A, A] * ({U70}) ; (x * id[A]) * ({U70})",
+    f"x * ({S70} * c) ; braid[A, {I70} * C] ; ({S70} * c) * x",
 ])
 def test_eval_factored_values_match_dense_reference(text):
     inst = matrix_instance(FACTOR_SIG)
@@ -347,6 +398,67 @@ def test_eval_interchange_side_peaks_near_its_result():
             tracemalloc.stop()
         assert result.shape == (1024, 1024)
         assert peak < 1.25 * result.nbytes, peak / result.nbytes
+
+
+def test_eval_braided_sides_peak_near_their_result():
+    """A 10-wire naturality side, on each side of the braid, and a symmetry
+    left-hand side allocate little beyond their 1024 x 1024 result: a braid
+    on whole factor runs only reorders them."""
+
+    inst = matrix_instance(WIDE_SIG)
+    half = " * ".join(["A"] * 5)
+    x = " * ".join(["id[A]", "x", "id[A]", "id[A]", "id[A]"])
+    y = " * ".join(["id[A]", "id[A]", "id[A]", "x", "id[A]"])
+    for text in (f"({x}) * ({y}) ; braid[{half}, {half}]",
+                 f"braid[{half}, {half}] ; ({y}) * ({x})",
+                 f"({x}) * ({y}) ; braid[{half}, {half}] ; braid[{half}, {half}]"):
+        term = parse_expr(text, WIDE_SIG)
+        result, peak = _peak(lambda: eval_matrix(term, inst))
+        assert result.shape == (1024, 1024)
+        assert peak <= 1.25 * result.nbytes, (text, peak / result.nbytes)
+        assert mat_equiv(result, dense_eval_matrix(term, inst), 1e-12), text
+
+
+def test_eval_braided_sides_write_once(monkeypatch):
+    """Boxes on lone wires and braids on whole factor runs form no dense
+    factor: the matrix is written once, at the end."""
+
+    writes = []
+    write = semantics._write
+    monkeypatch.setattr(semantics, "_write", lambda *a, **k: writes.append(a) or write(*a, **k))
+    inst = matrix_instance(WIDE_SIG)
+    half = " * ".join(["A"] * 4)
+    x = " * ".join(["id[A]", "x", "id[A]", "id[A]"])
+    y = " * ".join(["x", "id[A]", "id[A]", "x"])
+    for text in (f"({x}) * ({y}) ; braid[{half}, {half}] ; braid[{half}, {half}]",
+                 f"({x}) * ({y}) ; braid[{half}, {half}]",
+                 f"braid[{half}, {half}] ; ({y}) * ({x})"):
+        writes.clear()
+        eval_matrix(parse_expr(text, WIDE_SIG), inst)
+        assert len(writes) == 1, text
+
+
+SYMMETRIC_STRUCT_SIG = parse_signature("category symmetric\nobject A\nobject B\nobject C")
+PROPERTY_SIGS = {"std": std_sig(), "struct": struct_sig(), "symmetric struct": SYMMETRIC_STRUCT_SIG}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(PROPERTY_SIGS)))
+def test_eval_matches_dense_reference_on_braided_terms(seed, which):
+    """A random term, then a braid on its whole target where the level has
+    one, then a random term from there, evaluates as the dense reference does."""
+
+    sig = PROPERTY_SIGS[which]
+    rng = Random(seed)
+    inst = random_matrix_instance(rng, sig, max_dim=3)
+    term = random_term(rng, sig, max_leaves=rng.randint(2, 10))
+    cod = typecheck(term, sig).cod
+    if sig.has_level("braided") and isinstance(cod, ObjTensor):
+        term = Comp(term, Braid(cod.left, cod.right))
+    term = Comp(term, random_term_with_dom(rng, sig, typecheck(term, sig).cod, 8))
+    got, want = eval_matrix(term, inst), dense_eval_matrix(term, inst)
+    assert got.shape == want.shape
+    assert got.size == 0 or np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_eval_missing_matrix():
