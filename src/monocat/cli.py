@@ -18,7 +18,7 @@ from .coherence import dump_normal_form, monoidal_eq
 from .parser import (_logical_lines, parse_expr, parse_rules, parse_signature, print_expr,
                      print_obj)
 from .tactics import cancel_isos, cat_easy, cat_simpl, foliate, partner, weak_foliate
-from .terms import CatError, MorExpr, Signature, record, typecheck
+from .terms import CatError, MorExpr, Signature, record, shared_boundary, typecheck
 
 CONFIG_ENV_VAR = "MONOCAT_CONFIG"
 
@@ -36,7 +36,7 @@ def _check_pair(method: str, sig: Signature, text1: str, text2: str,
 
     t1 = parse_expr(text1, sig)
     t2 = parse_expr(text2, sig)
-    coherence.shared_boundary(t1, t2, sig)
+    shared_boundary(t1, t2, sig)
     if method == "monoidal":
         verdict = monoidal_eq(t1, t2, sig)
         if isinstance(verdict, coherence.Equal):

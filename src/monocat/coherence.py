@@ -1,7 +1,7 @@
 """Canonical layered normal forms deciding equality up to monoidal structure.
 
 A term is flattened into a :class:`Sheet`: a list of layers over a list
-of wires, with associators and unitors erased (their flattened domain
+of wires (each object's from :func:`terms.flatten_object`), with associators and unitors erased (their flattened domain
 and codomain coincide) and generators, inverses and braidings kept as
 opaque boxes, in two flat passes over the term (:func:`sheet_of_term`).
 A layer holds its boxes and the names of the wires passing through it.
@@ -42,22 +42,16 @@ from .terms import (
     Inv,
     MorExpr,
     MorGen,
-    ObjExpr,
-    ObjGen,
-    ObjTensor,
     Signature,
     Tensor,
-    TypeMismatch,
-    Typer,
-    Unit,
-    _set_wires,
+    WireList,
+    atom_wires,
+    flatten_object,
     node_fields,
-    print_obj,
     record,
+    shared_boundary,
     typecheck,
 )
-
-WireList = tuple[str, ...]
 
 
 @record(frozen=True)
@@ -105,36 +99,6 @@ class NotDecided:
     right: NormalForm
 
 
-def flatten_object(obj: ObjExpr) -> WireList:
-    """Erase bracketing and units: the ordered generator names of ``obj``.
-
-    Objects are interned, so the list is computed once per object and kept
-    on it (``ObjExpr._wires``); the walk reuses the lists kept on the
-    sub-objects asked before.
-    """
-
-    wires = obj._wires
-    if wires is not None:
-        return wires
-    names: list[str] = []
-    todo = [obj]
-    while todo:
-        o = todo.pop()
-        kept = o._wires
-        cls = type(o)
-        if kept is not None:
-            names += kept
-        elif cls is ObjTensor:
-            todo += (o.right, o.left)
-        elif cls is ObjGen:
-            names.append(o.name)
-        elif cls is not Unit:
-            raise TypeError(f"cannot flatten {o!r}")
-    wires = tuple(names)
-    _set_wires(obj, wires)
-    return wires
-
-
 def slot_out(slot: Slot) -> WireList:
     return slot.outs if slot.__class__ is BoxSlot else (slot,)
 
@@ -145,13 +109,6 @@ def layer_output(layer: Layer) -> WireList:
 
 def sheet_output(sheet: Sheet) -> WireList:
     return layer_output(sheet.layers[-1]) if sheet.layers else sheet.input
-
-
-def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
-    """The flat input and output wires of the atom ``t``."""
-
-    dom, cod = Typer(sig).atom(t, True)
-    return flatten_object(dom), flatten_object(cod)
 
 
 def sheet_of_term(term: MorExpr, sig: Signature) -> Sheet:
@@ -330,16 +287,6 @@ def _sweep(sheet: Sheet) -> tuple[Layer, ...]:
         kept.append(tuple(slots))
         boundary = nxt
     return tuple(kept)
-
-
-def shared_boundary(t1: MorExpr, t2: MorExpr, sig: Signature) -> None:
-    """Raise :class:`TypeMismatch` unless both terms have one boundary type
-    (objects are interned, so this compares by identity)."""
-
-    ty1, ty2 = typecheck(t1, sig), typecheck(t2, sig)
-    if ty1.dom is not ty2.dom or ty1.cod is not ty2.cod:
-        a, b = (f"{print_obj(ty.dom, True)} -> {print_obj(ty.cod, True)}" for ty in (ty1, ty2))
-        raise TypeMismatch(f"terms do not share a boundary type: {a} vs {b}")
 
 
 def monoidal_eq(t1: MorExpr, t2: MorExpr, sig: Signature) -> Equal | NotDecided:

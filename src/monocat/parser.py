@@ -67,6 +67,7 @@ from .terms import (
     fold,
     keep_type,
     node_fields,
+    postorder,
     print_obj,
     record,
     tensor_leaves,
@@ -676,15 +677,8 @@ class RuleFile:
 
 
 def _collect_metavars(term) -> set[str]:
-    found: set[str] = set()
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, (MorVar, ObjVar)):
-            found.add(t.name)
-        elif not isinstance(t, (MorGen, Inv, ObjGen)):
-            todo += node_fields(t)
-    return found
+    items = postorder(term)  # a metavariable is its class after its name
+    return {items[i - 1] for i, x in enumerate(items) if x is MorVar or x is ObjVar}
 
 
 def parse_rules(text: str, sig: Signature) -> RuleFile:
@@ -697,13 +691,14 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
 
     ``var`` declarations accumulate and scope over all later rules.  Each
     rule's sides must typecheck under the declarations with the same
-    boundary, its lhs must be a chain of composition-free elements, and
-    every metavariable on the rhs must appear on the lhs or be declared.
+    boundary, its lhs must be a chain of composition-free elements, every
+    metavariable on the rhs must appear on the lhs or be declared, and no
+    two rules share a name.
     """
 
     declared: dict[str, MorType] = {}
     decl_order: list[tuple[str, MorType]] = []
-    rules: list[RewriteRule] = []
+    rules: dict[str, RewriteRule] = {}  # name -> rule, in file order
 
     for line_no, line in _logical_lines(text):
         word = line.split(None, 1)[0]
@@ -723,6 +718,8 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
                 raise ParseError("expected: rule NAME : LHS => RHS", span=span)
             name, body = rest.split(":", 1)
             name = name.strip()
+            if name in rules:
+                raise ParseError(f"rule {name!r} declared more than once", span=span)
             parser = _ExprParser(body, sig.aliases, allow_metavars=True, line=line_no)
             lhs = parser.parse_expr()[0]
             parser.take("=>", "'=>'")
@@ -745,9 +742,9 @@ def parse_rules(text: str, sig: Signature) -> RuleFile:
                     f"rule {name!r}: lhs has boundary "
                     f"{print_obj(lt.dom)} -> {print_obj(lt.cod)} but rhs has "
                     f"{print_obj(rt.dom)} -> {print_obj(rt.cod)}", span=span)
-            rules.append(RewriteRule(name, tuple(decl_order), lhs, rhs))
+            rules[name] = RewriteRule(name, tuple(decl_order), lhs, rhs)
         else:
             raise ParseError(f"unrecognized rule-file declaration {word!r}", span=span)
 
-    return RuleFile(tuple(rules))
+    return RuleFile(tuple(rules.values()))
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import field as dc_field
 
-from .coherence import atom_wires, flatten_object
-from .parser import print_obj
 from .terms import (
     STRUCTURAL,
     CatError,
@@ -35,8 +33,11 @@ from .terms import (
     MorExpr,
     MorGen,
     Signature,
+    atom_wires,
+    flatten_object,
     fold,
     node_fields,
+    print_obj,
     record,
     typecheck,
 )

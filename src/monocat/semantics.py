@@ -5,8 +5,8 @@ use the column-vector convention: a term ``dom -> cod`` evaluates to a
 ``dimflat(cod) x dimflat(dom)`` matrix, so ``f ; g`` is ``mat(g) @ mat(f)``.
 Relations are sets of (source, target) pairs of elements indexed row-major
 over the flattened object, so a relation is the support of its 0/1 matrix.
-Both evaluators walk the term, never its normal form, so the normalizer is
-checked by independent oracles.  They share one walk by local application,
+Neither evaluator imports ``coherence`` or walks a normal form, so they
+check the normalizer independently.  They share one walk by local application,
 as DisCoPy contracts diagrams (arXiv:2005.02975): a tensor is a Kronecker
 product (of matrices, or of pair sets), and ``f ; g`` applies each box of
 ``g`` at its wire offset to the value of ``f``.  By the mixed-product
@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coherence import flatten_object
 from .terms import (
     Assoc,
     AssocInv,
@@ -58,6 +57,7 @@ from .terms import (
     Tensor,
     UNIT,
     comp_chain,
+    flatten_object,
     node_fields,
     record,
     typecheck,

@@ -13,7 +13,6 @@ window never crosses a tensor boundary.
 
 from __future__ import annotations
 
-from .coherence import shared_boundary
 from .parser import RewriteRule, print_expr
 from .terms import (
     CatError,
@@ -28,14 +27,17 @@ from .terms import (
     Signature,
     Tensor,
     Typer,
+    _rebuild,
     comp_chain,
     fold,
     iso_inverse,
     node_fields,
+    postorder,
     rebuild_chain,
     record,
     replace_chain_element,
     right_comp,
+    shared_boundary,
     tensor_leaves,
     typecheck,
 )
@@ -178,27 +180,15 @@ def _match(pattern, value, binds: dict, metavars: dict, sig: Signature) -> bool:
 
 
 def _instantiate(pattern, binds: dict):
-    """``pattern`` rebuilt with each metavariable replaced by its binding."""
+    """``pattern`` rebuilt with each metavariable replaced by its binding;
+    the leftmost one left unbound is an error."""
 
-    out: list = []  # every finished node, in order
-    todo: list = [pattern]  # nodes to build, and (node, where its fields start in out)
-    while todo:
-        p = todo.pop()
-        cls = p.__class__
-        if cls is tuple:
-            node, start = p
-            out[start:] = [type(node)(*out[start:])]
-        elif cls is MorVar or cls is ObjVar:
-            if p not in binds:
-                kind = "object metavariable" if cls is ObjVar else "metavariable"
-                raise InconsistentBinding(f"{kind} ?{p.name} left unbound")
-            out.append(binds[p])
-        elif cls is str:
-            out.append(p)
-        else:
-            todo.append((p, len(out)))
-            todo += reversed(node_fields(p))
-    return out[0]
+    items = postorder(pattern)  # a metavariable is its class after its name
+    for i, x in enumerate(items):
+        if (x is MorVar or x is ObjVar) and x(items[i - 1]) not in binds:
+            kind = "object metavariable" if x is ObjVar else "metavariable"
+            raise InconsistentBinding(f"{kind} ?{items[i - 1]} left unbound")
+    return _rebuild(items, binds)
 
 
 def _rewrite(term: MorExpr, window: list[MorExpr], make, metavars: dict,

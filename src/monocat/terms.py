@@ -238,13 +238,13 @@ class Node:
     looks its class and already interned fields up in one table of weak
     references, so equal nodes are one object, ``==`` is ``is`` and
     ``hash`` never walks the tree.  A node, like a ``Comp`` or ``Tensor``,
-    is its own copy, and pickles as the post-order list of its descendants
-    that :func:`_rebuild` builds again on a stack, so no depth recurses.
+    is its own copy, and pickles as its :func:`postorder` listing, which
+    :func:`_rebuild` builds again on a stack, so no depth recurses.
     The table has no lock: nodes are built by one thread at a time.
 
     What is derived from a node is kept on it once computed: the one slot
     ``_wires`` holds an object's flat wire list (``None`` until
-    ``coherence.flatten_object`` first asks, and on atoms).  It lives
+    :func:`flatten_object` first asks, and on atoms).  It lives
     outside the dataclass fields, so ``vars()``, ``repr``, copies and
     pickles never see it.
     """
@@ -270,21 +270,7 @@ class Node:
         return node
 
     def __reduce__(self):
-        items, built = [], {}  # names, classes and back references, in post-order; id -> index
-        todo = [self]
-        while todo:
-            x = todo.pop()
-            if x.__class__ is str:
-                items.append(x)
-            elif x.__class__ is tuple:  # (node,): its fields are listed
-                built[id(x[0])] = len(built)
-                items.append(x[0].__class__)
-            elif id(x) in built:
-                items.append(built[id(x)])
-            else:
-                todo.append((x,))
-                todo += reversed(x.__dict__.values())
-        return _rebuild, (tuple(items),)
+        return _rebuild, (postorder(self),)
 
     def __deepcopy__(self, memo=None):
         return self
@@ -295,10 +281,32 @@ class Node:
 _set_wires = Node._wires.__set__  # past the frozen records' __setattr__
 
 
-def _rebuild(items: tuple) -> Node | MorExpr:
-    """The node that :meth:`Node.__reduce__` listed as ``items``.  A class
-    takes its fields off the end of the values before it; an index stands
-    for the node built that many nodes in, as a shared descendant."""
+def postorder(node: Node | MorExpr) -> tuple:
+    """``node`` and its descendants as one flat list, children first: a name
+    is itself, a node is its class after its fields, and a node met again
+    is the index of its class among the classes before it."""
+
+    items, built = [], {}  # id -> index
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            items.append(x)
+        elif x.__class__ is tuple:  # (node,): its fields are listed
+            built[id(x[0])] = len(built)
+            items.append(x[0].__class__)
+        elif id(x) in built:
+            items.append(built[id(x)])
+        else:
+            todo.append((x,))
+            todo += reversed(x.__dict__.values())
+    return tuple(items)
+
+
+def _rebuild(items: tuple, binds: dict | None = None) -> Node | MorExpr:
+    """The node that :func:`postorder` listed as ``items``: a class takes its
+    fields off the end of the values before it, an index is the node built
+    that many nodes in, and a metavariable in ``binds`` is replaced."""
 
     values, built = [], []
     for x in items:
@@ -308,7 +316,10 @@ def _rebuild(items: tuple) -> Node | MorExpr:
             values.append(built[x])
         else:
             k = len(values) - len(x.__dataclass_fields__)
-            built.append(x(*values[k:]))
+            node = x(*values[k:])
+            if binds is not None and (x is MorVar or x is ObjVar):
+                node = binds[node]
+            built.append(node)
             values[k:] = built[-1:]
     return values[0]
 
@@ -663,6 +674,39 @@ def print_obj(obj: ObjExpr, full: bool = False) -> str:
     return "".join(parts)
 
 
+WireList = tuple[str, ...]
+
+
+def flatten_object(obj: ObjExpr) -> WireList:
+    """Erase bracketing and units: the ordered generator names of ``obj``.
+
+    Objects are interned, so the list is computed once per object and kept
+    on it (``ObjExpr._wires``); the walk reuses the lists kept on the
+    sub-objects asked before.
+    """
+
+    wires = obj._wires
+    if wires is not None:
+        return wires
+    names: list[str] = []
+    todo = [obj]
+    while todo:
+        o = todo.pop()
+        kept = o._wires
+        cls = type(o)
+        if kept is not None:
+            names += kept
+        elif cls is ObjTensor:
+            todo += (o.right, o.left)
+        elif cls is ObjGen:
+            names.append(o.name)
+        elif cls is not Unit:
+            raise TypeError(f"cannot flatten {o!r}")
+    wires = tuple(names)
+    _set_wires(obj, wires)
+    return wires
+
+
 # ---------------------------------------------------------------------------
 # Typechecking
 # ---------------------------------------------------------------------------
@@ -698,6 +742,16 @@ def typecheck(term: MorExpr, sig: Signature, metavars: dict[str, MorType] | None
     if kept is not None and kept[0]() is term:
         return kept[1]
     return keep_type(term, sig, Typer(sig)(term))
+
+
+def shared_boundary(t1: MorExpr, t2: MorExpr, sig: Signature) -> None:
+    """Raise :class:`TypeMismatch` unless both terms have one boundary type
+    (objects are interned, so this compares by identity)."""
+
+    ty1, ty2 = typecheck(t1, sig), typecheck(t2, sig)
+    if ty1.dom is not ty2.dom or ty1.cod is not ty2.cod:
+        a, b = (f"{print_obj(ty.dom, True)} -> {print_obj(ty.cod, True)}" for ty in (ty1, ty2))
+        raise TypeMismatch(f"terms do not share a boundary type: {a} vs {b}")
 
 
 class Typer:
@@ -756,6 +810,13 @@ class Typer:
 
     def __call__(self, term: MorExpr) -> MorType:
         return MorType(*fold(term, self.atom, self.comp, self.tensor))
+
+
+def atom_wires(t: MorExpr, sig: Signature) -> tuple[WireList, WireList]:
+    """The flat input and output wires of the atom ``t``."""
+
+    dom, cod = Typer(sig).atom(t, True)
+    return flatten_object(dom), flatten_object(cod)
 
 
 def fold(term: MorExpr, atom, comp, tensor=None):

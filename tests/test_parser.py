@@ -264,6 +264,14 @@ def test_parse_rules_accumulated_declarations():
     assert rf.rule("two").name == "two"
 
 
+def test_parse_rules_duplicate_name():
+    # as in a signature, a name declared twice is an error at its second line
+    with pytest.raises(ParseError) as exc:
+        parse_rules("rule r : f ; g => h\nvar ?x : C -> C\nrule r : z => z\n", RULE_SIG)
+    assert str(exc.value) == "rule 'r' declared more than once"
+    assert (exc.value.span.line, exc.value.span.column) == (3, 1)
+
+
 def test_rule_lhs_must_be_chain_of_atoms():
     with pytest.raises(ParseError):
         parse_rules("rule bad : (f ; g) * z ... => h\n", RULE_SIG)
