@@ -23,6 +23,10 @@ its wires, joins ``k`` with the box's pairs and writes
 ``(p * k' + b) * post + q`` back, dropping repeated pairs only after a box
 that maps two sources to one target; a relation braiding permutes target
 digits.  Identities, associators and unitors move no wire and cost nothing.
+``eval_rel`` returns a :class:`Rel` over the sorted int64 keys
+``source * cod + target``: ``==`` of two is one array compare, iteration is
+in sorted pair order, and every other set operation builds a frozenset of
+the pairs on first use.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Set
 from dataclasses import field
 from functools import partial
 from random import Random
@@ -101,6 +106,15 @@ def braid_matrix(m: int, n: int) -> np.ndarray:
 _EQUIV_BLOCK = 1 << 12  # entries per row block compared by mat_equiv
 
 
+def _largest_abs(d: np.ndarray) -> float:
+    """The largest absolute entry of ``d`` (NaN if any is).  Most blocks of two
+    equal sides differ by exact zeros, so ``abs`` is skipped when none is
+    nonzero; a NaN is, and so is an infinity minus itself.  A function, not
+    a line of the generator, so each block's ``d`` is freed before the next."""
+
+    return np.max(np.abs(d)) if d.any() else 0.0
+
+
 def _block_deviations(a: np.ndarray, b: np.ndarray):
     """The largest entrywise absolute difference (NaN if any is) of each row
     block of equal-shaped ``a`` and ``b``, lazily; none when they are empty."""
@@ -109,7 +123,7 @@ def _block_deviations(a: np.ndarray, b: np.ndarray):
         a, b = np.atleast_1d(a), np.atleast_1d(b)
         step = max(1, _EQUIV_BLOCK * len(a) // a.size)
         for i in range(0, len(a), step):
-            yield np.max(np.abs(a[i:i + step] - b[i:i + step]))
+            yield _largest_abs(a[i:i + step] - b[i:i + step])
 
 
 def mat_equiv(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -369,7 +383,57 @@ def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
 # Relations
 # ---------------------------------------------------------------------------
 
-Rel = frozenset  # of (source index, target index) pairs
+class Rel(Set):
+    """An immutable set of (source, target) index pairs, held as the sorted
+    int64 keys ``source * cod + target``.  Sorted keys are the pairs in
+    lexicographic order for any ``cod``, so ``==`` of two is one array
+    compare (of the keys, or of their digits when the ``cod`` differ), and
+    iteration yields the pairs sorted.  Every other use (``in``,
+    ``hash``, ``<=``, ``==`` against another set, and ``^ | & -``, which give
+    frozensets) goes through one frozenset of the pairs, built on first use."""
+
+    __slots__ = ("keys", "cod", "_set")
+
+    def __init__(self, keys: np.ndarray, cod: int):
+        keys.flags.writeable = False  # the hash and the frozenset must stay true
+        self.keys, self.cod, self._set = keys, cod, None
+
+    def __reduce__(self):  # the frozenset is rebuilt on demand, never pickled
+        return Rel, (self.keys, self.cod)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        src, tgt = np.divmod(self.keys, self.cod)
+        return zip(src.tolist(), tgt.tolist())
+
+    def __repr__(self) -> str:
+        return f"Rel({list(self)})"
+
+    def _frozen(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self)
+        return self._set
+
+    def __eq__(self, other):
+        if other.__class__ is not Rel:
+            return self._frozen().__eq__(other)
+        if self.cod == other.cod:
+            return np.array_equal(self.keys, other.keys)
+        return all(map(np.array_equal, np.divmod(self.keys, self.cod),
+                       np.divmod(other.keys, other.cod)))
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._frozen()
+
+    def __hash__(self) -> int:
+        return hash(self._frozen())
+
+    def __le__(self, other):
+        return self._frozen().__le__(other)
+
+    _from_iterable = frozenset
 
 
 class _Pairs(NamedTuple):
@@ -394,14 +458,22 @@ def _pairs(src: np.ndarray, tgt: np.ndarray, dom: int, cod: int) -> _Pairs:
     return _Pairs(src, tgt, dom, cod)
 
 
+def _keys(v: _Pairs) -> np.ndarray:
+    """The pairs' int64 keys ``src * cod + tgt``, which order them as pairs
+    are ordered lexicographically; ``_pairs`` refused any ``dom * cod`` they
+    could overflow."""
+
+    return v.src * v.cod + v.tgt
+
+
 @record
 class RelInstance:
     """Finite-relation semantics: carriers {0..size-1} per object generator."""
 
     sig: Signature
     size: dict[str, int]
-    rel: dict[str, Rel]
-    # generator or inverse -> (the Rel its pairs were built from, the pairs,
+    rel: dict[str, frozenset]
+    # generator or inverse -> (the pair set its arrays were built from, the pairs,
     # or None for the inverse of a relation that is not a bijection)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -462,11 +534,11 @@ def _rel_box(g: _Pairs, v: _Pairs, pre: int) -> tuple[_Pairs, int]:
     at = np.repeat(g.first[k] - np.cumsum(count) + count, count) + np.arange(count.sum())
     src = np.repeat(v.src, count)
     tgt = np.repeat(p * (g.cod * post) + q, count) + g.tgt[at] * post
-    cod = pre * g.cod * post
+    out = _pairs(src, tgt, v.dom, pre * g.cod * post)
     if g.merges:  # two paths may now reach the same pair: keep one
-        key = np.sort(src * cod + tgt)
-        src, tgt = np.divmod(key[np.diff(key, prepend=-1) > 0], cod)
-    return _pairs(src, tgt, v.dom, cod), g.cod
+        key = np.sort(_keys(out))
+        out = _Pairs(*np.divmod(key[np.diff(key, prepend=-1) > 0], out.cod), v.dom, out.cod)
+    return out, g.cod
 
 
 def _rel_swap(v: _Pairs, pre: int, a: int, b: int) -> _Pairs:
@@ -487,17 +559,17 @@ def eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
     """Evaluate a well-typed term to its relation on flattened carriers."""
 
     v = _rel_pairs(term, inst)
-    return frozenset(zip(v.src.tolist(), v.tgt.tolist()))
+    return Rel(np.sort(_keys(v)), v.cod)
 
 
 def rel_difference(t1: MorExpr, t2: MorExpr, inst: RelInstance) -> list[tuple[int, int]]:
     """The sorted pairs in exactly one of the two terms' relations, found
-    from their sorted int64 keys ``src * cod + tgt``; no ``Rel`` is built."""
+    from their sorted int64 keys; no ``Rel`` is built."""
 
     a, b = _rel_pairs(t1, inst), _rel_pairs(t2, inst)
     if (a.dom, a.cod) != (b.dom, b.cod):
         raise CatError(f"relations on {a.dom} x {a.cod} and {b.dom} x {b.cod} elements")
-    keys = np.setxor1d(a.src * a.cod + a.tgt, b.src * b.cod + b.tgt, assume_unique=True)
+    keys = np.setxor1d(_keys(a), _keys(b), assume_unique=True)
     src, tgt = np.divmod(keys, a.cod)
     return list(zip(src.tolist(), tgt.tolist()))
 
@@ -592,7 +664,7 @@ def rel_instance(sig: Signature) -> RelInstance:
     """Build the relation backend from the signature's ``backend rel`` block."""
 
     size: dict[str, int] = {}
-    rel: dict[str, Rel] = {}
+    rel: dict[str, frozenset] = {}
     for word, name, value, line_no in _block_entries(sig, "rel", ("size", "rel")):
         if word == "size":
             size[name] = _number(int, value, line_no, f"size {name}")

@@ -258,15 +258,15 @@ class Node:
         if kwargs or len(args) != len(names):
             args = _bind(cls, args, kwargs)
         key = (cls, args)
-        ref = Node._interned.get(key)
+        table = Node._interned  # the callback holds the table: teardown may clear ``Node``
+        ref = table.get(key)
         node = ref and ref()
         if node is not None:
             return node
         node = object.__new__(cls)
         node.__dict__.update(zip(names, args))
         _set_wires(node, None)
-        Node._interned[key] = weakref.ref(node, lambda ref: (
-            Node._interned.get(key) is ref and Node._interned.pop(key)))
+        table[key] = weakref.ref(node, lambda ref: table.get(key) is ref and table.pop(key))
         return node
 
     def __reduce__(self):

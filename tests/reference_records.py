@@ -260,7 +260,7 @@ class MatrixInstance:
 class RelInstance:
     sig: Signature
     size: dict[str, int]
-    rel: dict[str, Rel]
+    rel: dict[str, frozenset]
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __post_init__ = semantics.RelInstance.__post_init__
 

@@ -18,7 +18,6 @@ from monocat.semantics import (
     MatrixInstance,
     MissingBackendData,
     NotBijective,
-    Rel,
     RelInstance,
     braid_matrix,
     dim_flat,
@@ -79,17 +78,17 @@ def dense_eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
     return result
 
 
-def _diag(n: int) -> Rel:
+def _diag(n: int) -> frozenset:
     return frozenset((x, x) for x in range(n))
 
 
-def reference_eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
+def reference_eval_rel(term: MorExpr, inst: RelInstance) -> frozenset:
     """Evaluate a well-typed term to its relation on flattened carriers."""
 
     sig = inst.sig
     typecheck(term, sig)
 
-    def ev(t: MorExpr) -> tuple[Rel, int, int]:
+    def ev(t: MorExpr) -> tuple[frozenset, int, int]:
         """Returns (pairs, source size, target size)."""
 
         if isinstance(t, MorGen):

@@ -1,14 +1,18 @@
 """Matrix and relation oracles: evaluation, laws, coherence checking."""
 
+import copy
 import itertools
+import operator
+import pickle
 import tracemalloc
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gen import (
+    interchange_pair,
     random_matrix_instance,
     random_rel_instance,
     random_term,
@@ -17,12 +21,14 @@ from gen import (
     struct_sig,
 )
 from monocat import semantics
+from monocat.coherence import Equal, monoidal_eq
 from monocat.parser import parse_expr, parse_signature
 from monocat.semantics import (
     InvalidBackendData,
     MatrixInstance,
     MissingBackendData,
     NotBijective,
+    Rel,
     braid_matrix,
     check_coherence,
     dim_flat,
@@ -119,6 +125,16 @@ def test_mat_equiv_verdicts(block, monkeypatch):
         assert not mat_equiv(a, nan, np.inf)
         assert not mat_equiv(nan, a, np.inf)
         assert not mat_equiv(nan, nan.copy(), np.inf)
+    # equal blocks deviate by 0, a zero's sign included, but an infinity
+    # minus itself is NaN
+    zeros = np.zeros((6, 4), dtype=complex)
+    assert set(semantics._block_deviations(zeros, -zeros)) == {0.0}
+    inf = a.copy()
+    inf[5, 3] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert not mat_equiv(inf, inf.copy(), np.inf)
+    # a difference in the imaginary part only
+    assert not mat_equiv(a, a + 1j * (a == 23), 0.5)
     # a difference equal to tol is within it (|3+4i| is exactly 5)
     for i, j in ((0, 0), (5, 3)):
         off = a.copy()
@@ -751,6 +767,108 @@ def test_eval_rel_too_large_to_index():
     assert eval_rel(parse_expr(" * ".join(["e"] * 62), sig), inst) == {(0, 2 ** 62 - 1)}
     with pytest.raises(CatError, match="too large to index"):
         eval_rel(parse_expr(" * ".join(["e"] * 63), sig), inst)
+
+
+BRAID_AB = frozenset((i * 2 + j, j * 3 + i) for i in range(3) for j in range(2))
+
+
+def test_rel_equality():
+    """A ``Rel`` equals exactly the sets of its pairs, both ways round, and
+    another ``Rel`` of the same pairs, on the same carrier or not."""
+
+    inst = rel_instance(BACKEND_SIG)
+    rel = eval_rel(parse_expr("braid[A,B]", BACKEND_SIG), inst)
+    assert type(rel) is Rel and len(rel) == 6
+    with pytest.raises(ValueError):
+        rel.keys[0] = 0
+    same = (BRAID_AB, set(BRAID_AB), eval_rel(parse_expr("braid[A,B]", BACKEND_SIG), inst),
+            Rel(np.array(sorted(x * 7 + y for x, y in BRAID_AB)), 7))
+    other = (BRAID_AB - {(5, 5)}, BRAID_AB | {(5, 0)}, set(BRAID_AB ^ {(0, 0), (0, 1)}),
+             Rel(rel.keys, 5), eval_rel(parse_expr("id[A * B]", BACKEND_SIG), inst))
+    for x in same:
+        assert rel == x and x == rel and not rel != x and not x != rel, x
+    for x in other:
+        assert rel != x and x != rel and not rel == x and not x == rel, x
+    for x in (sorted(BRAID_AB), None, 6):
+        assert rel != x and not rel == x
+    # the same keys on another carrier are other pairs; the same pairs are other keys
+    assert Rel(np.array([1, 5]), 4) == Rel(np.array([1, 3]), 2) == {(0, 1), (1, 1)}
+    assert Rel(np.array([1, 5]), 4) != Rel(np.array([1, 5]), 3)
+    assert Rel(np.array([1, 5]), 4) != Rel(np.array([1, 2]), 2)
+
+
+def test_rel_hash_iteration_and_membership():
+    rel = eval_rel(parse_expr("braid[A,B]", BACKEND_SIG), rel_instance(BACKEND_SIG))
+    assert hash(rel) == hash(BRAID_AB) == hash(Rel(np.array(sorted(
+        x * 9 + y for x, y in BRAID_AB)), 9))
+    assert list(rel) == sorted(BRAID_AB)
+    assert all(type(x) is int for pair in rel for x in pair)
+    for probe in ((1, 3), (3, 1), (np.int64(1), np.int64(3)), (np.int32(3), 4), (1.0, 3),
+                  (1.5, 3), (1, 3, 0), 1.0, "(1, 3)", None):
+        assert (probe in rel) is (probe in BRAID_AB), probe
+    for probe in ([1, 3], np.array([1, 3]), {1: 3}):
+        with pytest.raises(TypeError):
+            probe in BRAID_AB
+        with pytest.raises(TypeError):
+            probe in rel
+
+
+def test_rel_set_operations_give_frozensets():
+    inst = rel_instance(BACKEND_SIG)
+    rel = eval_rel(parse_expr("braid[A,B]", BACKEND_SIG), inst)
+    ident = eval_rel(parse_expr("id[A * B]", BACKEND_SIG), inst)
+    for x in (set(), {(0, 0), (9, 9)}, frozenset(BRAID_AB), {(5, 5)}, ident, rel):
+        fx = frozenset(x)
+        for op in (operator.xor, operator.or_, operator.and_, operator.sub):
+            got, want = op(rel, x), op(BRAID_AB, fx)
+            assert type(got) is frozenset and got == want, (op, x)
+            assert op(x, rel) == op(fx, BRAID_AB), (op, x)
+        for op in (operator.le, operator.lt, operator.ge, operator.gt):
+            assert op(rel, x) is op(BRAID_AB, fx) and op(x, rel) is op(fx, BRAID_AB), (op, x)
+        assert rel.isdisjoint(x) is BRAID_AB.isdisjoint(fx)
+    with pytest.raises(TypeError):
+        rel <= sorted(BRAID_AB)
+
+
+def test_rel_pickle_and_copy_drop_the_frozenset():
+    rel = eval_rel(parse_expr("braid[A,B]", BACKEND_SIG), rel_instance(BACKEND_SIG))
+    data = pickle.dumps(rel)
+    hash(rel)  # builds and keeps the frozenset
+    assert rel._set == BRAID_AB and pickle.dumps(rel) == data
+    for back in (pickle.loads(data), copy.deepcopy(rel), copy.copy(rel)):
+        assert type(back) is Rel and back._set is None and back.cod == rel.cod
+        assert np.array_equal(back.keys, rel.keys) and back == rel and back == BRAID_AB
+
+
+def test_empty_rel():
+    inst = rel_instance(UNCLE_SIG)
+    empty = eval_rel(parse_expr("brother ; parent", UNCLE_SIG), inst)
+    assert type(empty) is Rel and len(empty) == 0 and list(empty) == []
+    assert empty == frozenset() == empty and empty == set() and set() == empty
+    assert empty == Rel(np.array([], dtype=np.int64), 1) and hash(empty) == hash(frozenset())
+    assert empty != eval_rel(parse_expr("parent ; brother", UNCLE_SIG), inst)
+    assert (0, 0) not in empty and empty <= set() and not empty
+    assert pickle.loads(pickle.dumps(empty)) == empty
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["std", "struct"]))
+def test_interchange_pairs_agree_in_both_oracles(seed, which):
+    """A term and its interchange rewrite that ``monoidal_eq`` calls Equal
+    (some with scalar boxes are NotDecided) have equal relations, each the
+    reference evaluator's, and equal matrices.  About 1 ms an example, so
+    300 take under 3 s."""
+
+    sig = PROPERTY_SIGS[which]
+    t1, t2 = interchange_pair(seed, sig)
+    assume(isinstance(monoidal_eq(t1, t2, sig), Equal))
+    rng = Random(seed)
+    ri = random_rel_instance(rng, sig, max_size=3)
+    r1, r2 = eval_rel(t1, ri), eval_rel(t2, ri)
+    assert type(r1) is type(r2) is Rel and r1 == r2
+    assert r1 == reference_eval_rel(t1, ri) and r2 == reference_eval_rel(t2, ri)
+    mi = random_matrix_instance(rng, sig, max_dim=3)
+    assert mat_equiv(eval_matrix(t1, mi), eval_matrix(t2, mi), mi.tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import sys
 import weakref
 from random import Random
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gen import random_object, random_term
+from monocat import terms
 from monocat.coherence import flatten_object
 from monocat.parser import parse_expr, parse_obj, parse_rules, parse_signature, print_expr
 from monocat.terms import (
@@ -377,3 +379,19 @@ def test_interned_table_drops_objects_with_kept_wires():
     del obj
     gc.collect()
     assert ref() is None and len(table) == before
+
+
+def test_interned_callback_survives_teardown(monkeypatch):
+    """Interpreter teardown may set the module global ``Node`` to None before
+    the last nodes die: dropping one then still reports no error."""
+
+    errors = []
+    monkeypatch.setattr(sys, "unraisablehook", errors.append)
+    obj = ObjGen("torn_down")
+    try:
+        terms.Node = None
+        del obj
+        gc.collect()
+    finally:
+        terms.Node = Node
+    assert [err.exc_value for err in errors] == []
