@@ -202,7 +202,8 @@ _REPL_USAGE = {"partner": "usage: partner <p> <q>", "rw": "usage: rw <rulefile> 
 def repl_step(state: ReplState, line: str) -> ReplState:
     """Execute one REPL line, returning the (possibly updated) state.
 
-    Errors are printed and leave the state unchanged.
+    An error of any kind is printed as the one ``error:`` line ``run``
+    prints, and leaves the state unchanged.
     """
 
     line = line.strip()
@@ -251,8 +252,8 @@ def repl_step(state: ReplState, line: str) -> ReplState:
             state.done = True
         else:
             raise CatError(f"unknown command {cmd!r}; try help")
-    except (CatError, OSError) as err:  # only a CatError has a span
-        say(f"error: {err}" + (f" ({err.span})" if getattr(err, "span", None) else ""))
+    except Exception as err:  # reported in its place; the session goes on
+        say(_error_line(err))
     return state
 
 
@@ -348,8 +349,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except Exception as err:  # a crash is an error (2), never "unequal" (1)
-        where = f" ({err.span})" if getattr(err, "span", None) else ""  # only a CatError has one
-        print(f"error: {_error_text(err)}{where}", file=sys.stderr)
+        print(_error_line(err), file=sys.stderr)
         return 2
 
 
@@ -359,6 +359,13 @@ def _error_text(err: Exception) -> str:
     if isinstance(err, (CatError, OSError)):
         return str(err)
     return f"{type(err).__name__}: {' '.join(str(err).split())}"
+
+
+def _error_line(err: Exception) -> str:
+    """The one ``error:`` line of a failed run or REPL command, with the
+    error's span when it has one (only a ``CatError`` does)."""
+
+    return f"error: {_error_text(err)}" + (f" ({err.span})" if getattr(err, "span", None) else "")
 
 
 def main() -> None:

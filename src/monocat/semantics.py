@@ -4,29 +4,27 @@ Both backends are ground-truth oracles for the symbolic layer.  Matrices
 use the column-vector convention: a term ``dom -> cod`` evaluates to a
 ``dimflat(cod) x dimflat(dom)`` matrix, so ``f ; g`` is ``mat(g) @ mat(f)``.
 Relations are sets of (source, target) pairs of elements indexed row-major
-over the flattened object, so a relation is the support of its 0/1 matrix.
-Neither evaluator imports ``coherence`` or walks a normal form, so they
-check the normalizer independently.  They share one walk by local application,
-as DisCoPy contracts diagrams (arXiv:2005.02975): a tensor is a Kronecker
-product (of matrices, or of pair sets), and ``f ; g`` applies each box of
-``g`` at its wire offset to the value of ``f``.  By the mixed-product
-property (Van Loan, 2000) a matrix value stays a list of Kronecker factors,
-dense or identity, each with its row count and column axes: a box is one
-batched ``matmul`` on the merge of only the factors its rows fall in, and a
-braiding of two whole runs of factors only reorders them,
-P (X (x) Y) = (Y (x) X) Q, with Q kept in their column axes (one that cuts
-a dense factor transposes its rows).  The full matrix is written once, at
-the end, into zeros through one strided view, and ``mat_equiv`` compares
-two in row blocks small enough to need no large temporary.  A
-relation box splits each target into the digits ``pre / k / post`` around
-its wires, joins ``k`` with the box's pairs and writes
-``(p * k' + b) * post + q`` back, dropping repeated pairs only after a box
-that maps two sources to one target; a relation braiding permutes target
-digits.  Identities, associators and unitors move no wire and cost nothing.
-``eval_rel`` returns a :class:`Rel` over the sorted int64 keys
-``source * cod + target``: ``==`` of two is one array compare, iteration is
-in sorted pair order, and every other set operation builds a frozenset of
-the pairs on first use.
+over the flattened object, so a relation is the support of its 0/1 matrix:
+both backends share one evaluator, the relation one on ``bool`` matrices,
+whose products never count paths.  It imports no ``coherence`` and walks
+no normal form, so it checks the normalizer independently.  It applies
+locally, as DisCoPy contracts diagrams (arXiv:2005.02975): a tensor is a
+Kronecker product, and ``f ; g`` applies each box of ``g`` at its wire
+offset to the value of ``f``.  By the mixed-product property (Van Loan,
+2000) a value stays a list of Kronecker factors, dense or identity, each
+with its row count and column axes: a box is one batched ``matmul`` on the
+merge of only the factors its rows fall in, and a braiding of two whole
+runs of factors only reorders them, P (X (x) Y) = (Y (x) X) Q, with Q kept
+in their column axes (one that cuts a dense factor transposes its rows).
+Identities, associators and unitors move no wire and cost nothing.  A
+matrix is written once, at the end, into zeros through one strided view,
+and ``mat_equiv`` compares two in row blocks small enough to need no large
+temporary.  A relation is listed from its factors as the int64 keys
+``source * cod + target`` of their entries, one outer sum per factor, with
+no ``dom x cod`` matrix formed.  ``eval_rel`` returns a :class:`Rel` over
+the sorted keys: ``==`` of two is one array compare, iteration is in sorted
+pair order, and every other set operation builds a frozenset of the pairs
+on first use.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from collections.abc import Set
 from dataclasses import field
 from functools import partial
 from random import Random
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,18 +172,20 @@ class MatrixInstance:
                         f"inverse for {decl.name!r} is not an inverse within tolerance")
 
 
-def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kron, box, swap):
-    """Evaluate ``term`` by local application; returns its value and type.
+def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen):
+    """Evaluate ``term`` by local application to a list of Kronecker factors;
+    returns it and the term's type.  ``gen(t)`` gives the one factor of a
+    generator or inverse: a complex matrix, or a relation's 0/1 ``bool``
+    matrix, whose products stay ``bool`` and so never count paths.
 
     ``ev`` builds a subterm's value on its own boundary.  ``apply(t, v, pre)``
-    acts with ``t`` on the targets of ``v`` (top wire most significant) below
-    wires of total size ``pre``, and returns ``t``'s total output size too.
+    acts with ``t`` on the rows of ``v`` (top wire most significant) below
+    rows of total size ``pre``, and returns ``t``'s total output size too.
     Both walk the term on an explicit stack, so neither depth nor width
-    recurses: ``ev`` joins a tensor's factor values with ``kron`` and hands
-    a chain's first value to its other elements; ``apply`` acts with a
-    tensor's bottom below its top's output size.  The backend gives
-    ``gen(t)`` for a generator or inverse, ``eye``, ``kron``,
-    ``box(gen(t), v, pre)`` and ``swap(v, pre, a, b)`` of two target blocks.
+    recurses: ``ev`` joins a tensor's factor lists and hands a chain's first
+    value to its other elements; ``apply`` acts with a tensor's bottom below
+    its top's output size, with a box through ``_act`` and a braiding
+    through ``_swap``.
     """
 
     ty = typecheck(term, sig)
@@ -196,14 +195,14 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
         # an identity, structural atom or braiding spans all its object fields
         return math.prod(dim(obj) for obj in node_fields(t))
 
-    def ev(t: MorExpr):
+    def ev(t: MorExpr) -> list:
         values = []  # valued subterms, each popped by the step that takes it over
         todo = [("value", t)]
         while todo:
             step, t = todo.pop()
             if step == "kron":  # both factors of a tensor are valued
                 bottom = values.pop()
-                values.append(kron(values.pop(), bottom))
+                values.append(values.pop() + bottom)
             elif step == "chain":  # a chain's first element is valued: apply the rest
                 for el in t:
                     values.append(apply(el, values.pop(), 1)[0])
@@ -213,12 +212,13 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
             elif isinstance(t, Tensor):
                 todo += (("kron", None), ("value", t.bottom), ("value", t.top))
             elif isinstance(t, (MorGen, Inv)):
-                values.append(gen(t))
+                values.append([gen(t)])
             else:
-                values.append(apply(t, eye(size(t)), 1)[0])
+                n = size(t)
+                values.append(apply(t, [(n, n, None, ((n, 1, 1),))] if n > 1 else [], 1)[0])
         return values.pop()
 
-    def apply(t: MorExpr, v, pre: int) -> tuple:
+    def apply(t: MorExpr, v: list, pre: int) -> tuple[list, int]:
         out = 1  # output size of the last subterm that acted
         todo = [("act", t, pre)]
         while todo:
@@ -232,10 +232,12 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
             elif isinstance(t, Tensor):
                 todo += (("bottom", t, n), ("act", t.top, n))
             elif isinstance(t, (MorGen, Inv)):
-                v, out = box(gen(t), v, n)
+                out, k, s, _ = gen(t)
+                v = _act(v, n, k, lambda m, p: s if m is None else np.matmul(
+                    s, m.reshape(p, k, -1)).reshape(-1, m.shape[1]))
             elif (halves := STRUCTURAL[t.__class__][5]) is not None:
                 a, b = map(dim, halves(*node_fields(t)))
-                v, out = swap(v, n, a, b), a * b
+                v, out = _swap(v, n, a, b), a * b
             else:
                 out = size(t)  # identities, associators and unitors move no wire
         return v, out
@@ -243,19 +245,25 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen, eye, kro
     return ev(term), ty
 
 
-# A matrix value is a list of Kronecker factors (rows, cols, mat, axes): ``mat``
-# is dense, or None for the rows x rows identity, and each column axis
+# A value is a list of Kronecker factors (rows, cols, mat, axes): ``mat`` is
+# dense, or None for the rows x rows identity, and each column axis
 # (size, num, den) is a digit of the domain's column index whose stride is
 # num / den times the columns of the factors after it.  So a tensor joins two
 # lists unchanged, and a braiding may reorder one.
 
 
-def _write(run: list, rows: int, cols: int) -> np.ndarray:
+def _factor(m: np.ndarray) -> tuple:
+    """A generator's cod x dom matrix as one factor, its columns one axis."""
+
+    return (*m.shape, m, ((m.shape[1], 1, 1),) if m.shape[1] > 1 else ())
+
+
+def _write(run: list, rows: int, cols: int, dtype) -> np.ndarray:
     """The rows x cols Kronecker product of the factor ``run``, written once
-    into zeros: the outer product of the dense factors (1 x 1 ones folded in
-    as a scalar) is assigned to one strided view of the result, which takes
-    each dense factor's row and column axes and one diagonal axis (row plus
-    column stride) per identity."""
+    into zeros of ``dtype``: the outer product of the dense factors (1 x 1
+    ones folded in as a scalar) is assigned to one strided view of the
+    result, which takes each dense factor's row and column axes and one
+    diagonal axis (row plus column stride) per identity."""
 
     def push(dims: list, size: int, stride: int) -> None:  # joins an axis it continues
         if size > 1 and dims and dims[-1][1] == size * stride:
@@ -263,7 +271,7 @@ def _write(run: list, rows: int, cols: int) -> np.ndarray:
         elif size > 1:
             dims.append((size, stride))
 
-    out = np.zeros((rows, cols), dtype=complex)
+    out = np.zeros((rows, cols), dtype=dtype)
     diag, dims, dense, scalar = [], [], [], 1  # (size, byte stride) axes
     r = c = cols * out.itemsize  # the row and column strides of the factors after this one
     r *= rows
@@ -285,7 +293,7 @@ def _write(run: list, rows: int, cols: int) -> np.ndarray:
             value = np.multiply.outer(value, m).ravel()
         value = value.reshape([size for size, _ in dims])
     shape, strides = zip(*diag, *dims) if diag or dims else ((), ())
-    np.ndarray(shape, complex, out, 0, strides)[...] = value
+    np.ndarray(shape, out.dtype, out, 0, strides)[...] = value
     return out
 
 
@@ -322,15 +330,17 @@ def _act(v: list, pre: int, k: int, op) -> list:
 
 
 def _merge(run: list) -> tuple:
-    """The factor ``run`` as one dense factor; boxes multiply on the left, so
-    it keeps every column axis of the run."""
+    """The factor ``run`` as one dense factor, in its factors' dtype (so a
+    relation's stays ``bool``); boxes multiply on the left, so it keeps every
+    column axis of the run."""
 
     rows, cols = math.prod(f[0] for f in run), math.prod(f[1] for f in run)
     axes, after = [], cols
     for _, c, _, f_axes in run:
         after //= c
         axes += [(size, num * after, den) for size, num, den in f_axes]
-    m = _write([(n, c, f, ((c, 1, 1),)) for n, c, f, _ in run], rows, cols)
+    m = _write([(n, c, f, ((c, 1, 1),)) for n, c, f, _ in run], rows, cols,
+               np.result_type(bool, *{f[2].dtype for f in run if f[2] is not None}))
     return rows, cols, m, tuple(axes)
 
 
@@ -358,25 +368,17 @@ def _swap(v: list, pre: int, a: int, b: int) -> list:
 def eval_matrix(term: MorExpr, inst: MatrixInstance) -> np.ndarray:
     """Evaluate a well-typed term to its matrix (cod x dom): its value is a
     list of Kronecker factors that boxes act on and braidings reorder,
-    written into one matrix at the end."""
+    written into one complex matrix at the end."""
 
-    def gen(t: MorGen | Inv) -> list:
+    def gen(t: MorGen | Inv) -> tuple:
         table = inst.mat if isinstance(t, MorGen) else inst.inv_mat
         if t.name not in table:
             kind = "matrix" if isinstance(t, MorGen) else "inverse matrix"
             raise MissingBackendData(f"no {kind} for {t.name!r}")
-        m = table[t.name]
-        return [(*m.shape, m, ((m.shape[1], 1, 1),) if m.shape[1] > 1 else ())]
+        return _factor(table[t.name])
 
-    def box(s: list, v: list, pre: int) -> tuple[list, int]:
-        _, k, s, _ = s[0]  # a generator's value is its one factor
-        return _act(v, pre, k, lambda m, n: s if m is None else np.matmul(
-            s, m.reshape(n, k, -1)).reshape(-1, m.shape[1])), len(s)
-
-    factors, ty = _evaluate(term, inst.sig, inst.dim, gen,
-                            lambda n: [(n, n, None, ((n, 1, 1),))] if n > 1 else [],
-                            list.__add__, box, _swap)
-    return _write(factors, dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim))
+    factors, ty = _evaluate(term, inst.sig, inst.dim, gen)
+    return _write(factors, dim_flat(ty.cod, inst.dim), dim_flat(ty.dom, inst.dim), complex)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +438,6 @@ class Rel(Set):
     _from_iterable = frozenset
 
 
-class _Pairs(NamedTuple):
-    """Distinct pairs as int64 arrays on carriers of ``dom`` and ``cod``
-    elements.  A generator's are sorted by source, those of source ``a``
-    start at ``first[a]`` and number ``count[a]``, and ``merges`` says
-    that two sources share a target."""
-
-    src: np.ndarray
-    tgt: np.ndarray
-    dom: int
-    cod: int
-    first: np.ndarray | None = None
-    count: np.ndarray | None = None
-    merges: bool = False
-
-
-def _pairs(src: np.ndarray, tgt: np.ndarray, dom: int, cod: int) -> _Pairs:
-    # an int64 index, or src * cod + tgt, may have wrapped around otherwise
-    if dom * cod >= 1 << 63:
-        raise CatError(f"a relation on {dom} x {cod} elements is too large to index")
-    return _Pairs(src, tgt, dom, cod)
-
-
-def _keys(v: _Pairs) -> np.ndarray:
-    """The pairs' int64 keys ``src * cod + tgt``, which order them as pairs
-    are ordered lexicographically; ``_pairs`` refused any ``dom * cod`` they
-    could overflow."""
-
-    return v.src * v.cod + v.tgt
-
-
 @record
 class RelInstance:
     """Finite-relation semantics: carriers {0..size-1} per object generator."""
@@ -473,7 +445,7 @@ class RelInstance:
     sig: Signature
     size: dict[str, int]
     rel: dict[str, frozenset]
-    # generator or inverse -> (the pair set its arrays were built from, the pairs,
+    # generator or inverse -> (the pair set its factor was built from, the factor,
     # or None for the inverse of a relation that is not a bijection)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -496,8 +468,10 @@ class RelInstance:
                         f"carriers {src}x{tgt}")
             self.rel[decl.name] = pairs
 
-    def _generator(self, t: MorGen | Inv) -> _Pairs:
-        """The pairs of a generator or an iso's inverse, built once per relation."""
+    def _generator(self, t: MorGen | Inv) -> tuple:
+        """The factor of a generator or an iso's inverse: its cod x dom 0/1
+        ``bool`` matrix, or the transpose for an inverse; built once per
+        relation."""
 
         try:
             pairs = self.rel[t.name]
@@ -505,72 +479,58 @@ class RelInstance:
             raise MissingBackendData(f"no relation for {t.name!r}") from None
         if self._built.get(t, (None,))[0] is not pairs:
             decl = self.sig.morphism(t.name)
-            dom, cod = dim_flat(decl.dom, self.size), dim_flat(decl.cod, self.size)
-            src, tgt = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
-            if isinstance(t, Inv):
-                order = np.argsort(tgt)
-                src, tgt, dom, cod = tgt[order], src[order], cod, dom
-            count = np.bincount(src, minlength=dom)
-            merges = bool(np.bincount(tgt, minlength=cod).max() > 1)
-            bijective = dom == cod == len(src) and count.max() == 1 and not merges
-            built = _Pairs(src, tgt, dom, cod, np.cumsum(count) - count, count, merges)
-            self._built[t] = (pairs, built if bijective or isinstance(t, MorGen) else None)
+            m = np.zeros((dim_flat(decl.cod, self.size), dim_flat(decl.dom, self.size)), bool)
+            src, tgt = np.array([*pairs], dtype=np.int64).reshape(-1, 2).T
+            m[tgt, src] = True
+            if isinstance(t, Inv):  # a bijection has one pair in each row and column
+                m = m.T.copy() if (m.sum(0) == 1).all() and (m.sum(1) == 1).all() else None
+            self._built[t] = (pairs, None if m is None else _factor(m))
         if self._built[t][1] is None:
             raise NotBijective(f"relation for {t.name!r} is not a bijection")
         return self._built[t][1]
 
 
-def _rel_kron(r: _Pairs, s: _Pairs) -> _Pairs:
-    return _pairs(np.add.outer(r.src * s.dom, s.src).ravel(),
-                  np.add.outer(r.tgt * s.cod, s.tgt).ravel(), r.dom * s.dom, r.cod * s.cod)
+def _rel_keys(term: MorExpr, inst: RelInstance) -> tuple[np.ndarray, int, int]:
+    """The int64 keys ``src * cod + tgt`` of the term's pairs, unsorted, and
+    its ``dom`` and ``cod``.  Each factor of its value adds the row and column
+    offsets of its entries, at the strides ``_write`` takes, through an outer
+    sum, so no dom x cod matrix is formed; a relation on 2^63 elements or
+    more is refused, as its keys could overflow."""
 
-
-def _rel_box(g: _Pairs, v: _Pairs, pre: int) -> tuple[_Pairs, int]:
-    # split each target into pre / k / post digits and join k with g's sources
-    post = v.cod // (pre * g.dom)
-    p, rest = np.divmod(v.tgt, g.dom * post)
-    k, q = np.divmod(rest, post)
-    count = g.count[k]
-    at = np.repeat(g.first[k] - np.cumsum(count) + count, count) + np.arange(count.sum())
-    src = np.repeat(v.src, count)
-    tgt = np.repeat(p * (g.cod * post) + q, count) + g.tgt[at] * post
-    out = _pairs(src, tgt, v.dom, pre * g.cod * post)
-    if g.merges:  # two paths may now reach the same pair: keep one
-        key = np.sort(_keys(out))
-        out = _Pairs(*np.divmod(key[np.diff(key, prepend=-1) > 0], out.cod), v.dom, out.cod)
-    return out, g.cod
-
-
-def _rel_swap(v: _Pairs, pre: int, a: int, b: int) -> _Pairs:
-    post = v.cod // (pre * a * b)
-    p, rest = np.divmod(v.tgt, a * b * post)
-    i, rest = np.divmod(rest, b * post)
-    j, q = np.divmod(rest, post)
-    return _Pairs(v.src, ((p * b + j) * a + i) * post + q, v.dom, v.cod)
-
-
-def _rel_pairs(term: MorExpr, inst: RelInstance) -> _Pairs:
-    return _evaluate(term, inst.sig, inst.size, inst._generator,
-                     lambda n: _pairs(np.arange(n), np.arange(n), n, n), _rel_kron,
-                     _rel_box, _rel_swap)[0]
+    factors, ty = _evaluate(term, inst.sig, inst.size, inst._generator)
+    cod, dom = dim_flat(ty.cod, inst.size), dim_flat(ty.dom, inst.size)
+    if dom * cod >= 1 << 63:
+        raise CatError(f"a relation on {dom} x {cod} elements is too large to index")
+    keys, r, c = np.zeros(1, dtype=np.int64), cod, dom  # r, c: rows and columns from a factor on
+    for n, k, m, axes in factors:
+        r, c = r // n, c // k
+        col = np.zeros(1, dtype=np.int64)  # the source offset of each of the factor's columns
+        for size, num, den in axes:
+            col = np.add.outer(col, np.arange(size) * (num * c // den)).ravel()
+        if m is None:
+            offsets = np.arange(n) * r + col * cod
+        else:
+            i, j = np.nonzero(m)
+            offsets = i * r + col[j] * cod
+        keys = np.add.outer(keys, offsets).ravel()
+    return keys, dom, cod
 
 
 def eval_rel(term: MorExpr, inst: RelInstance) -> Rel:
     """Evaluate a well-typed term to its relation on flattened carriers."""
 
-    v = _rel_pairs(term, inst)
-    return Rel(np.sort(_keys(v)), v.cod)
+    keys, _, cod = _rel_keys(term, inst)
+    return Rel(np.sort(keys), cod)
 
 
 def rel_difference(t1: MorExpr, t2: MorExpr, inst: RelInstance) -> list[tuple[int, int]]:
     """The sorted pairs in exactly one of the two terms' relations, found
-    from their sorted int64 keys; no ``Rel`` is built."""
+    from their int64 keys; no ``Rel`` is built."""
 
-    a, b = _rel_pairs(t1, inst), _rel_pairs(t2, inst)
-    if (a.dom, a.cod) != (b.dom, b.cod):
-        raise CatError(f"relations on {a.dom} x {a.cod} and {b.dom} x {b.cod} elements")
-    keys = np.setxor1d(_keys(a), _keys(b), assume_unique=True)
-    src, tgt = np.divmod(keys, a.cod)
+    (a, dom, cod), (b, *other) = _rel_keys(t1, inst), _rel_keys(t2, inst)
+    if [dom, cod] != other:
+        raise CatError(f"relations on {dom} x {cod} and {other[0]} x {other[1]} elements")
+    src, tgt = np.divmod(np.setxor1d(a, b, assume_unique=True), cod)
     return list(zip(src.tolist(), tgt.tolist()))
 
 

@@ -18,6 +18,7 @@ from gen import STD_SIG_TEXT, random_term
 from monocat import semantics
 from monocat.cli import ReplState, repl_step, run
 from monocat.parser import parse_expr, parse_signature, print_expr
+from monocat.terms import typecheck
 
 SIG_TEXT = """
 category symmetric
@@ -650,6 +651,25 @@ def test_bad_render_config_is_an_error(sig_path, tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+def test_repl_reports_any_error_as_run_does(sig_path, repl, tmp_path, capsys, monkeypatch):
+    # an error that is not an input error (a rule file that is not UTF-8) is the one line
+    # ``run`` prints for it; the session goes on, and its transcript is written
+    rules, transcript = tmp_path / "bin.rules", tmp_path / "session.txt"
+    rules.write_bytes(b"\xff\xfe rule r : u => u\n")
+    assert run(["rewrite", "--sig", sig_path, "--rules", str(rules), "--rule", "r", "f"]) == 2
+    error = capsys.readouterr().err.rstrip("\n")
+    assert error.startswith("error: UnicodeDecodeError: ") and "\n" not in error
+    repl_step(repl, "load f")
+    repl_step(repl, f"rw {rules} r")
+    assert repl.term == parse_expr("f", repl.sig) and repl.transcript[-1] == error
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"load f\nrw {rules} r\nshow\nquit\n"))
+    assert run(["repl", "--sig", sig_path, "--transcript", str(transcript)]) == 0
+    assert capsys.readouterr().out.count("error:") == 1
+    assert transcript.read_text(encoding="utf-8").splitlines() == [
+        "> load f", "f", f"> rw {rules} r", error, "> show", "f : N -> B", "> quit"]
+
+
 def test_module_entry_point_exits_2():
     # ``python -m monocat.cli`` runs the CLI: an unreadable signature is an error (2)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -951,3 +971,82 @@ def test_cli_contract_on_mutated_rules(contract_dir, seed, how, rule):
     assert code != 1  # rewriting has no verdict
     if how == "repeat line":  # a rule or var declared twice
         assert code == 2 and "declared" in err
+
+
+# ---------------------------------------------------------------------------
+# The REPL contract on random transcripts
+# ---------------------------------------------------------------------------
+
+#: ``MONOCAT_CONFIG`` contents for a transcript's renders: none, good, and bad ones
+REPL_CONFIGS = (None, b"unit = 40\n", b"unit = big\n", b"# \xff\n", b"hgap = inf\n", "missing")
+REPL_ATOMS = ("u", "k", "inv(k)", "f", "g", "id[A]", '"u ; u"', "(u", "nosuch")
+
+
+def _repl_line(kind: str, rng: Random, path: Path) -> str:
+    """A REPL line of ``kind``, its operands drawn from ``rng``: good ones, and
+    damaged terms, unknown names, missing or binary files and unclosed quotes."""
+
+    if kind == "load":
+        text = rng.choice(["u ; (u ; (u ; u))", "u ; k ; inv(k) ; u", print_expr(
+            random_term(rng, CONTRACT_SIG, max_leaves=rng.randint(1, 6)))])
+        damaged = _damaged(text, rng.choice(DAMAGE), rng.random())
+        return f"load {damaged if rng.random() < 0.4 else text}"
+    if kind == "apply":
+        return f"apply {rng.choice(['foliate', 'weak_foliate', 'cancel_isos', 'cat_simpl', 'x'])}"
+    if kind == "partner":
+        return "partner " + rng.choice(["u u", "k inv(k)", " ".join(
+            rng.sample(REPL_ATOMS, rng.choice((1, 2, 2, 3))))])
+    if kind == "rw":
+        rules = rng.choice(["repl.rules"] * 4 + ["binary.rules", "missing.rules"])
+        quote = rng.choice(['', '', '', '"'])
+        return f"rw {quote}{path / rules} {rng.choice(RULE_NAMES[1:])}"
+    if kind == "render":
+        return rng.choice([f"render {path / 'repl.svg'}", "render", f"render {path}"])
+    return rng.choice({"blank": ["", "  "], "unknown": ["frobnicate", "Load u"]}.get(kind, [kind]))
+
+
+REPL_KINDS = ("load", "load", "apply", "partner", "rw", "undo", "render", "show", "normalize",
+              "blank", "unknown")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 16), st.lists(st.sampled_from(REPL_KINDS), max_size=16),
+       st.sampled_from(REPL_CONFIGS))
+def test_repl_contract_on_random_transcripts(contract_dir, seed, kinds, config):
+    # transcripts of load, apply, partner, rw, undo and render lines, good and damaged;
+    # time budget: 3 s (the 300 examples take about 0.7 s on one shared vCPU)
+    (contract_dir / "repl.rules").write_text(CONTRACT_RULES, encoding="utf-8")
+    (contract_dir / "binary.rules").write_bytes(b"\xff\xfe" + CONTRACT_RULES.encode())
+    cfg = contract_dir / ("repl.cfg" if config != "missing" else "missing.cfg")
+    if config not in (None, "missing"):
+        cfg.write_bytes(config)
+    state = ReplState(sig=CONTRACT_SIG)
+    with pytest.MonkeyPatch.context() as mp:
+        if config is None:
+            mp.delenv("MONOCAT_CONFIG", raising=False)
+        else:
+            mp.setenv("MONOCAT_CONFIG", str(cfg))
+        rng = Random(seed)
+        for i, kind in enumerate(["load", *kinds]):  # first a term partner and rw can act on
+            line = _repl_line(kind, rng, contract_dir) if i else "load u ; u ; (u ; k ; inv(k))"
+            term, stack = state.term, list(state.undo_stack)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                repl_step(state, line)  # nothing escapes it
+            said = out.getvalue().splitlines()
+            errors = [s for s in said if s.startswith("error:")]
+            event(f"{kind} {'errs' if errors else 'runs'}")
+            assert "Traceback" not in out.getvalue()
+            for t in filter(None, (state.term, *state.undo_stack)):
+                typecheck(t, CONTRACT_SIG)
+            if errors or kind == "unknown":
+                assert said == errors and len(errors) == 1, (line, said)
+                assert state.term is term and state.undo_stack == stack, line
+            elif kind == "load":
+                assert state.undo_stack == [], line
+            elif kind in ("apply", "partner", "rw"):
+                assert state.undo_stack == [*stack, term], line
+            elif kind == "undo":  # restores the term before the last step
+                assert state.term is stack[-1] and state.undo_stack == stack[:-1], line
+            else:
+                assert state.term is term and state.undo_stack == stack, line

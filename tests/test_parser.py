@@ -232,6 +232,19 @@ def test_parse_rules_basic():
     assert rule.lhs_chain[0] == MorVar("x")
 
 
+def test_print_metavariables_round_trip():
+    """``print_expr`` writes a metavariable as ``?x``, so a rule's sides
+    print as the rule text and parse back to equal terms."""
+
+    sig = parse_signature("category symmetric\nobject A\nmor u : A -> A\n")
+    text = "var ?x : A -> A\nrule r : {} => {}\n"
+    rule = parse_rules(text.format("?x ; u", "u ; (?x ; u)"), sig).rules[0]
+    lhs, rhs = print_expr(rule.lhs), print_expr(rule.rhs)
+    assert (lhs, rhs) == ("?x ; u", "u ; (?x ; u)")
+    again = parse_rules(text.format(lhs, rhs), sig).rules[0]
+    assert (again.lhs, again.rhs) == (rule.lhs, rule.rhs) and again == rule
+
+
 def test_parse_rules_concrete_lemma():
     rf = parse_rules("rule lemma : f ; g => h\n", RULE_SIG)
     assert rf.rules[0].lhs == Comp(MorGen("f"), MorGen("g"))

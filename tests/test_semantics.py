@@ -527,6 +527,8 @@ def test_tolerance_must_be_finite_and_at_least_0(tol):
     # a NaN or infinite entry made every check of a term against itself "unequal"
     *((f"mat f = [[{x}]]", f"bad complex number {x!r} in mat f (line 5)")
       for x in ("nan", "1e999", "-1e999i", "1 + nani")),
+    ("mat f = [[abc]]", "bad complex number 'abc' in mat f (line 5)"),
+    ("mat f = []", "empty matrix literal in mat f (line 5)"),
 ])
 def test_unreadable_backend_number_names_its_line(line, message):
     kind = "rel" if line.startswith("size") else "matrix"
@@ -552,6 +554,24 @@ def test_repeated_backend_entry_names_its_line(kind, lines, message):
     sig = parse_signature(f"category symmetric\nobject A\nmor f : A -> A\n"
                           f"backend {kind}\n{lines}\n")
     with pytest.raises(InvalidBackendData) as err:
+        (rel_instance if kind == "rel" else matrix_instance)(sig)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, lines, error, message", [
+    ("matrix", "dim A = 1\nsize A = 1", InvalidBackendData,
+     "line 7: 'size' not valid in a matrix block"),
+    ("matrix", "dim A = 0\nmat f = [[1]]\nmat k = [[1]]\ninv k = [[1]]", InvalidBackendData,
+     "dimension of 'A' must be positive"),
+    ("rel", "size A = 0\nrel f = {}\nrel k = {}", InvalidBackendData,
+     "carrier of 'A' must be nonempty"),
+    ("matrix", "dim A = 1\nmat f = [[1]]\nmat k = [[1]]", MissingBackendData,
+     "no inverse matrix for iso 'k'"),
+])
+def test_invalid_backend_block_is_refused(kind, lines, error, message):
+    sig = parse_signature(f"category symmetric\nobject A\nmor f : A -> A\niso k : A -> A\n"
+                          f"backend {kind}\n{lines}\n")
+    with pytest.raises(error) as err:
         (rel_instance if kind == "rel" else matrix_instance)(sig)
     assert str(err.value) == message
 
@@ -701,6 +721,20 @@ def test_eval_rel_drops_repeated_pairs():
                           "rel t = {(0,0),(0,1),(0,2),(1,0),(1,1),(1,2),(2,0),(2,1),(2,2)}\n")
     term = parse_expr(" ; ".join(["t"] * 60), sig)
     assert eval_rel(term, rel_instance(sig)) == {(x, y) for x in range(3) for y in range(3)}
+
+
+def test_eval_rel_merged_factors_stay_boolean():
+    """``m`` relates each of elements 0 and 1 of ``A * A`` to both.  Its first
+    copy acts on the merge of two identity factors, and every later copy on
+    that merged factor; counted as paths, the entries would pass 2^1024
+    and overflow, and ``0 * inf`` would add pairs that are not there."""
+
+    sig = parse_signature("category symmetric\nobject A\nmor m : A * A -> A * A\n"
+                          "backend rel\nsize A = 2\nrel m = {(0,0),(0,1),(1,0),(1,1)}\n")
+    inst = rel_instance(sig)
+    term = parse_expr("(id[A] * id[A]) ; " + " ; ".join(["m"] * 1100), sig)
+    assert eval_rel(term, inst) == eval_rel(parse_expr("m", sig), inst) == {
+        (0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_eval_rel_wide_product():
