@@ -23,9 +23,18 @@ from .terms import CatError, MorExpr, Signature, record, shared_boundary, typech
 CONFIG_ENV_VAR = "MONOCAT_CONFIG"
 
 
-def _load_signature(path: str) -> Signature:
+def _read(path: str, kind: str) -> str:
+    """The text of the ``kind`` file ``path``; one that is not UTF-8 is an input error."""
+
     with open(path, encoding="utf-8") as fh:
-        return parse_signature(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise CatError(f"{kind} {path} is not UTF-8 text") from None
+
+
+def _load_signature(path: str) -> Signature:
+    return parse_signature(_read(path, "signature file"))
 
 
 def _check_pair(method: str, sig: Signature, text1: str, text2: str,
@@ -72,8 +81,7 @@ def _cmd_check(args) -> int:
     backend = cache(lambda: semantics.matrix_instance(sig, args.tolerance)
                     if args.method == "matrix" else semantics.rel_instance(sig))
     if args.batch:
-        with open(args.batch, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read(args.batch, "batch file")
         code = 0  # the worst outcome so far: 1 a pair unequal, 2 a pair erred
         for line_no, line in _logical_lines(text, ()):
             if args.method in ("matrix", "rel"):
@@ -116,8 +124,7 @@ _TACTICS = {
 
 
 def _rewrite(term: MorExpr, sig: Signature, rules_path: str, rule_name: str | None) -> MorExpr:
-    with open(rules_path, encoding="utf-8") as fh:
-        rules = parse_rules(fh.read(), sig)
+    rules = parse_rules(_read(rules_path, "rule file"), sig)
     if rule_name is not None:
         return tactics.assoc_rw(term, rules.rule(rule_name), sig)
     # no rule named: apply the first rule in file order that matches

@@ -20,6 +20,15 @@ parse is exactly the input term: parentheses appear around any compound
 subterm except a same-operator chain extending to the left, so mixed
 operators are always bracketed explicitly.
 
+The parser reads a list of words (``_words``), not tokens.  Plain text,
+made only of ASCII letters, "_", blanks, newlines and ``; * [ ] ( ) ,``,
+is split with ``str.split`` once those symbols are padded with blanks.  It
+has no comment, string, arrow, digit or "'", so each blank-free run is
+one word the regex would match: a name or a symbol.  Every other text,
+such as signature lines, rule files and text with comments, digits or
+Unicode operators, goes through the regex that ``tokenize`` runs.  Both
+give the same words, so word k is token k when an error needs its span.
+
 ``parse_expr`` typechecks during the parse: each node is typed as it is
 built, chains in loops, and the root's boundary is kept with the term, so
 a later ``typecheck(term, sig)`` reads it instead of walking the term.
@@ -120,6 +129,11 @@ _WORD = r"->|=>|[;∘*⊗\[\](),:=]|\?[\w']*|\"[^\"]*\"|[^\W\d][\w']*|.|\Z"
 _KINDS = {"->": "ARROW", "=>": "DARROW", ";": "COMPOSE", "*": "TENSOR", "[": "LBRACK",
           "]": "RBRACK", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "=": "EQUALS"}
 _BUILTIN = {"compose": ";", "tensor": "*", "id": "id"}  # the word for each alias target
+# The symbols of plain text (see the module docstring), and a table that
+# deletes every character plain text may hold
+_PLAIN_SYMBOLS = ";*[](),"
+_NOT_PLAIN = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                           "_ \t\n\r" + _PLAIN_SYMBOLS)
 
 #: The entries each parse table holds; a full table is cleared, so a long
 #: batch or REPL session over one signature keeps a bounded working set.
@@ -142,6 +156,10 @@ def _is_name(word: str) -> bool:  # starts with a letter or "_"
 
 def _is_metavar(word: str) -> bool:
     return word[:1] == "?" and len(word) > 1
+
+
+def _is_plain(text: str) -> bool:
+    return text.isascii() and not text.translate(_NOT_PLAIN)
 
 
 @functools.lru_cache(maxsize=32)
@@ -198,9 +216,21 @@ def _words(text: str, aliases: dict[str, str]) -> list[str]:
     positions, checks or kinds: alias words and ``∘``/``⊗`` become the
     builtin they stand for, metavariables keep their "?" and strings their
     quotes, and "" marks the end.  Lexical errors are words no grammar rule
-    accepts."""
+    accepts.
 
-    words = _lexer(tuple(aliases)).findall(text)
+    Plain text (see the module docstring) is split with ``str.split`` once
+    its symbols are padded with blanks.  Other text goes through the regex,
+    and so does any text under a symbol alias made only of plain characters,
+    such as "**", which the regex takes as one word.  Past the first "",
+    where no parse reads, the regex may give one more "" than the split."""
+
+    if _is_plain(text) and not any(_is_plain(tok) for tok in aliases if not _is_name(tok)):
+        for symbol in _PLAIN_SYMBOLS:
+            text = text.replace(symbol, f" {symbol} ")
+        words = text.split()
+        words.append("")
+    else:
+        words = _lexer(tuple(aliases)).findall(text)
     if aliases or not text.isascii():
         builtins = _builtins(aliases)
         words = [builtins.get(w, w) for w in words]

@@ -34,7 +34,6 @@ import math
 import re
 from collections.abc import Set
 from dataclasses import field
-from functools import partial
 from random import Random
 
 import numpy as np
@@ -189,11 +188,20 @@ def _evaluate(term: MorExpr, sig: Signature, dims: dict[str, int], gen):
     """
 
     ty = typecheck(term, sig)
-    dim = partial(dim_flat, dim=dims)
+    sizes: dict = {}  # each object's and structural atom's size; both are interned
+
+    def dim(obj: ObjExpr) -> int:
+        n = sizes.get(obj)
+        if n is None:
+            n = sizes[obj] = dim_flat(obj, dims)
+        return n
 
     def size(t: MorExpr) -> int:
         # an identity, structural atom or braiding spans all its object fields
-        return math.prod(dim(obj) for obj in node_fields(t))
+        n = sizes.get(t)
+        if n is None:
+            n = sizes[t] = math.prod(map(dim, node_fields(t)))
+        return n
 
     def ev(t: MorExpr) -> list:
         values = []  # valued subterms, each popped by the step that takes it over

@@ -179,6 +179,26 @@ def test_deep_parentheses_normalize(sig_path, capsys, default_recursion_limit):
         f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * 1500)}]; out=[A]\n"
 
 
+DEEP = 5000
+DEEP_CHAINS = {"left-nested": " ; ".join(["u"] * DEEP),
+               "right-nested": "u ; (" * (DEEP - 1) + "u" + ")" * (DEEP - 1)}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_CHAINS))
+def test_deep_chains_check_and_normalize(sig_path, capsys, default_recursion_limit, shape):
+    # a 5000-element chain, against the other nesting and alone, at the default recursion
+    # limit (about 0.3 s a shape on one shared vCPU)
+    (other,) = DEEP_CHAINS.keys() - {shape}
+    text, other = DEEP_CHAINS[shape], DEEP_CHAINS[other]
+    normal_form = f"in=[A]; layers=[{', '.join(['[u([A]->[A])]'] * DEEP)}]; out=[A]"
+    assert run(["check", "--sig", sig_path, "--method", "monoidal", text, other]) == 0
+    assert capsys.readouterr().out == f"equal (monoidal)\n  {normal_form}\n"
+    assert run(["check", "--sig", sig_path, "--method", "cat_easy", text, other]) == 0
+    assert capsys.readouterr().out.startswith("proved (cat_easy)\n")
+    assert run(["normalize", "--sig", sig_path, text]) == 0
+    assert capsys.readouterr().out == normal_form + "\n"
+
+
 def test_check_wide_declared_boundary(tmp_path, capsys, default_recursion_limit):
     wide = " * ".join(["A"] * 1200)
     path = tmp_path / "wide.txt"
@@ -652,13 +672,18 @@ def test_bad_render_config_is_an_error(sig_path, tmp_path, capsys, monkeypatch, 
 
 
 def test_repl_reports_any_error_as_run_does(sig_path, repl, tmp_path, capsys, monkeypatch):
-    # an error that is not an input error (a rule file that is not UTF-8) is the one line
+    # an error that is not an input error (a crash inside the rewrite) is the one line
     # ``run`` prints for it; the session goes on, and its transcript is written
-    rules, transcript = tmp_path / "bin.rules", tmp_path / "session.txt"
-    rules.write_bytes(b"\xff\xfe rule r : u => u\n")
+    rules, transcript = tmp_path / "r.rules", tmp_path / "session.txt"
+    rules.write_text("rule r : f => f\n", encoding="utf-8")
+
+    def crash(*_args):
+        raise RuntimeError("rewrite\n crashed")
+
+    monkeypatch.setattr("monocat.tactics.assoc_rw", crash)
     assert run(["rewrite", "--sig", sig_path, "--rules", str(rules), "--rule", "r", "f"]) == 2
     error = capsys.readouterr().err.rstrip("\n")
-    assert error.startswith("error: UnicodeDecodeError: ") and "\n" not in error
+    assert error == "error: RuntimeError: rewrite crashed"
     repl_step(repl, "load f")
     repl_step(repl, f"rw {rules} r")
     assert repl.term == parse_expr("f", repl.sig) and repl.transcript[-1] == error
@@ -668,6 +693,25 @@ def test_repl_reports_any_error_as_run_does(sig_path, repl, tmp_path, capsys, mo
     assert capsys.readouterr().out.count("error:") == 1
     assert transcript.read_text(encoding="utf-8").splitlines() == [
         "> load f", "f", f"> rw {rules} r", error, "> show", "f : N -> B", "> quit"]
+
+
+@pytest.mark.parametrize("kind", ["signature", "rule", "batch"])
+def test_file_that_is_not_utf8_is_named(sig_path, repl, tmp_path, capsys, kind):
+    # one error line naming the file and its kind, from the subcommand and the REPL alike
+    path = tmp_path / f"bin.{kind}"
+    path.write_bytes(b"\xff\xfe u == u\n")
+    argv = {"signature": ["normalize", "--sig", str(path), "u"],
+            "rule": ["rewrite", "--sig", sig_path, "--rules", str(path), "--rule", "r", "u"],
+            "batch": ["check", "--sig", sig_path, "--method", "monoidal", "--batch", str(path)]}
+    assert run(argv[kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} file {path} is not UTF-8 text\n"
+    if kind == "rule":
+        repl_step(repl, "load u")
+        repl_step(repl, f"rw {path} r")
+        assert repl.transcript[-1] == captured.err.rstrip("\n")
+        assert repl.term == parse_expr("u", repl.sig)
 
 
 def test_module_entry_point_exits_2():
